@@ -27,10 +27,9 @@ import numpy as np
 
 from .linalg import is_anti_hermitian, is_hermitian
 from .spin import raising_lowering, spin1_matrices, embed
-from .states import CoupledState
-from .squeezing import FramePolicy, Optimized, SqueezingReport, squeezing_report
+from .states import NORM_TOL, CoupledState
+from .squeezing import FramePolicy, Optimized, SqueezingReport, optimized_xi, squeezing_report
 
-_NORM_TOL = 1e-12
 _TIE_TOL = 1e-14
 
 
@@ -75,6 +74,13 @@ def cross_quadratic_generator() -> Generator:
     return Generator(h, "hermitian", "cross-quadratic")
 
 
+def _norms(amps: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of a complex array, in place of
+    np.linalg.norm, which makes full-size temporaries."""
+    flat = amps.view(float)
+    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
+
+
 class Propagator:
     """Evolution operator family U(tau) for one generator.
 
@@ -101,17 +107,27 @@ class Propagator:
         phases = np.exp(-1j * tau * self._w)
         return (self._v * phases) @ self._v.conj().T
 
+    def propagate(self, vecs: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """U(tau) psi for every 9-vector psi in vecs (shape (..., 9)) and
+        every tau, renormalized: shape (..., len(taus), 9).
+
+        Raises ValueError when a result is not normalized to NORM_TOL (a
+        non-finite input or generator spectrum).
+        """
+        coeffs = np.asarray(vecs, dtype=complex) @ self._v.conj()
+        phases = np.exp(-1j * np.multiply.outer(np.asarray(taus, dtype=float), self._w))
+        # one einsum without intermediates: memory is the result alone
+        amps = np.einsum("ij,tj,...j->...ti", self._v, phases, coeffs)
+        amps /= _norms(amps)[..., None]
+        if not np.all(np.abs(_norms(amps) - 1.0) <= NORM_TOL):
+            raise ValueError("propagated amplitudes are not normalized")
+        return amps
+
     def apply(self, state: CoupledState, tau: float) -> CoupledState:
-        amps = self._v @ (np.exp(-1j * tau * self._w) * (self._v.conj().T @ state.vec))
-        return CoupledState.normalized(amps.reshape(3, 3))
+        return self.apply_grid(state, [tau])[0]
 
     def apply_grid(self, state: CoupledState, taus: np.ndarray) -> list[CoupledState]:
-        coeffs = self._v.conj().T @ state.vec
-        out = []
-        for tau in np.asarray(taus, dtype=float):
-            amps = self._v @ (np.exp(-1j * tau * self._w) * coeffs)
-            out.append(CoupledState.normalized(amps.reshape(3, 3)))
-        return out
+        return [CoupledState(a.reshape(3, 3)) for a in self.propagate(state.vec, taus)]
 
 
 def evolve(state: CoupledState, g: Generator, tau: float) -> CoupledState:
@@ -207,7 +223,9 @@ def two_stage_minimum(
 
     Returns the full xi surface plus the grid minimum; ties within 1e-14
     resolve to the lexicographically lowest (tau1, tau2).  nan entries
-    (undefined xi) are ignored by the minimum.
+    (undefined xi) are ignored by the minimum.  All cell states come from
+    one batched propagation; under Optimized each tau1 row is then
+    evaluated by optimized_xi, other policies take one report per cell.
     """
     if policy is None:
         policy = Optimized()
@@ -215,11 +233,15 @@ def two_stage_minimum(
     g2 = _check_grid(tau2_grid)
     prop1 = Propagator(first if first is not None else pair_exchange_generator())
     prop2 = Propagator(second if second is not None else cross_quadratic_generator())
+    amps = prop2.propagate(prop1.propagate(state0.vec, g1), g2).reshape(g1.size, g2.size, 3, 3)
     xi = np.empty((g1.size, g2.size))
-    for i, s1 in enumerate(prop1.apply_grid(state0, g1)):
-        for j, s2 in enumerate(prop2.apply_grid(s1, g2)):
-            rep = squeezing_report(s2, policy)
-            xi[i, j] = rep.xi if rep.valid else float("nan")
+    for i, row in enumerate(amps):
+        # one tau1 row per block bounds the optimizer's working set
+        if isinstance(policy, Optimized):
+            xi[i] = optimized_xi(row, policy)
+        else:
+            reports = [squeezing_report(CoupledState(c), policy) for c in row]
+            xi[i] = [rep.xi if rep.valid else float("nan") for rep in reports]
     finite = np.where(np.isnan(xi), np.inf, xi)
     target = float(finite.min()) + _TIE_TOL
     flat = int(np.argmax(finite.ravel() <= target))

@@ -17,6 +17,7 @@ on both factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,16 @@ def raising_lowering() -> tuple[np.ndarray, np.ndarray]:
     return S_PLUS.copy(), S_MINUS.copy()
 
 
+def _sumsq(v) -> float:
+    # spelled out rather than a dot product so that frame_bases, summing
+    # the same products column-wise, rounds identically
+    x, y, z = v.tolist()
+    return x * x + y * y + z * z
+
+
 def _unit(v, name: str = "direction") -> np.ndarray:
     a = np.asarray(v, dtype=float).reshape(3)
-    n2 = float(a @ a)
+    n2 = _sumsq(a)
     if abs(n2 - 1.0) > _UNIT_TOL:
         raise ValueError(f"{name} must be a unit 3-vector, got |v|^2 = {n2}")
     return a / np.sqrt(n2)
@@ -147,10 +155,31 @@ def build_frame(n) -> Frame:
         p = np.array([1.0, 0.0, 0.0]) - nn[0] * nn
     else:
         p = np.array([-nn[1], nn[0], 0.0])
-    p = p / np.linalg.norm(p)
+    p = p / math.sqrt(_sumsq(p))
     q = cross3(nn, p)
-    q = q / np.linalg.norm(q)
+    q = q / math.sqrt(_sumsq(q))
     return Frame(nn, p, q)
+
+
+def _sumsq_rows(v: np.ndarray) -> np.ndarray:
+    return v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
+
+
+def frame_bases(directions) -> np.ndarray:
+    """build_frame's [n_perp, n_perp2], shape (N, 2, 3), for each row of an
+    (N, 3) stack of unit directions, bit for bit, without Frame objects."""
+    d = np.asarray(directions, dtype=float).reshape(-1, 3)
+    nn = d / np.sqrt(_sumsq_rows(d))[:, None]
+    x, y, z = nn[:, 0], nn[:, 1], nn[:, 2]
+    pole = (np.abs(z) > 1.0 - 1e-9)[:, None]
+    p = np.where(pole, np.array([1.0, 0.0, 0.0]) - x[:, None] * nn,
+                 np.stack([-y, x, np.zeros_like(x)], axis=1))
+    p = p / np.sqrt(_sumsq_rows(p))[:, None]
+    q = np.stack([y * p[:, 2] - z * p[:, 1],
+                  z * p[:, 0] - x * p[:, 2],
+                  x * p[:, 1] - y * p[:, 0]], axis=1)
+    q = q / np.sqrt(_sumsq_rows(q))[:, None]
+    return np.stack([p, q], axis=1)
 
 
 def build_frame_xz(n) -> Frame:

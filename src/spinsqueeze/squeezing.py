@@ -30,13 +30,14 @@ the discrepancy report is the record of those gaps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SX, SY, SZ, Frame, build_frame, build_frame_xz, cross3
-from .states import CoupledState, Spin1State, canonical_squeezed, product
+from .spin import SX, SY, SZ, Frame, build_frame, build_frame_xz, cross3, frame_bases
+from .states import NORM_TOL, CoupledState, Spin1State, canonical_squeezed, product
 
 DEGENERATE_MEAN_SPIN = 1e-9
 MATCH_TOL = 1e-10
@@ -94,12 +95,20 @@ class MeanSpinAligned:
 class Optimized:
     """Minimize xi over transverse directions.
 
-    A coarse grid scan (grid_points per angle, first-minimum tie-break at
-    1e-14 so equal minima resolve to the lexicographically lowest angles)
-    is followed by coordinate-descent refinement with a golden-section line
-    search per coordinate, at most refine_iters sweeps (terminating early
-    once a sweep no longer improves the minimum).  For a degenerate
-    subsystem the search runs over its full direction sphere.
+    Both mean spins nonzero: the numerator is a trigonometric polynomial in
+    the two in-plane angles.  Its minimum on a grid_points x grid_points
+    grid (first-minimum tie-break at 1e-14, so equal minima resolve to the
+    lexicographically lowest angles) seeds a joint 2-D Newton solve.  A
+    step is rejected when the Hessian is not positive definite or the step
+    is longer than one grid cell, and that round takes one coordinate-
+    descent sweep instead.  The converged point is certified when 256-point
+    scans along each angle, the other held fixed, find nothing lower;
+    otherwise the search jumps to the lower scan point and polishes again.
+    refine_iters caps these rounds.
+
+    A degenerate subsystem: the search runs over its full direction sphere,
+    a grid scan followed by coordinate descent with a golden-section line
+    search per coordinate, at most refine_iters sweeps.
     """
 
     grid_points: int = 64
@@ -184,6 +193,24 @@ class Moments:
         return xi, var1, var2, cross
 
 
+def moment_tables(c: np.ndarray):
+    """The Moments tables for a stack of amplitude matrices (N, 3, 3):
+    (mean1, mean2) of shape (N, 3) and (mom1, mom2, cross_mat) of shape
+    (N, 3, 3), computed with stacked matrix products."""
+    ch = c.conj()
+    r1 = (c @ ch.transpose(0, 2, 1)).reshape(-1, 9)
+    r2 = (c.transpose(0, 2, 1) @ ch).reshape(-1, 9)
+    psi = c.reshape(-1, 9)
+    big = (psi[:, :, None] * ch.reshape(-1, 1, 9)).reshape(-1, 81)
+    return (
+        (r1 @ _MEAN_FLAT.T).real,
+        (r2 @ _MEAN_FLAT.T).real,
+        (r1 @ _SYM_FLAT.T).real.reshape(-1, 3, 3),
+        (r2 @ _SYM_FLAT.T).real.reshape(-1, 3, 3),
+        (big @ _CROSS_FLAT.T).real.reshape(-1, 3, 3),
+    )
+
+
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Argmin of a unimodal-enough f on [lo, hi] by golden-section search."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -263,90 +290,196 @@ class _SphereAxis:
 
 
 _SCAN = np.arange(256) * (2.0 * math.pi / 256)
-_SCAN_COS, _SCAN_SIN = np.cos(_SCAN), np.sin(_SCAN)
-_SCAN_COS2, _SCAN_SIN2 = np.cos(2.0 * _SCAN), np.sin(2.0 * _SCAN)
+# f(x) = p2 cos2x + q2 sin2x + a cos x + b sin x on the scan is this table
+# times (p2, q2, a, b)
+_SCAN_HARM = np.stack([np.cos(2.0 * _SCAN), np.sin(2.0 * _SCAN), np.cos(_SCAN), np.sin(_SCAN)],
+                      axis=1)
 _SCAN_STEP = 2.0 * math.pi / 256
 
+_NEWTON_STEPS = 30
+# grid rows evaluated per chunk: bounds the (rows, n, n) value table
+_GRID_CHUNK = 8
 
-def _optimize_plane_plane(mom: Moments, frame1: Frame, frame2: Frame, policy: Optimized):
-    """Joint in-plane minimization via the harmonic form of the numerator.
 
-    With u(s) = cos(s) a1 + sin(s) b1 and v(t) likewise, the numerator is
-    base + p cos2s + q sin2s + r cos2t + w sin2t + [cos s, sin s] K [cos t,
-    sin t]^T (means vanish transverse to the mean spin, so the variances are
-    pure second harmonics).  Coarse grid, then coordinate descent where each
-    coordinate is re-minimized globally (dense scan plus golden section).
-    """
-    a1, b1 = frame1.n_perp, frame1.n_perp2
-    a2, b2 = frame2.n_perp, frame2.n_perp2
-    m1, m2, cm = mom.mom1, mom.mom2, mom.cross_mat
-    pa, pb, pc = float(a1 @ m1 @ a1), float(b1 @ m1 @ b1), float(a1 @ m1 @ b1)
-    qa, qb, qc = float(a2 @ m2 @ a2), float(b2 @ m2 @ b2), float(a2 @ m2 @ b2)
-    k00, k01 = 4.0 * float(a1 @ cm @ a2), 4.0 * float(a1 @ cm @ b2)
-    k10, k11 = 4.0 * float(b1 @ cm @ a2), 4.0 * float(b1 @ cm @ b2)
-    # constant term (pa+pb+qa+qb) dropped: only the argmin is needed here
-    p, q = pa - pb, 2.0 * pc
-    r, w = qa - qb, 2.0 * qc
+# The plane-plane numerator.  With u(s) = cos(s) a1 + sin(s) b1 and v(t)
+# likewise, 2 Var(S1.u) + 2 Var(S2.v) + 4 <(S1.u)(x)(S2.v)> equals
+#
+#     const + p cos2s + q sin2s + r cos2t + w sin2t
+#           + [cos s, sin s] K [cos t, sin t]^T
+#
+# (means vanish transverse to the mean spin, so the variances are pure
+# second harmonics).  A coefficient row is (p, q, r, w, k00, k01, k10, k11).
 
-    n = policy.grid_points
+def _harmonics(mom1, mom2, cross_mat, e1, e2) -> np.ndarray:
+    """Coefficient rows (N, 8) from stacked second moments (N, 3, 3) and
+    transverse bases e = [a, b] (N, 2, 3)."""
+    g1 = e1 @ mom1 @ e1.transpose(0, 2, 1)
+    g2 = e2 @ mom2 @ e2.transpose(0, 2, 1)
+    out = np.empty((len(e1), 8))
+    out[:, 0] = g1[:, 0, 0] - g1[:, 1, 1]
+    out[:, 1] = 2.0 * g1[:, 0, 1]
+    out[:, 2] = g2[:, 0, 0] - g2[:, 1, 1]
+    out[:, 3] = 2.0 * g2[:, 0, 1]
+    out[:, 4:] = 4.0 * (e1 @ cross_mat @ e2.transpose(0, 2, 1)).reshape(-1, 4)
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_harmonics(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid angles and their harmonics [cos, sin, cos2, sin2, 1] (n, 5)."""
     ang = np.arange(n) * (2.0 * math.pi / n)
-    cs, sn = np.cos(ang), np.sin(ang)
-    s_part = p * np.cos(2.0 * ang) + q * np.sin(2.0 * ang)
-    t_part = r * np.cos(2.0 * ang) + w * np.sin(2.0 * ang)
-    kmat = np.array([[k00, k01], [k10, k11]])
-    cross = np.stack([cs, sn], axis=1) @ kmat @ np.stack([cs, sn], axis=0)
-    i, j = _first_min_index(s_part[:, None] + t_part[None, :] + cross)
-    s, t = float(ang[i]), float(ang[j])
+    harm = np.stack([np.cos(ang), np.sin(ang), np.cos(2.0 * ang), np.sin(2.0 * ang),
+                     np.ones(n)], axis=1)
+    ang.flags.writeable = harm.flags.writeable = False
+    return ang, harm
 
-    def value(s: float, t: float) -> float:
-        return (
-            p * math.cos(2.0 * s) + q * math.sin(2.0 * s)
-            + r * math.cos(2.0 * t) + w * math.sin(2.0 * t)
-            + math.cos(s) * (k00 * math.cos(t) + k01 * math.sin(t))
-            + math.sin(s) * (k10 * math.cos(t) + k11 * math.sin(t))
-        )
 
-    def remin(p2, q2, a_, b_):
-        # global min of f(x) = p2 cos2x + q2 sin2x + a_ cos x + b_ sin x:
-        # dense scan for the basin, then Newton on f' (falls back to golden
-        # section if the local curvature is unusable)
-        vals = p2 * _SCAN_COS2 + q2 * _SCAN_SIN2 + a_ * _SCAN_COS + b_ * _SCAN_SIN
-        x = float(_SCAN[int(np.argmin(vals))])
-        scale = abs(p2) + abs(q2) + abs(a_) + abs(b_) + 1e-300
-        for _ in range(30):
-            s2, c2 = math.sin(2.0 * x), math.cos(2.0 * x)
-            s1, c1 = math.sin(x), math.cos(x)
-            d1 = -2.0 * p2 * s2 + 2.0 * q2 * c2 - a_ * s1 + b_ * c1
-            d2 = -4.0 * p2 * c2 - 4.0 * q2 * s2 - a_ * c1 - b_ * s1
-            if d2 <= 0.0:
-                break
-            step = d1 / d2
-            if abs(step) > _SCAN_STEP:
-                break
-            x -= step
-            if abs(step) <= 1e-14 or abs(d1) <= 1e-15 * scale:
-                return x
-        def f(y):
-            return (p2 * math.cos(2.0 * y) + q2 * math.sin(2.0 * y)
-                    + a_ * math.cos(y) + b_ * math.sin(y))
-        return _golden_min(f, x - _SCAN_STEP, x + _SCAN_STEP, tol=1e-12)
+def _grid_argmin(coef: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per coefficient row, the angles (s, t) of the first n x n grid point
+    (row-major) within 1e-14 of the grid minimum."""
+    ang, harm = _grid_harmonics(n)
+    idx = np.empty(len(coef), dtype=np.intp)
+    vals = np.empty((min(len(coef), _GRID_CHUNK), n, n))
+    for lo in range(0, len(coef), _GRID_CHUNK):
+        c = coef[lo:lo + _GRID_CHUNK]
+        # value[i, j] = harm[i] . M . harm[j] with the row's 5x5 matrix M
+        m = np.zeros((len(c), 5, 5))
+        m[:, :2, :2] = c[:, 4:].reshape(-1, 2, 2)
+        m[:, 2:4, 4] = c[:, 0:2]
+        m[:, 4, 2:4] = c[:, 2:4]
+        flat = np.matmul(harm, m @ harm.T, out=vals[:len(c)]).reshape(len(c), n * n)
+        target = flat.min(axis=1, keepdims=True) + _TIE_TOL
+        idx[lo:lo + len(c)] = np.argmax(flat <= target, axis=1)
+    i, j = np.divmod(idx, n)
+    return ang[i], ang[j]
 
-    best = value(s, t)
-    for _ in range(policy.refine_iters):
-        s = remin(p, q,
-                  k00 * math.cos(t) + k01 * math.sin(t),
-                  k10 * math.cos(t) + k11 * math.sin(t))
-        t = remin(r, w,
-                  k00 * math.cos(s) + k10 * math.sin(s),
-                  k01 * math.cos(s) + k11 * math.sin(s))
-        now = value(s, t)
-        if best - now < 1e-15:
-            best = min(best, now)
+
+def _section_min(p2, q2, a_, b_) -> tuple[float, float]:
+    """(x, f(x)) at the lowest of the 256 scan points of
+    f(x) = p2 cos2x + q2 sin2x + a_ cos x + b_ sin x."""
+    vals = _SCAN_HARM @ (p2, q2, a_, b_)
+    k = vals.argmin()
+    return float(_SCAN[k]), float(vals[k])
+
+
+def _remin(p2, q2, a_, b_) -> float:
+    """Global argmin of f(x) = p2 cos2x + q2 sin2x + a_ cos x + b_ sin x:
+    dense scan for the basin, then Newton on f' (golden section if the local
+    curvature is unusable)."""
+    x, _ = _section_min(p2, q2, a_, b_)
+    scale = abs(p2) + abs(q2) + abs(a_) + abs(b_) + 1e-300
+    for _ in range(30):
+        s2, c2 = math.sin(2.0 * x), math.cos(2.0 * x)
+        s1, c1 = math.sin(x), math.cos(x)
+        d1 = -2.0 * p2 * s2 + 2.0 * q2 * c2 - a_ * s1 + b_ * c1
+        d2 = -4.0 * p2 * c2 - 4.0 * q2 * s2 - a_ * c1 - b_ * s1
+        if d2 <= 0.0:
             break
-        best = now
-    u = math.cos(s) * a1 + math.sin(s) * b1
-    v = math.cos(t) * a2 + math.sin(t) * b2
-    return u, v
+        step = d1 / d2
+        if abs(step) > _SCAN_STEP:
+            break
+        x -= step
+        if abs(step) <= 1e-14 or abs(d1) <= 1e-15 * scale:
+            return x
+
+    def f(y):
+        return (p2 * math.cos(2.0 * y) + q2 * math.sin(2.0 * y)
+                + a_ * math.cos(y) + b_ * math.sin(y))
+    return _golden_min(f, x - _SCAN_STEP, x + _SCAN_STEP, tol=1e-12)
+
+
+def _scale(c) -> float:
+    """Size of a coefficient row: the sum of absolute coefficients."""
+    return sum(map(abs, c))
+
+
+def _newton(c, s: float, t: float, cell: float) -> tuple[float, float, bool]:
+    """Joint 2-D Newton on the numerator from (s, t).
+
+    Returns the last point and whether it converged; a step is rejected
+    (converged False) when the Hessian is not positive definite or the step
+    is longer than one grid cell.
+    """
+    p, q, r, w, k00, k01, k10, k11 = c
+    tol = 1e-15 * _scale(c)
+    for _ in range(_NEWTON_STEPS):
+        cs, ss, ct, st = math.cos(s), math.sin(s), math.cos(t), math.sin(t)
+        c2s, s2s = cs * cs - ss * ss, 2.0 * ss * cs
+        c2t, s2t = ct * ct - st * st, 2.0 * st * ct
+        ka, kb = k00 * ct + k01 * st, k10 * ct + k11 * st
+        kat, kbt = k01 * ct - k00 * st, k11 * ct - k10 * st
+        x = cs * ka + ss * kb
+        gs = 2.0 * (q * c2s - p * s2s) + cs * kb - ss * ka
+        gt = 2.0 * (w * c2t - r * s2t) + cs * kat + ss * kbt
+        if abs(gs) + abs(gt) <= tol:
+            return s, t, True
+        hss = -4.0 * (p * c2s + q * s2s) - x
+        htt = -4.0 * (r * c2t + w * s2t) - x
+        hst = cs * kbt - ss * kat
+        det = hss * htt - hst * hst
+        if hss <= 0.0 or det <= 0.0:
+            return s, t, False
+        ds = (hst * gt - htt * gs) / det
+        dt = (hst * gs - hss * gt) / det
+        if ds * ds + dt * dt > cell * cell:
+            return s, t, False
+        s, t = s + ds, t + dt
+        if abs(ds) + abs(dt) <= 1e-14:
+            return s, t, True
+    return s, t, False
+
+
+def _section_jump(c, s: float, t: float) -> tuple[float, float] | None:
+    """The certificate: scan the numerator over s at fixed t, then over t
+    at fixed s (256 points each).  Returns a scan point lower than (s, t),
+    or None when neither scan finds one."""
+    p, q, r, w, k00, k01, k10, k11 = c
+    tol = 1e-14 * _scale(c)
+    cs, ss, ct, st = math.cos(s), math.sin(s), math.cos(t), math.sin(t)
+    ka, kb = k00 * ct + k01 * st, k10 * ct + k11 * st
+    x, low = _section_min(p, q, ka, kb)
+    if low < p * math.cos(2.0 * s) + q * math.sin(2.0 * s) + ka * cs + kb * ss - tol:
+        return x, t
+    ka, kb = k00 * cs + k10 * ss, k01 * cs + k11 * ss
+    x, low = _section_min(r, w, ka, kb)
+    if low < r * math.cos(2.0 * t) + w * math.sin(2.0 * t) + ka * ct + kb * st - tol:
+        return s, x
+    return None
+
+
+def _refine(c, s: float, t: float, cell: float, rounds: int) -> tuple[float, float]:
+    """Converged minimum of one coefficient row, starting from a grid point.
+
+    Each round polishes by joint Newton and then certifies the point with
+    the section scans; a lower scan point starts the next round.  When
+    Newton rejects a step the round falls back to one coordinate-descent
+    sweep (each angle re-minimized globally) instead.
+    """
+    p, q, r, w, k00, k01, k10, k11 = c
+    for _ in range(rounds):
+        s, t, converged = _newton(c, s, t, cell)
+        if not converged:
+            ct, st = math.cos(t), math.sin(t)
+            s = _remin(p, q, k00 * ct + k01 * st, k10 * ct + k11 * st)
+            cs, ss = math.cos(s), math.sin(s)
+            t = _remin(r, w, k00 * cs + k10 * ss, k01 * cs + k11 * ss)
+            continue
+        lower = _section_jump(c, s, t)
+        if lower is None:
+            break
+        s, t = lower
+    return s, t
+
+
+def _plane_plane_angles(coef: np.ndarray, policy: Optimized) -> np.ndarray:
+    """Minimizing angles (N, 2) for coefficient rows (N, 8): grid argmin,
+    then the converged refinement of each row."""
+    s0, t0 = _grid_argmin(coef, policy.grid_points)
+    cell = 2.0 * math.pi / policy.grid_points
+    return np.array([
+        _refine(c, s, t, cell, policy.refine_iters)
+        for c, s, t in zip(coef.tolist(), s0.tolist(), t0.tolist())
+    ]).reshape(-1, 2)
 
 
 def _optimize_directions(mom: Moments, axis1, axis2, policy: Optimized):
@@ -480,7 +613,12 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
         if not degenerate:
             base1 = build_frame(mom.mean1 / mom.mag1)
             base2 = build_frame(mom.mean2 / mom.mag2)
-            u, v = _optimize_plane_plane(mom, base1, base2, policy)
+            a1, b1, a2, b2 = base1.n_perp, base1.n_perp2, base2.n_perp, base2.n_perp2
+            coef = _harmonics(mom.mom1[None], mom.mom2[None], mom.cross_mat[None],
+                              np.array([[a1, b1]]), np.array([[a2, b2]]))
+            ((s, t),) = _plane_plane_angles(coef, policy).tolist()
+            u = math.cos(s) * a1 + math.sin(s) * b1
+            v = math.cos(t) * a2 + math.sin(t) * b2
         else:
             axis1 = _SphereAxis() if 1 in degenerate else _PlaneAxis(build_frame(mom.mean1 / mom.mag1))
             axis2 = _SphereAxis() if 2 in degenerate else _PlaneAxis(build_frame(mom.mean2 / mom.mag2))
@@ -506,6 +644,49 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
         valid=True,
         degenerate_subsystems=degenerate,
     )
+
+
+def optimized_xi(c: np.ndarray, policy: Optimized | None = None) -> np.ndarray:
+    """xi under an Optimized policy for a stack of normalized amplitude
+    matrices (N, 3, 3), nan where undefined.
+
+    Equals squeezing_report(CoupledState(c[k]), policy).xi row by row: the
+    plane-plane rows share its coefficient, grid and refinement steps, with
+    moments, bases and the final xi evaluated for all rows at once; rows
+    with a degenerate subsystem go through squeezing_report itself.
+    """
+    if policy is None:
+        policy = Optimized()
+    c = np.asarray(c, dtype=complex).reshape(-1, 3, 3)
+    if not np.all(np.abs(np.linalg.norm(c.reshape(-1, 9), axis=1) - 1.0) <= NORM_TOL):
+        raise ValueError("optimized_xi requires normalized amplitudes")
+    mean1, mean2, mom1, mom2, cross_mat = moment_tables(c)
+    mag1 = np.linalg.norm(mean1, axis=1)
+    mag2 = np.linalg.norm(mean2, axis=1)
+    plane = (mag1 >= DEGENERATE_MEAN_SPIN) & (mag2 >= DEGENERATE_MEAN_SPIN)
+    xi = np.empty(len(c))
+    for k in np.flatnonzero(~plane):
+        rep = squeezing_report(CoupledState(c[k]), policy)
+        xi[k] = rep.xi if rep.valid else float("nan")
+    rows = np.flatnonzero(plane)
+    if rows.size:
+        e1 = frame_bases(mean1[rows] / mag1[rows, None])
+        e2 = frame_bases(mean2[rows] / mag2[rows, None])
+        m1, m2, cm = mom1[rows], mom2[rows], cross_mat[rows]
+        angles = _plane_plane_angles(_harmonics(m1, m2, cm, e1, e2), policy)
+        cs, sn = np.cos(angles), np.sin(angles)
+        u = cs[:, :1] * e1[:, 0] + sn[:, :1] * e1[:, 1]
+        v = cs[:, 1:] * e2[:, 0] + sn[:, 1:] * e2[:, 1]
+
+        def variance(mom, mean, d):
+            # as Moments.variance, including its clamp of roundoff below 0
+            var = np.einsum("ni,nij,nj->n", d, mom, d) - np.einsum("ni,ni->n", mean, d) ** 2
+            return np.where((var < 0.0) & (var >= -1e-12), 0.0, var)
+
+        numer = (2.0 * variance(m1, mean1[rows], u) + 2.0 * variance(m2, mean2[rows], v)
+                 + 4.0 * np.einsum("ni,nij,nj->n", u, cm, v))
+        xi[rows] = numer / (mag1[rows] + mag2[rows])
+    return xi
 
 
 # --------------------------------------------------------------------------

@@ -86,7 +86,8 @@ class Spin1State:
 
     def __init__(self, amps):
         a = np.asarray(amps, dtype=complex).reshape(3)
-        if abs(float(np.linalg.norm(a)) - 1.0) > NORM_TOL:
+        # written so that a nan norm fails too
+        if not abs(float(np.linalg.norm(a)) - 1.0) <= NORM_TOL:
             raise ValueError("Spin1State requires normalized amplitudes")
         self.amps = a
 
@@ -115,7 +116,7 @@ class CoupledState:
             a = a.reshape(3, 3)
         if a.shape != (3, 3):
             raise ValueError(f"expected a 3x3 amplitude matrix, got shape {a.shape}")
-        if abs(float(np.linalg.norm(a)) - 1.0) > NORM_TOL:
+        if not abs(float(np.linalg.norm(a)) - 1.0) <= NORM_TOL:
             raise ValueError("CoupledState requires normalized amplitudes")
         self.c = a
 
@@ -496,7 +497,8 @@ def load_state(path) -> CoupledState:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)
+            # bool is an int subclass, but a JSON true is not a number
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise StateFormatError(f"amplitude {k} must be a [re, im] pair of numbers")
         vec[k] = complex(pair[0], pair[1])

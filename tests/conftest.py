@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from spinsqueeze import CoupledState, Frame, matrix_exponential, spin_component
+from spinsqueeze import (
+    CoupledState,
+    Frame,
+    Propagator,
+    builtin_initial,
+    cross_quadratic_generator,
+    matrix_exponential,
+    pair_exchange_generator,
+    spin_component,
+)
 
 settings.register_profile(
     "suite",
@@ -47,6 +56,14 @@ def rotate_coupled(state: CoupledState, axis: np.ndarray, angle: float) -> Coupl
     """Apply the same SU(2) rotation exp(-i angle axis.S) to both subsystems."""
     u = matrix_exponential(spin_component(axis), scale=-1j * angle, kind="hermitian")
     return CoupledState.normalized(u @ state.c @ u.T)
+
+
+def two_stage_amplitudes(grid: np.ndarray) -> np.ndarray:
+    """Amplitude matrices (len(grid)**2, 3, 3) of the coherent-11 two-stage
+    scan over grid x grid, row-major in (tau1, tau2), as two_stage_minimum
+    propagates them."""
+    stage1 = Propagator(pair_exchange_generator()).propagate(builtin_initial("coherent-11").vec, grid)
+    return Propagator(cross_quadratic_generator()).propagate(stage1, grid).reshape(-1, 3, 3)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -69,6 +70,14 @@ def test_xi_bad_state_file(tmp_path, capsys):
     p2 = tmp_path / "missing.json"
     assert main(["xi", "--state", str(p2)]) == EXIT_BAD_STATE
     capsys.readouterr()
+
+
+def test_xi_rejects_boolean_amplitudes(tmp_path, capsys):
+    p = tmp_path / "bools.json"
+    amps = [[True, False]] + [[0, 0]] * 8
+    p.write_text(json.dumps({"basis_order": "m=+1,0,-1", "amps": amps}))
+    assert main(["xi", "--state", str(p)]) == EXIT_BAD_STATE
+    assert capsys.readouterr().out == ""
 
 
 def test_bad_flags_exit_usage(capsys, coherent_file):

@@ -20,8 +20,9 @@ from spinsqueeze import (
     two_stage_minimum,
 )
 from spinsqueeze.spin import S_MINUS, S_PLUS
+from spinsqueeze.squeezing import optimized_xi
 
-from conftest import random_coupled
+from conftest import random_coupled, two_stage_amplitudes
 
 SX, SY, SZ = spin1_matrices()
 
@@ -161,6 +162,38 @@ def test_two_stage_minimum_improves():
     i = list(scan.tau1_grid).index(scan.argmin[0])
     j = list(scan.tau2_grid).index(scan.argmin[1])
     assert scan.xi[i, j] <= float(np.nanmin(scan.xi)) + 1e-14
+
+
+def test_two_stage_cells_equal_single_reports():
+    g = np.linspace(0.0, 3.0, 20)
+    scan = two_stage_minimum(builtin_initial("coherent-11"), g, g, Optimized())
+    for xi, c in zip(scan.xi.ravel(), two_stage_amplitudes(g)):
+        rep = squeezing_report(CoupledState(c), Optimized())
+        assert abs(xi - rep.xi) <= 1e-12 * abs(rep.xi)
+
+
+def test_optimized_xi_routes_degenerate_rows_through_the_report(rng):
+    states = [random_coupled(rng) for _ in range(5)]
+    states += [CoupledState.basis(1, 0), CoupledState.basis(0, 0)]
+    xi = optimized_xi(np.array([s.c for s in states]))
+    for got, state in zip(xi, states):
+        rep = squeezing_report(state, Optimized())
+        if rep.valid:
+            assert abs(got - rep.xi) <= 1e-12 * abs(rep.xi)
+        else:
+            assert math.isnan(got)
+    assert math.isnan(xi[-1]) and xi[-2] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_propagate_matches_single_state_evolution(rng):
+    prop = Propagator(cross_quadratic_generator())
+    states = [random_coupled(rng) for _ in range(3)]
+    taus = np.array([0.0, 0.4, 2.5])
+    amps = prop.propagate(np.array([s.vec for s in states]), taus)
+    assert amps.shape == (3, 3, 9)
+    for state, row in zip(states, amps):
+        for tau, a in zip(taus, row):
+            npt.assert_allclose(a, prop.at(tau) @ state.vec, atol=1e-14)
 
 
 def test_builtin_initial():

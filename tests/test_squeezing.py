@@ -32,10 +32,17 @@ from spinsqueeze import (
     xi_oracle,
     xi_product_pair,
 )
-from spinsqueeze.spin import Frame, cross3
-from spinsqueeze.squeezing import family_summary
+from spinsqueeze.spin import Frame, cross3, frame_bases
+from spinsqueeze.squeezing import family_summary, moment_tables
 
-from conftest import random_coupled, random_frame, random_unit, rotate_coupled, rotation_matrix
+from conftest import (
+    random_coupled,
+    random_frame,
+    random_unit,
+    rotate_coupled,
+    rotation_matrix,
+    two_stage_amplitudes,
+)
 
 SX, SY, SZ = spin1_matrices()
 
@@ -72,6 +79,31 @@ def test_moments_match_dense_operators(rng):
         assert mom.variance(1, u) == pytest.approx(_dense_variance(state, 1, u), abs=1e-12)
         assert mom.variance(2, v) == pytest.approx(_dense_variance(state, 2, v), abs=1e-12)
         assert mom.cross_correlation(u, v) == pytest.approx(_dense_cross(state, u, v), abs=1e-12)
+
+
+def test_moment_tables_match_moments(rng):
+    states = [random_coupled(rng) for _ in range(40)] + [
+        CoupledState(c) for c in two_stage_amplitudes(np.linspace(0.0, 3.0, 6))]
+    tables = moment_tables(np.array([s.c for s in states]))
+    for k, state in enumerate(states):
+        mom = Moments(state)
+        want = (mom.mean1, mom.mean2, mom.mom1, mom.mom2, mom.cross_mat)
+        for table, ref in zip(tables, want):
+            npt.assert_allclose(table[k], ref, rtol=0, atol=1e-15)
+
+
+def test_frame_bases_equal_build_frame_exactly(rng):
+    dirs = [random_unit(rng) for _ in range(200)]
+    # the pole branch of the gauge and both sides of its 1e-9 threshold
+    for z in (1.0, -1.0):
+        for eps in (0.0, 1e-12, 1e-10, 9e-10, 1e-9, 1.1e-9, 1e-8):
+            x, y = eps * math.cos(0.3), eps * math.sin(0.3)
+            dirs.append(np.array([x, y, z * math.sqrt(1.0 - x * x - y * y)]))
+    bases = frame_bases(np.array(dirs))
+    for d, basis in zip(dirs, bases):
+        frame = build_frame(d)
+        assert np.array_equal(basis[0], frame.n_perp)
+        assert np.array_equal(basis[1], frame.n_perp2)
 
 
 def test_variance_clamp_at_zero():
@@ -205,6 +237,32 @@ def test_optimized_matches_dense_angle_scan(rng):
         assert opt.xi <= best + 1e-9
         # the dense grid lands within its own resolution of the refined value
         assert best <= opt.xi + 1e-3
+
+
+def test_optimized_frames_are_stationary():
+    # at the returned angles (s, t) both partial derivatives of the in-plane
+    # numerator vanish relative to the scale of its harmonic coefficients
+    for c in two_stage_amplitudes(np.linspace(0.0, 3.0, 20)):
+        state = CoupledState(c)
+        rep = squeezing_report(state, Optimized())
+        assert rep.valid and not rep.degenerate_subsystems
+        mom = Moments(state)
+        b1 = build_frame(mom.mean1 / mom.mag1)
+        b2 = build_frame(mom.mean2 / mom.mag2)
+        e1 = np.array([b1.n_perp, b1.n_perp2])
+        e2 = np.array([b2.n_perp, b2.n_perp2])
+        g1, g2 = e1 @ mom.mom1 @ e1.T, e2 @ mom.mom2 @ e2.T
+        k = 4.0 * e1 @ mom.cross_mat @ e2.T
+        p, q = g1[0, 0] - g1[1, 1], 2.0 * g1[0, 1]
+        r, w = g2[0, 0] - g2[1, 1], 2.0 * g2[0, 1]
+        s = math.atan2(rep.frame1.n_perp @ e1[1], rep.frame1.n_perp @ e1[0])
+        t = math.atan2(rep.frame2.n_perp @ e2[1], rep.frame2.n_perp @ e2[0])
+        us, ds = np.array([math.cos(s), math.sin(s)]), np.array([-math.sin(s), math.cos(s)])
+        ut, dt = np.array([math.cos(t), math.sin(t)]), np.array([-math.sin(t), math.cos(t)])
+        grad_s = 2.0 * (q * math.cos(2 * s) - p * math.sin(2 * s)) + ds @ k @ ut
+        grad_t = 2.0 * (w * math.cos(2 * t) - r * math.sin(2 * t)) + us @ k @ dt
+        scale = abs(p) + abs(q) + abs(r) + abs(w) + np.abs(k).sum()
+        assert max(abs(grad_s), abs(grad_t)) <= 1e-10 * scale
 
 
 def test_policy_parameter_validation():

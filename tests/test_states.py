@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -242,6 +243,20 @@ def test_z_alignment_audit_is_deterministic():
     assert max(r.numeric_residual for r in a) < 1e-12
 
 
+# ------------------------------------------------------------ invariants
+
+
+@pytest.mark.parametrize("cls,size", [(Spin1State, 3), (CoupledState, 9)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_constructor_rejects_non_finite_amplitudes(cls, size, bad):
+    with pytest.raises(ValueError):
+        cls(np.full(size, bad))
+    amps = np.zeros(size, dtype=complex)
+    amps[0] = complex(1.0, bad)
+    with pytest.raises(ValueError):
+        cls(amps)
+
+
 # ------------------------------------------------------------ file io
 
 
@@ -266,11 +281,17 @@ def test_load_rejects_bad_files(tmp_path):
         load_state(p)
 
 
+def test_load_rejects_json_booleans(tmp_path):
+    p = tmp_path / "bools.json"
+    amps = [[True, False]] + [[0, 0]] * 8
+    p.write_text(json.dumps({"basis_order": "m=+1,0,-1", "amps": amps}))
+    with pytest.raises(StateFormatError):
+        load_state(p)
+
+
 def test_load_renormalizes(tmp_path):
     p = tmp_path / "scaled.json"
     save_state(p, CoupledState.basis(1, 1))
-    import json
-
     doc = json.loads(p.read_text())
     doc["amps"][0] = [2.0, 0.0]
     p.write_text(json.dumps(doc))
