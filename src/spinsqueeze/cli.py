@@ -16,6 +16,7 @@ digits, LF line endings, undefined cells as the literal ``nan``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 
@@ -39,6 +40,7 @@ from .squeezing import (
     family_summary,
     run_standard_comparisons,
     squeezing_report,
+    xi_batch,
 )
 from .states import (
     StateFormatError,
@@ -46,7 +48,6 @@ from .states import (
     canonical_squeezed,
     config,
     load_state,
-    product,
     z_alignment_audit,
 )
 
@@ -67,6 +68,9 @@ _SWEEP_AXES = {
     "evolve": (("tau",), ((0.0, 3.0, 300),), "optimized"),
     "evolve2": (("tau1", "tau2"), ((0.0, 3.0, 60),) * 2, "optimized"),
 }
+# closed-form family of each state sweep
+_SWEEP_FAMILY = {"product": "product_pair", "mixed": "coherent_squeezed",
+                 "config1": "config1", "config2": "config2", "config3": "config3"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,6 +100,8 @@ def _parse_grid(text: str):
         raise argparse.ArgumentTypeError(f"grid must be start:stop:count, got {text!r}") from None
     if count < 2:
         raise argparse.ArgumentTypeError("grid count must be >= 2")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(f"grid start and stop must be finite, got {text!r}")
     if not start < stop:
         raise argparse.ArgumentTypeError("grid start must be < stop")
     return np.linspace(start, stop, count)
@@ -167,85 +173,100 @@ def cmd_xi(args) -> int:
 # --------------------------------------------------------------------------
 
 def _resolve_grids(kind: str, given: list[np.ndarray] | None, parser: _Parser):
+    """One grid per axis; config3 always gets its two phase axes, [0] when
+    not given."""
     axes, defaults, _ = _SWEEP_AXES[kind]
     n_axes = len(axes)
-    extra_phi = False
     if not given:
         grids = [np.linspace(*d) for d in defaults]
     elif len(given) == 1:
         grids = [given[0]] * n_axes
-    elif len(given) == n_axes:
+    elif len(given) == n_axes or (kind == "config3" and len(given) == 4):
         grids = list(given)
-    elif kind == "config3" and len(given) == 4:
-        grids = list(given)
-        extra_phi = True
     else:
         parser.error(f"{kind} sweep takes 1 or {n_axes} --grid flags"
                      + (" (or 4 with phase axes)" if kind == "config3" else ""))
-    return grids, extra_phi
+    if kind == "config3" and len(grids) == 2:
+        grids += [np.array([0.0])] * 2
+    return grids
 
 
-def _config_params(kind: str, alpha: float, beta: float):
-    sa, sb = math.sin(alpha), math.sin(beta)
-    ca, cb = math.cos(alpha), math.cos(beta)
-    if kind in ("config1", "config2"):
-        return (sa * cb, sa * sb, cb)
-    return (complex(ca), complex(sa * cb), complex(sa * sb))
+class _GridPointError(Exception):
+    """A state builder rejected a sweep grid point."""
 
 
-def _xi_pair(state, family: str, params, policy) -> tuple[float, float]:
-    report = squeezing_report(state, policy)
-    engine = report.xi if report.valid else float("nan")
+def _built(names, values, builder, *args):
+    """builder(*args), its ValueError re-raised as a _GridPointError that
+    names the grid point."""
     try:
-        closed = closed_form_xi(family, params)
-    except ZeroDenominatorError:
-        closed = float("nan")
-    return engine, closed
+        return builder(*args)
+    except ValueError as exc:
+        point = " ".join(f"{n}={_fmt(v)}" for n, v in zip(names, values))
+        raise _GridPointError(f"no state at grid point {point}: {exc}") from None
 
 
-def _sweep_rows(kind: str, grids, extra_phi: bool, policy):
+def _axis_amplitudes(name: str, grid) -> np.ndarray:
+    """canonical_squeezed amplitudes (n, 3), one row per value of a theta axis."""
+    return np.array([_built((name,), (t,), canonical_squeezed, t).amps for t in grid])
+
+
+def _row_blocks(kind: str, names, grids):
+    """The amplitude stacks (M, 3, 3) of the cells sharing one value of the
+    first axis, in CSV order.  Product states are broadcast outer products,
+    as states.product forms them."""
     if kind == "product":
-        for t1 in grids[0]:
-            for t2 in grids[1]:
-                state = product(canonical_squeezed(t1), canonical_squeezed(t2))
-                engine, closed = _xi_pair(state, "product_pair", (t1, t2), policy)
-                yield [_fmt(t1), _fmt(t2), _fmt(engine), _fmt(closed)]
+        a1 = _axis_amplitudes(names[0], grids[0])
+        a2 = _axis_amplitudes(names[1], grids[1])
+        for a in a1:
+            yield a[:, None] * a2[:, None, :]
     elif kind == "mixed":
-        up = Spin1State.basis(1)
-        for t in grids[0]:
-            state = product(up, canonical_squeezed(t))
-            engine, closed = _xi_pair(state, "coherent_squeezed", (t,), policy)
-            yield [_fmt(t), _fmt(engine), _fmt(closed)]
-    elif kind in ("config1", "config2"):
-        kind_num = 1 if kind == "config1" else 2
-        for a in grids[0]:
-            for b in grids[1]:
-                state = config(kind_num, a, b)
-                engine, closed = _xi_pair(state, kind, _config_params(kind, a, b), policy)
-                yield [_fmt(a), _fmt(b), _fmt(engine), _fmt(closed)]
-    elif kind == "config3":
-        phi1_grid = grids[2] if extra_phi else np.array([0.0])
-        phi2_grid = grids[3] if extra_phi else np.array([0.0])
-        for a in grids[0]:
-            for b in grids[1]:
-                for p1 in phi1_grid:
-                    for p2 in phi2_grid:
-                        state = config(3, a, b, p1, p2)
-                        base = _config_params(kind, a, b)
-                        params = (
-                            base[0],
-                            base[1] * complex(math.cos(p1), math.sin(p1)),
-                            base[2] * complex(math.cos(p2), math.sin(p2)),
-                        )
-                        engine, closed = _xi_pair(state, kind, params, policy)
-                        yield [_fmt(a), _fmt(b), _fmt(p1), _fmt(p2), _fmt(engine), _fmt(closed)]
+        up = Spin1State.basis(1).amps
+        yield up[:, None] * _axis_amplitudes(names[0], grids[0])[:, None, :]
     else:
-        raise ValueError(f"unknown sweep kind {kind!r}")
+        number = int(kind[-1])
+        for a in grids[0]:
+            yield np.array([_built(names, cell, config, number, *cell).c
+                            for cell in itertools.product([a], *grids[1:])])
+
+
+def _closed_xi(kind: str, cell) -> float:
+    """The family's closed form at one grid cell, nan where undefined."""
+    if kind in ("product", "mixed"):
+        params = cell
+    else:
+        a, b = cell[:2]
+        sa, sb, ca, cb = math.sin(a), math.sin(b), math.cos(a), math.cos(b)
+        if kind in ("config1", "config2"):
+            params = (sa * cb, sa * sb, cb)
+        else:
+            p1, p2 = cell[2:]
+            params = (complex(ca),
+                      complex(sa * cb) * complex(math.cos(p1), math.sin(p1)),
+                      complex(sa * sb) * complex(math.cos(p2), math.sin(p2)))
+    try:
+        return closed_form_xi(_SWEEP_FAMILY[kind], params)
+    except ZeroDenominatorError:
+        return float("nan")
+
+
+def _sweep_table(kind: str, names, grids, policy) -> tuple[np.ndarray, np.ndarray]:
+    """(engine xi, closed-form xi) per grid cell in CSV order.  xi_batch
+    takes the cells of one first-axis value per call, which bounds the
+    working set to one grid row."""
+    cells = math.prod(len(g) for g in grids)
+    engine = np.empty(cells)
+    lo = 0
+    for block in _row_blocks(kind, names, grids):
+        engine[lo:lo + len(block)] = xi_batch(block, policy)
+        lo += len(block)
+    closed = np.fromiter((_closed_xi(kind, cell) for cell in itertools.product(*grids)),
+                         dtype=float, count=cells)
+    return engine, closed
 
 
 def cmd_sweep(args, parser: _Parser) -> int:
     kind = args.kind
-    grids, extra_phi = _resolve_grids(kind, args.grid, parser)
+    grids = _resolve_grids(kind, args.grid, parser)
     axes, _, default_policy = _SWEEP_AXES[kind]
     policy = _policy_from_name(args.policy or default_policy)
 
@@ -265,11 +286,17 @@ def cmd_sweep(args, parser: _Parser) -> int:
         print(f"min_xi={_fmt(scan.min_xi)} tau1={_fmt(scan.argmin[0])} tau2={_fmt(scan.argmin[1])}")
         return EXIT_OK
 
-    if kind == "config3":
-        header = ["alpha", "beta", "phi1", "phi2", "xi_engine", "xi_closed"]
-    else:
-        header = list(axes) + ["xi_engine", "xi_closed"]
-    _write_csv(args.out, header, _sweep_rows(kind, grids, extra_phi, policy))
+    names = list(axes) + (["phi1", "phi2"] if kind == "config3" else [])
+    # every value is computed before the output file is opened, so a
+    # rejected grid point leaves no partial file behind
+    try:
+        engine, closed = _sweep_table(kind, names, grids, policy)
+    except _GridPointError as exc:
+        parser.error(str(exc))
+    axis_text = [[_fmt(x) for x in g] for g in grids]
+    rows = ([*cell, _fmt(e), _fmt(c)]
+            for cell, e, c in zip(itertools.product(*axis_text), engine, closed))
+    _write_csv(args.out, names + ["xi_engine", "xi_closed"], rows)
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .linalg import is_anti_hermitian, is_hermitian
 from .spin import raising_lowering, spin1_matrices, embed
 from .states import NORM_TOL, CoupledState
-from .squeezing import FramePolicy, Optimized, SqueezingReport, optimized_xi, squeezing_report
+from .squeezing import FramePolicy, Optimized, SqueezingReport, squeezing_report, xi_batch
 
 _TIE_TOL = 1e-14
 
@@ -224,8 +224,8 @@ def two_stage_minimum(
     Returns the full xi surface plus the grid minimum; ties within 1e-14
     resolve to the lexicographically lowest (tau1, tau2).  nan entries
     (undefined xi) are ignored by the minimum.  All cell states come from
-    one batched propagation; under Optimized each tau1 row is then
-    evaluated by optimized_xi, other policies take one report per cell.
+    one batched propagation, and xi_batch evaluates them one tau1 row per
+    call under any policy.
     """
     if policy is None:
         policy = Optimized()
@@ -236,12 +236,8 @@ def two_stage_minimum(
     amps = prop2.propagate(prop1.propagate(state0.vec, g1), g2).reshape(g1.size, g2.size, 3, 3)
     xi = np.empty((g1.size, g2.size))
     for i, row in enumerate(amps):
-        # one tau1 row per block bounds the optimizer's working set
-        if isinstance(policy, Optimized):
-            xi[i] = optimized_xi(row, policy)
-        else:
-            reports = [squeezing_report(CoupledState(c), policy) for c in row]
-            xi[i] = [rep.xi if rep.valid else float("nan") for rep in reports]
+        # one tau1 row per block bounds the engine's working set
+        xi[i] = xi_batch(row, policy)
     finite = np.where(np.isnan(xi), np.inf, xi)
     target = float(finite.min()) + _TIE_TOL
     flat = int(np.argmax(finite.ravel() <= target))

@@ -48,6 +48,10 @@ def raising_lowering() -> tuple[np.ndarray, np.ndarray]:
     return S_PLUS.copy(), S_MINUS.copy()
 
 
+def _dot3(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def _sumsq(v) -> float:
     # spelled out rather than a dot product so that frame_bases, summing
     # the same products column-wise, rounds identically
@@ -58,7 +62,8 @@ def _sumsq(v) -> float:
 def _unit(v, name: str = "direction") -> np.ndarray:
     a = np.asarray(v, dtype=float).reshape(3)
     n2 = _sumsq(a)
-    if abs(n2 - 1.0) > _UNIT_TOL:
+    # written so that a nan length fails too
+    if not abs(n2 - 1.0) <= _UNIT_TOL:
         raise ValueError(f"{name} must be a unit 3-vector, got |v|^2 = {n2}")
     return a / np.sqrt(n2)
 
@@ -127,20 +132,21 @@ class Frame:
     n_perp2: np.ndarray
 
     def __post_init__(self):
-        for name in ("n", "n_perp", "n_perp2"):
+        names = ("n", "n_perp", "n_perp2")
+        for name in names:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(3))
+        # checked on Python floats (cheaper than numpy scalars for 3-vectors),
+        # each written so that a nan fails it
+        n, p, q = (getattr(self, name).tolist() for name in names)
         tol = 1e-12
-        for name in ("n", "n_perp", "n_perp2"):
-            v = getattr(self, name)
-            if abs(float(v @ v) - 1.0) > tol:
+        for name, v in zip(names, (n, p, q)):
+            if not abs(_dot3(v, v) - 1.0) <= tol:
                 raise ValueError(f"frame vector {name} is not unit length")
-        if (
-            abs(float(self.n @ self.n_perp)) > tol
-            or abs(float(self.n @ self.n_perp2)) > tol
-            or abs(float(self.n_perp @ self.n_perp2)) > tol
-        ):
+        if not (abs(_dot3(n, p)) <= tol and abs(_dot3(n, q)) <= tol and abs(_dot3(p, q)) <= tol):
             raise ValueError("frame vectors are not mutually orthogonal")
-        if float(np.max(np.abs(cross3(self.n_perp, self.n_perp2) - self.n))) > tol:
+        if not (abs(p[1] * q[2] - p[2] * q[1] - n[0]) <= tol
+                and abs(p[2] * q[0] - p[0] * q[2] - n[1]) <= tol
+                and abs(p[0] * q[1] - p[1] * q[0] - n[2]) <= tol):
             raise ValueError("frame is not right-handed (n_perp x n_perp2 != n)")
 
 
@@ -182,6 +188,16 @@ def frame_bases(directions) -> np.ndarray:
     return np.stack([p, q], axis=1)
 
 
+_XZ_ERROR = "build_frame_xz requires a direction in the x-z half-plane with n_z >= 0"
+
+
+def in_xz_half_plane(directions) -> np.ndarray:
+    """Whether each direction (..., 3) lies in the x-z half-plane: |n_y| <=
+    1e-9 and n_z >= -1e-12 (False for nan)."""
+    d = np.asarray(directions, dtype=float)
+    return (np.abs(d[..., 1]) <= 1e-9) & (d[..., 2] >= -1e-12)
+
+
 def build_frame_xz(n) -> Frame:
     """Frame for a direction in the x-z half-plane (n_y = 0, n_z >= 0).
 
@@ -190,12 +206,28 @@ def build_frame_xz(n) -> Frame:
     (sin t, 0, cos t), (cos t, 0, -sin t), (0, 1, 0).
     """
     nn = _unit(n)
-    if abs(nn[1]) > 1e-9 or nn[2] < -1e-12:
-        raise ValueError(
-            "build_frame_xz requires a direction in the x-z half-plane with n_z >= 0"
-        )
+    if not in_xz_half_plane(nn):
+        raise ValueError(_XZ_ERROR)
     nn = np.array([nn[0], 0.0, max(nn[2], 0.0)])
-    nn = nn / np.linalg.norm(nn)
+    nn = nn / math.sqrt(_sumsq(nn))
     p = np.array([nn[2], 0.0, -nn[0]])
     q = np.array([0.0, 1.0, 0.0])
     return Frame(nn, p, q)
+
+
+def frame_bases_xz(directions) -> np.ndarray:
+    """build_frame_xz's [n_perp, n_perp2], shape (N, 2, 3), for each row of
+    an (N, 3) stack of unit directions, bit for bit, without Frame objects.
+    Raises build_frame_xz's ValueError when a row is outside the half-plane.
+    """
+    d = np.asarray(directions, dtype=float).reshape(-1, 3)
+    nn = d / np.sqrt(_sumsq_rows(d))[:, None]
+    if not np.all(in_xz_half_plane(nn)):
+        raise ValueError(_XZ_ERROR)
+    x, z = nn[:, 0], np.maximum(nn[:, 2], 0.0)
+    r = np.sqrt(x * x + z * z)
+    out = np.zeros((len(d), 2, 3))
+    out[:, 0, 0] = z / r
+    out[:, 0, 2] = -(x / r)
+    out[:, 1, 1] = 1.0
+    return out

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SX, SY, SZ, Frame, build_frame, build_frame_xz, cross3, frame_bases
+from .spin import (SX, SY, SZ, Frame, build_frame, build_frame_xz, cross3, frame_bases,
+                   frame_bases_xz, in_xz_half_plane)
 from .states import NORM_TOL, CoupledState, Spin1State, canonical_squeezed, product
 
 DEGENERATE_MEAN_SPIN = 1e-9
@@ -553,9 +554,7 @@ def _frame_from_transverse(n_dir: np.ndarray | None, t: np.ndarray) -> Frame:
 
 
 def _aligned_frame(direction: np.ndarray, gauge: str) -> Frame:
-    if gauge == "xz":
-        return build_frame_xz(direction)
-    if gauge == "auto" and abs(direction[1]) <= 1e-9 and direction[2] >= -1e-12:
+    if gauge == "xz" or (gauge == "auto" and in_xz_half_plane(direction)):
         return build_frame_xz(direction)
     return build_frame(direction)
 
@@ -646,20 +645,39 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
     )
 
 
-def optimized_xi(c: np.ndarray, policy: Optimized | None = None) -> np.ndarray:
-    """xi under an Optimized policy for a stack of normalized amplitude
-    matrices (N, 3, 3), nan where undefined.
+def _aligned_n_perp(d: np.ndarray, gauge: str) -> np.ndarray:
+    """MeanSpinAligned's n_perp (N, 3) for unit mean directions (N, 3), as
+    _aligned_frame builds it; the "xz" gauge raises build_frame_xz's
+    ValueError for a row outside the x-z half-plane."""
+    if gauge == "default":
+        return frame_bases(d)[:, 0]
+    xz = in_xz_half_plane(d) if gauge == "auto" else np.ones(len(d), dtype=bool)
+    out = np.empty_like(d)
+    out[xz] = frame_bases_xz(d[xz])[:, 0]
+    out[~xz] = frame_bases(d[~xz])[:, 0]
+    return out
 
-    Equals squeezing_report(CoupledState(c[k]), policy).xi row by row: the
-    plane-plane rows share its coefficient, grid and refinement steps, with
-    moments, bases and the final xi evaluated for all rows at once; rows
-    with a degenerate subsystem go through squeezing_report itself.
+
+def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
+    """xi for a stack of normalized amplitude matrices (N, 3, 3) under any
+    frame policy (default Optimized()), nan where undefined.
+
+    Equals squeezing_report(CoupledState(c[k]), policy).xi row by row:
+    moment_tables and the final xi are evaluated for all rows at once, and
+    the transverse directions are, per policy, the Fixed frames' n_perp,
+    MeanSpinAligned's gauge from frame_bases/frame_bases_xz (an "xz" row
+    outside the half-plane raises build_frame_xz's ValueError), or the
+    report's Optimized grid argmin and refinement.  Rows with a degenerate
+    subsystem go through squeezing_report itself.  Memory is linear in N,
+    so callers pass a grid one row at a time.
     """
     if policy is None:
         policy = Optimized()
+    if not isinstance(policy, (Fixed, MeanSpinAligned, Optimized)):
+        raise TypeError(f"unknown frame policy {policy!r}")
     c = np.asarray(c, dtype=complex).reshape(-1, 3, 3)
     if not np.all(np.abs(np.linalg.norm(c.reshape(-1, 9), axis=1) - 1.0) <= NORM_TOL):
-        raise ValueError("optimized_xi requires normalized amplitudes")
+        raise ValueError("xi_batch requires normalized amplitudes")
     mean1, mean2, mom1, mom2, cross_mat = moment_tables(c)
     mag1 = np.linalg.norm(mean1, axis=1)
     mag2 = np.linalg.norm(mean2, axis=1)
@@ -669,24 +687,35 @@ def optimized_xi(c: np.ndarray, policy: Optimized | None = None) -> np.ndarray:
         rep = squeezing_report(CoupledState(c[k]), policy)
         xi[k] = rep.xi if rep.valid else float("nan")
     rows = np.flatnonzero(plane)
-    if rows.size:
-        e1 = frame_bases(mean1[rows] / mag1[rows, None])
-        e2 = frame_bases(mean2[rows] / mag2[rows, None])
-        m1, m2, cm = mom1[rows], mom2[rows], cross_mat[rows]
+    if not rows.size:
+        return xi
+    mean1, mean2, mag1, mag2 = mean1[rows], mean2[rows], mag1[rows], mag2[rows]
+    m1, m2, cm = mom1[rows], mom2[rows], cross_mat[rows]
+    d1, d2 = mean1 / mag1[:, None], mean2 / mag2[:, None]
+    if isinstance(policy, Fixed):
+        u = np.broadcast_to(policy.frame1.n_perp, d1.shape)
+        v = np.broadcast_to(policy.frame2.n_perp, d2.shape)
+    elif isinstance(policy, MeanSpinAligned):
+        u, v = _aligned_n_perp(d1, policy.gauge), _aligned_n_perp(d2, policy.gauge)
+    else:
+        e1, e2 = frame_bases(d1), frame_bases(d2)
         angles = _plane_plane_angles(_harmonics(m1, m2, cm, e1, e2), policy)
         cs, sn = np.cos(angles), np.sin(angles)
         u = cs[:, :1] * e1[:, 0] + sn[:, :1] * e1[:, 1]
         v = cs[:, 1:] * e2[:, 0] + sn[:, 1:] * e2[:, 1]
 
-        def variance(mom, mean, d):
-            # as Moments.variance, including its clamp of roundoff below 0
-            var = np.einsum("ni,nij,nj->n", d, mom, d) - np.einsum("ni,ni->n", mean, d) ** 2
-            return np.where((var < 0.0) & (var >= -1e-12), 0.0, var)
+    def variance(mom, mean, d):
+        # as Moments.variance, including its clamp of roundoff below 0
+        var = np.einsum("ni,nij,nj->n", d, mom, d) - np.einsum("ni,ni->n", mean, d) ** 2
+        return np.where((var < 0.0) & (var >= -1e-12), 0.0, var)
 
-        numer = (2.0 * variance(m1, mean1[rows], u) + 2.0 * variance(m2, mean2[rows], v)
-                 + 4.0 * np.einsum("ni,nij,nj->n", u, cm, v))
-        xi[rows] = numer / (mag1[rows] + mag2[rows])
+    numer = (2.0 * variance(m1, mean1, u) + 2.0 * variance(m2, mean2, v)
+             + 4.0 * np.einsum("ni,nij,nj->n", u, cm, v))
+    xi[rows] = numer / (mag1 + mag2)
     return xi
+
+
+optimized_xi = xi_batch
 
 
 # --------------------------------------------------------------------------

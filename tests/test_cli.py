@@ -1,9 +1,26 @@
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from spinsqueeze import CoupledState, canonical_squeezed, product, save_state
+import spinsqueeze
+from spinsqueeze import (
+    CoupledState,
+    Spin1State,
+    ZeroDenominatorError,
+    canonical_squeezed,
+    closed_form_xi,
+    config,
+    product,
+    save_state,
+    squeezing_report,
+)
+from spinsqueeze import cli
 from spinsqueeze.cli import EXIT_BAD_STATE, EXIT_OK, EXIT_UNDEFINED, EXIT_USAGE
 from spinsqueeze.cli import main as cli_main
 
@@ -176,6 +193,134 @@ def test_sweep_evolve_kind(tmp_path, capsys):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sweep_rejects_non_finite_grid(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for grid in ("0:inf:3", "-inf:1:3", "0:nan:3", "-inf:inf:3"):
+        assert main(["sweep", "product", f"--grid={grid}", "--out", str(out)]) == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, point", [
+    # theta > pi: the first of 0, 0.5, ..., 4
+    (["sweep", "product", "--grid", "0:4:9"], "theta1=3.5:"),
+    (["sweep", "product", "--grid", "0:1:3", "--grid", "2:3.5:4"], "theta2=3.5:"),
+    (["sweep", "mixed", "--grid", "3:3.2:3"], "theta=3.2000000000000002:"),
+    # all three config-1 amplitudes vanish at alpha = 0, beta = pi/2
+    (["sweep", "config1", "--grid", "0:1.5707963267948966:2"], "alpha=0 beta=1.5707963267948966:"),
+])
+def test_sweep_rejects_a_bad_grid_point_and_writes_nothing(tmp_path, capsys, argv, point):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"no state at grid point {point}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+_SWEEP_GRIDS = {
+    "product": ["0.3:3.141592653589793:4", "0.05:3.141592653589793:5"],
+    "mixed": ["0.05:3.141592653589793:9"],
+    "config1": ["0.2:2.9:3", "0.1:3.0:4"],
+    "config2": ["0.2:2.9:3", "0.1:3.0:4"],
+    "config3": ["0.3:2.5:3", "0.2:2.8:3", "0:1.9:2", "0:2.3:2"],
+}
+
+
+def _reference_cells(kind, grids):
+    """(axis values, state, closed-form params) per cell, built per cell by
+    the scalar builders."""
+    for cell in itertools.product(*grids):
+        if kind == "product":
+            yield cell, product(canonical_squeezed(cell[0]), canonical_squeezed(cell[1])), cell
+        elif kind == "mixed":
+            yield cell, product(Spin1State.basis(1), canonical_squeezed(cell[0])), cell
+        else:
+            a, b = cell[:2]
+            sa, sb, ca, cb = math.sin(a), math.sin(b), math.cos(a), math.cos(b)
+            if kind == "config3":
+                p1, p2 = cell[2:]
+                params = (complex(ca), complex(sa * cb) * complex(math.cos(p1), math.sin(p1)),
+                          complex(sa * sb) * complex(math.cos(p2), math.sin(p2)))
+            else:
+                params = (sa * cb, sa * sb, cb)
+            yield cell, config(int(kind[-1]), *cell), params
+
+
+@pytest.mark.parametrize("policy", ["fixed", "aligned", "optimized"])
+@pytest.mark.parametrize("kind", sorted(_SWEEP_GRIDS))
+def test_sweep_cells_equal_per_cell_reports(tmp_path, capsys, kind, policy):
+    out = tmp_path / "s.csv"
+    argv = ["sweep", kind, "--policy", policy, "--out", str(out)]
+    for g in _SWEEP_GRIDS[kind]:
+        argv += ["--grid", g]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    grids = [cli._parse_grid(g) for g in _SWEEP_GRIDS[kind]]
+    family = cli._SWEEP_FAMILY[kind]
+    cells = list(_reference_cells(kind, grids))
+    assert len(rows) == len(cells)
+    for row, (cell, state, params) in zip(rows, cells):
+        assert row[:-2] == [cli._fmt(x) for x in cell]
+        try:
+            closed = closed_form_xi(family, params)
+        except ZeroDenominatorError:
+            closed = float("nan")
+        assert row[-1] == cli._fmt(closed)
+        rep = squeezing_report(state, cli._policy_from_name(policy))
+        got = float(row[-2])
+        if rep.valid:
+            assert abs(got - rep.xi) <= 1e-12 * abs(rep.xi), (row, rep.xi)
+        else:
+            assert math.isnan(got)
+
+
+@pytest.mark.parametrize("kind, grids, row", [
+    ("product", ["0.1:1.0:4", "0.2:2.0:5"], 5),
+    ("mixed", ["0.1:3.0:7"], 7),
+    ("config2", ["0.2:1.4:3", "0.1:1.0:6"], 6),
+    ("config3", ["0.3:1.2:3", "0.3:1.2:3", "0:1:2", "0:2:4"], 3 * 2 * 4),
+])
+def test_sweep_evaluates_one_grid_row_per_engine_call(tmp_path, capsys, monkeypatch, kind, grids, row):
+    sizes = []
+    xi_batch = cli.xi_batch
+
+    def recording(c, policy=None):
+        sizes.append(len(c))
+        return xi_batch(c, policy)
+
+    monkeypatch.setattr(cli, "xi_batch", recording)
+    argv = ["sweep", kind, "--out", str(tmp_path / "s.csv")]
+    for g in grids:
+        argv += ["--grid", g]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    cells = math.prod(len(cli._parse_grid(g)) for g in grids)
+    assert sizes == [row] * (cells // row)
+
+
+def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # rows of 120 and more states are long enough for OpenBLAS to split
+    # the engine's matrix products over two threads
+    src = str(Path(spinsqueeze.__file__).resolve().parents[1])
+    sweeps = {
+        "product": ["--grid", "0.05:3.1:6", "--grid", "0.05:3.1:150"],
+        "config3": ["--grid", "0.1:3.0:3", "--grid", "0.1:3.0:10", "--grid", "0:1.9:3",
+                    "--grid", "0:1.9:4"],
+    }
+    for kind, grids in sweeps.items():
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{kind}-{threads}.csv"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-m", "spinsqueeze", "sweep", kind, *grids,
+                            "--out", str(out)], env=env, check=True, timeout=120)
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1], kind
 
 
 # --------------------------------------------------------------- check

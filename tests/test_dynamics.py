@@ -6,7 +6,9 @@ import pytest
 
 from spinsqueeze import (
     CoupledState,
+    Fixed,
     Generator,
+    MeanSpinAligned,
     Optimized,
     Propagator,
     builtin_initial,
@@ -19,7 +21,7 @@ from spinsqueeze import (
     trajectory,
     two_stage_minimum,
 )
-from spinsqueeze.spin import S_MINUS, S_PLUS
+from spinsqueeze.spin import S_MINUS, S_PLUS, build_frame
 from spinsqueeze.squeezing import optimized_xi
 
 from conftest import random_coupled, two_stage_amplitudes
@@ -169,6 +171,16 @@ def test_two_stage_cells_equal_single_reports():
     scan = two_stage_minimum(builtin_initial("coherent-11"), g, g, Optimized())
     for xi, c in zip(scan.xi.ravel(), two_stage_amplitudes(g)):
         rep = squeezing_report(CoupledState(c), Optimized())
+        assert abs(xi - rep.xi) <= 1e-12 * abs(rep.xi)
+
+
+@pytest.mark.parametrize("policy", [MeanSpinAligned(), Fixed(*[build_frame([0.0, 0.0, 1.0])] * 2)],
+                         ids=["aligned", "fixed-lab"])
+def test_two_stage_scan_cells_equal_reports_under_every_policy(policy):
+    g = np.linspace(0.0, 3.0, 7)
+    scan = two_stage_minimum(builtin_initial("coherent-11"), g, g, policy)
+    for xi, c in zip(scan.xi.ravel(), two_stage_amplitudes(g)):
+        rep = squeezing_report(CoupledState(c), policy)
         assert abs(xi - rep.xi) <= 1e-12 * abs(rep.xi)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from spinsqueeze import (
     CoupledState,
+    Fixed,
     Frame,
     build_frame,
     build_frame_xz,
@@ -15,7 +16,7 @@ from spinsqueeze import (
     spin1_matrices,
     spin_component,
 )
-from spinsqueeze.spin import IDENTITY3, S_MINUS, S_PLUS, cross3
+from spinsqueeze.spin import IDENTITY3, S_MINUS, S_PLUS, cross3, frame_bases_xz
 
 from conftest import random_unit
 
@@ -123,3 +124,37 @@ def test_build_frame_xz_gauge():
     npt.assert_allclose(f.n_perp2, [0.0, 1.0, 0.0], atol=1e-15)
     with pytest.raises(ValueError):
         build_frame_xz(np.array([0.0, 1.0, 0.0]))
+
+
+def test_nan_frames_are_rejected():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="unit length"):
+        Frame([nan] * 3, [nan] * 3, [nan] * 3)
+    z, x, y = np.eye(3)[[2, 0, 1]]
+    for bad in ((z, x, [0.0, nan, 0.0]), (z, [1.0, nan, 0.0], y), ([0.0, 0.0, nan], x, y)):
+        with pytest.raises(ValueError):
+            Frame(*bad)
+    for build in (build_frame, build_frame_xz):
+        with pytest.raises(ValueError, match="unit 3-vector"):
+            build(np.array([nan, 0.0, 1.0]))
+    # so no Fixed policy can carry a nan frame into a "valid" report
+    with pytest.raises(ValueError):
+        Fixed(Frame([nan] * 3, [nan] * 3, [nan] * 3), build_frame(z))
+
+
+def test_frame_bases_xz_equal_build_frame_xz_exactly():
+    t = np.concatenate([np.linspace(0.0, math.pi / 2, 25), [1e-13, math.pi / 2 - 1e-13]])
+    dirs = [np.array([s * math.sin(a), 0.0, math.cos(a)]) for a in t for s in (1.0, -1.0)]
+    # within the half-plane's tolerances: |n_y| <= 1e-9, n_z >= -1e-12
+    dirs += [np.array([math.sqrt(1.0 - 1e-18), 1e-9, 0.0]),
+             np.array([-math.sqrt(1.0 - 1e-24), 0.0, -1e-12])]
+    bases = frame_bases_xz(np.array(dirs))
+    for d, basis in zip(dirs, bases):
+        frame = build_frame_xz(d)
+        assert np.array_equal(basis[0], frame.n_perp)
+        assert np.array_equal(basis[1], frame.n_perp2)
+    for outside in ([0.0, 1.0, 0.0], [0.6, 0.0, -0.8], [math.sqrt(1.0 - 4e-18), 2e-9, 0.0]):
+        with pytest.raises(ValueError, match="half-plane"):
+            build_frame_xz(np.array(outside))
+        with pytest.raises(ValueError, match="half-plane"):
+            frame_bases_xz(np.array(dirs + [outside]))

@@ -33,7 +33,7 @@ from spinsqueeze import (
     xi_product_pair,
 )
 from spinsqueeze.spin import Frame, cross3, frame_bases
-from spinsqueeze.squeezing import family_summary, moment_tables
+from spinsqueeze.squeezing import family_summary, moment_tables, xi_batch
 
 from conftest import (
     random_coupled,
@@ -270,6 +270,82 @@ def test_policy_parameter_validation():
         Optimized(grid_points=4)
     with pytest.raises(ValueError):
         Optimized(refine_iters=0)
+
+
+# ------------------------------------------------------ batched engine
+
+
+def _tilted(state, axis, angle):
+    return rotate_coupled(state, np.eye(3)[axis], angle)
+
+
+def _batch_population():
+    """States for the xi_batch equivalence tests: dense, product, config,
+    mean directions within 1e-9 of +z and -z on both sides of the frame
+    gauges' thresholds, one degenerate subsystem, and both degenerate."""
+    rng = np.random.default_rng(77)
+    states = [random_coupled(rng) for _ in range(12)]
+    states += [product(Spin1State.normalized(rng.standard_normal(3) + 1j * rng.standard_normal(3)),
+                       Spin1State.normalized(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+               for _ in range(3)]
+    states += [product(canonical_squeezed(a), canonical_squeezed(b))
+               for a, b in ((0.3, 2.2), (1.2, 1.2), (3.1, 0.05))]
+    states += [config(kind, a, b) for kind in (1, 2) for a, b in ((0.4, 1.1), (2.0, 0.3))]
+    states += [config(3, 0.7, 1.3), config(3, 1.1, 0.4, 0.7, 1.9)]
+    # tilts straddle |n_y| = 1e-9 (the x-z half-plane) and |n_z| = 1 - 1e-9
+    # (frame_bases' pole branch, a tilt of 4.5e-5)
+    for base in (CoupledState.basis(1, 1), CoupledState.basis(-1, -1), config(1, 1.0, 0.6)):
+        for eps in (1e-12, 5e-10, 2e-9, 4e-5, 5e-5):
+            states += [_tilted(base, 0, eps), _tilted(base, 1, eps)]
+    states += [CoupledState.basis(1, 0), product(Spin1State.basis(0), canonical_squeezed(0.9)),
+               CoupledState.basis(0, 0)]
+    return states
+
+
+_RANDOM_FRAMES = tuple(random_frame(np.random.default_rng(5)) for _ in range(2))
+_LAB = build_frame(np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("policy", [
+    Fixed(_LAB, _LAB),
+    Fixed(*_RANDOM_FRAMES),
+    MeanSpinAligned("default"),
+    MeanSpinAligned("xz"),
+    MeanSpinAligned("auto"),
+    Optimized(),
+], ids=["fixed-lab", "fixed-random", "aligned-default", "aligned-xz", "aligned-auto", "optimized"])
+def test_xi_batch_equals_reports(policy):
+    states = _batch_population()
+    accepted, rejected = [], []
+    for state in states:
+        try:
+            accepted.append((state, squeezing_report(state, policy)))
+        except ValueError:
+            rejected.append(state)
+    # only the xz gauge rejects a state: a mean direction off its half-plane
+    assert bool(rejected) == (getattr(policy, "gauge", None) == "xz")
+    if rejected:
+        with pytest.raises(ValueError, match="half-plane"):
+            xi_batch(np.array([s.c for s in states]), policy)
+    for state in rejected:
+        with pytest.raises(ValueError, match="half-plane"):
+            xi_batch(state.c[None], policy)
+    xi = xi_batch(np.array([s.c for s, _ in accepted]), policy)
+    assert xi.shape == (len(accepted),)
+    for got, (state, rep) in zip(xi, accepted):
+        if rep.valid:
+            assert abs(got - rep.xi) <= 1e-12 * abs(rep.xi), state
+        else:
+            assert math.isnan(got)
+    assert sum(not rep.valid for _, rep in accepted) == 1
+    assert sum(len(rep.degenerate_subsystems) == 1 for _, rep in accepted) == 2
+
+
+def test_xi_batch_rejects_unnormalized_and_unknown_policy():
+    with pytest.raises(ValueError, match="normalized"):
+        xi_batch(2.0 * CoupledState.basis(1, 1).c[None], MeanSpinAligned())
+    with pytest.raises(TypeError):
+        xi_batch(CoupledState.basis(1, 1).c[None], "aligned")
 
 
 # --------------------------------------------------------- degeneracy
