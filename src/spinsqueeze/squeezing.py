@@ -107,9 +107,12 @@ class Optimized:
     otherwise the search jumps to the lower scan point and polishes again.
     refine_iters caps these rounds.
 
-    A degenerate subsystem: the search runs over its full direction sphere,
-    a grid scan followed by coordinate descent with a golden-section line
-    search per coordinate, at most refine_iters sweeps.
+    A degenerate subsystem: its direction runs over the full sphere, where
+    the minimum for each in-plane angle t of the other subsystem is exact
+    (a trust-region subproblem in the eigenbasis of its covariance).  The
+    first minimum over t on the grid_points grid is polished by Newton on
+    the envelope slope and certified by a 256-point scan over t in the same
+    way, refine_iters capping the rounds.
     """
 
     grid_points: int = 64
@@ -229,65 +232,6 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
             x2 = a + invphi * (b - a)
             f2 = f(x2)
     return (a + b) / 2.0
-
-
-def _first_min_index(values: np.ndarray) -> tuple:
-    """Index of the first entry within 1e-14 of the minimum, row-major."""
-    flat = values.ravel()
-    target = float(flat.min()) + _TIE_TOL
-    idx = int(np.argmax(flat <= target))
-    return np.unravel_index(idx, values.shape)
-
-
-def _sphere_dir(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
-
-
-class _PlaneAxis:
-    """Transverse circle of one subsystem: d(phi) = cos(phi) a + sin(phi) b."""
-
-    ndim = 1
-
-    def __init__(self, frame: Frame):
-        self.a = frame.n_perp
-        self.b = frame.n_perp2
-
-    def direction(self, params) -> np.ndarray:
-        (phi,) = params
-        return math.cos(phi) * self.a + math.sin(phi) * self.b
-
-    def grid(self, n: int) -> list[np.ndarray]:
-        return [np.arange(n) * (2.0 * math.pi / n)]
-
-    def directions_grid(self, grids) -> np.ndarray:
-        (phi,) = grids
-        return np.outer(np.cos(phi), self.a) + np.outer(np.sin(phi), self.b)
-
-    def bracket(self, k: int, center: float, span: float) -> tuple[float, float]:
-        return center - span, center + span
-
-
-class _SphereAxis:
-    """Full direction sphere, parametrized (theta, phi)."""
-
-    ndim = 2
-
-    def direction(self, params) -> np.ndarray:
-        theta, phi = params
-        return _sphere_dir(np.asarray(theta), np.asarray(phi))
-
-    def grid(self, n: int) -> list[np.ndarray]:
-        return [np.linspace(0.0, math.pi, n), np.arange(n) * (2.0 * math.pi / n)]
-
-    def directions_grid(self, grids) -> np.ndarray:
-        theta, phi = np.meshgrid(grids[0], grids[1], indexing="ij")
-        return _sphere_dir(theta, phi).reshape(-1, 3)
-
-    def bracket(self, k: int, center: float, span: float) -> tuple[float, float]:
-        if k == 0:  # polar angle stays in [0, pi]
-            return max(0.0, center - span), min(math.pi, center + span)
-        return center - span, center + span
 
 
 _SCAN = np.arange(256) * (2.0 * math.pi / 256)
@@ -483,56 +427,104 @@ def _plane_plane_angles(coef: np.ndarray, policy: Optimized) -> np.ndarray:
     ]).reshape(-1, 2)
 
 
-def _optimize_directions(mom: Moments, axis1, axis2, policy: Optimized):
-    """Joint minimization of the xi numerator over both direction sets."""
-    n = policy.grid_points
-    grids1, grids2 = axis1.grid(n), axis2.grid(n)
-    dirs1 = axis1.directions_grid(grids1)  # (N1, 3)
-    dirs2 = axis2.directions_grid(grids2)  # (N2, 3)
+# One degenerate subsystem d: its direction u runs over the whole sphere and
+# the other's v(t) = cos(t) a + sin(t) b over its transverse circle.  The
+# numerator is P(t) + u^T A u + 2 b(t)^T u with A = 2 (mom_d - mean_d mean_d^T),
+# b(t) = 2 C v(t), C the cross matrix oriented (d, other) and P(t) twice the
+# other's variance along v(t).  For fixed t the minimum over unit u is a
+# trust-region subproblem, solved exactly in the eigenbasis of A.
 
-    var1 = np.einsum("ik,kl,il->i", dirs1, mom.mom1, dirs1) - (dirs1 @ mom.mean1) ** 2
-    var2 = np.einsum("ik,kl,il->i", dirs2, mom.mom2, dirs2) - (dirs2 @ mom.mean2) ** 2
-    cross = dirs1 @ mom.cross_mat @ dirs2.T
-    numer = 2.0 * var1[:, None] + 2.0 * var2[None, :] + 4.0 * cross
+_TINY = np.finfo(float).tiny
+_ONES3 = np.ones(3)  # "@ _ONES3" sums rows, faster than .sum(axis=1) on (n, 3)
+# t offsets of one Newton evaluation: the point, then a central difference
+_FD = np.array([0.0, -1e-5, 1e-5])
 
-    shape1 = tuple(len(g) for g in grids1)
-    shape2 = tuple(len(g) for g in grids2)
-    i, j = _first_min_index(numer.reshape(np.prod(shape1), np.prod(shape2)))
-    p1 = [float(g[k]) for g, k in zip(grids1, np.unravel_index(i, shape1))]
-    p2 = [float(g[k]) for g, k in zip(grids2, np.unravel_index(j, shape2))]
 
-    def numerator(params1, params2) -> float:
-        u = axis1.direction(params1)
-        v = axis2.direction(params2)
-        return (
-            2.0 * (float(u @ mom.mom1 @ u) - float(mom.mean1 @ u) ** 2)
-            + 2.0 * (float(v @ mom.mom2 @ v) - float(mom.mean2 @ v) ** 2)
-            + 4.0 * float(u @ mom.cross_mat @ v)
-        )
+def _sphere_min(gamma: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minima (n,) and minimizers (n, 3) of sum_i gamma_i y_i^2 + 2 beta_i y_i
+    over unit y, for the rows of beta (n, 3); gamma are the eigenvalue gaps
+    of A above its lowest (gamma[0] = 0), beta the linear terms, both in
+    A's eigenbasis.
 
-    coords = [(1, k) for k in range(axis1.ndim)] + [(2, k) for k in range(axis2.ndim)]
-    spans = {1: 2.0 * math.pi / n, 2: 2.0 * math.pi / n}
-    best = numerator(p1, p2)
-    for _ in range(policy.refine_iters):
-        for which, k in coords:
-            params = p1 if which == 1 else p2
-            axis = axis1 if which == 1 else axis2
-
-            def line(x, _params=params, _k=k, _which=which):
-                saved = _params[_k]
-                _params[_k] = x
-                val = numerator(p1, p2)
-                _params[_k] = saved
-                return val
-
-            lo, hi = axis.bracket(k, params[k], spans[which])
-            params[k] = _golden_min(line, lo, hi)
-        improved_to = numerator(p1, p2)
-        if best - improved_to < 1e-15:
-            best = min(best, improved_to)
+    y = -beta / (gamma + delta) with delta >= 0 the root of |y| = 1.  Newton
+    on 1 - 1/|y(delta)|, convex and decreasing, climbs monotonically to the
+    root from a start where |y| >= 1.  If |y(0)| < 1 there is no root (the
+    hard case, beta_0 = 0): delta = 0 and y is completed along the lowest
+    eigenvector.
+    """
+    delta = np.maximum((np.abs(beta) - gamma).max(axis=1), _TINY)
+    for _ in range(_NEWTON_STEPS):
+        den = gamma + delta[:, None]
+        y = -beta / den
+        y2 = y * y
+        s = y2 @ _ONES3
+        step = s * (np.sqrt(s) - 1.0) / ((y2 / den) @ _ONES3 + _TINY)
+        if (step <= 1e-14 * delta).all():
             break
-        best = improved_to
-    return axis1.direction(p1), axis2.direction(p2)
+        delta += np.maximum(step, 0.0)
+    hard = delta == _TINY
+    if hard.any():
+        y[hard, 0] += np.sqrt(np.maximum(1.0 - s[hard], 0.0))
+    y /= np.sqrt((y * y) @ _ONES3)[:, None]
+    return (y * y) @ gamma + 2.0 * (beta * y) @ _ONES3, y
+
+
+def _sphere_circle(mom: Moments, d: int, policy: Optimized) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) minimizing the numerator when subsystem d's mean spin vanishes.
+
+    With the sphere side minimized exactly (_sphere_min), the first
+    grid_points grid minimum over t is polished by Newton on the
+    slope (by the envelope theorem, the partial t-derivative at the
+    minimizing u), with a central-difference curvature; a step is rejected
+    when the curvature is not positive or the step is longer than one grid
+    cell.  The point is certified when a 256-point scan over t finds
+    nothing lower; otherwise the search jumps to the lowest scan point and
+    polishes again, at most refine_iters rounds.
+    """
+    sides = ((mom.mean1, mom.mom1), (mom.mean2, mom.mom2))
+    (mean_d, mom_d), (mean_o, mom_o) = sides if d == 1 else sides[::-1]
+    cross = mom.cross_mat if d == 1 else mom.cross_mat.T
+    base = build_frame(mean_o / np.linalg.norm(mean_o))
+    e = np.array([base.n_perp, base.n_perp2])
+    alpha, q = np.linalg.eigh(2.0 * (mom_d - np.outer(mean_d, mean_d)))
+    gamma = alpha - alpha[0]
+    g = e @ (mom_o - np.outer(mean_o, mean_o)) @ e.T
+    # P(t) + alpha_0 = p0 + p cos 2t + r sin 2t; beta(t) = [cos t, sin t] @ b
+    p0, p, r = g[0, 0] + g[1, 1] + alpha[0], g[0, 0] - g[1, 1], 2.0 * g[0, 1]
+    b = 2.0 * e @ cross.T @ q
+    tol = 1e-14 * (abs(p0) + abs(p) + abs(r) + np.abs(alpha).sum() + np.abs(b).sum())
+
+    def numerator(t):
+        """(value, slope, y) at the angles t (n,)."""
+        c, s = np.cos(t), np.sin(t)
+        c2, s2 = c * c - s * s, 2.0 * s * c
+        val, y = _sphere_min(gamma, np.outer(c, b[0]) + np.outer(s, b[1]))
+        dbeta = np.outer(c, b[1]) - np.outer(s, b[0])
+        return p0 + p * c2 + r * s2 + val, 2.0 * (r * c2 - p * s2) + 2.0 * (y * dbeta) @ _ONES3, y
+
+    def polish(t):
+        """The last evaluated point (t, value, y) of the Newton iteration."""
+        step = 0.0
+        for _ in range(_NEWTON_STEPS):
+            t += step
+            f, slope, y = numerator(t + _FD)
+            curv = (slope[2] - slope[1]) / (2.0 * _FD[2])
+            step = -slope[0] / curv if curv > 0.0 else math.inf
+            if not 1e-13 < abs(step) <= cell:
+                break
+        return t, f[0], y[0]
+
+    n, cell = policy.grid_points, 2.0 * math.pi / policy.grid_points
+    angles = np.concatenate([_grid_harmonics(n)[0], _SCAN])
+    scan, _, ys = numerator(angles)
+    k, low = int(np.argmax(scan[:n] <= scan[:n].min() + _TIE_TOL)), int(scan.argmin())
+    t = angles[k]
+    for _ in range(policy.refine_iters):
+        t, value, y = polish(t)
+        if scan[low] >= value - tol:
+            break
+        t, y = angles[low], ys[low]
+    return q @ y, math.cos(t) * e[0] + math.sin(t) * e[1]
 
 
 def _frame_from_transverse(n_dir: np.ndarray | None, t: np.ndarray) -> Frame:
@@ -618,10 +610,10 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
             ((s, t),) = _plane_plane_angles(coef, policy).tolist()
             u = math.cos(s) * a1 + math.sin(s) * b1
             v = math.cos(t) * a2 + math.sin(t) * b2
+        elif 1 in degenerate:
+            u, v = _sphere_circle(mom, 1, policy)
         else:
-            axis1 = _SphereAxis() if 1 in degenerate else _PlaneAxis(build_frame(mom.mean1 / mom.mag1))
-            axis2 = _SphereAxis() if 2 in degenerate else _PlaneAxis(build_frame(mom.mean2 / mom.mag2))
-            u, v = _optimize_directions(mom, axis1, axis2, policy)
+            v, u = _sphere_circle(mom, 2, policy)
         frame1 = _frame_from_transverse(None if 1 in degenerate else mom.mean1 / mom.mag1, u)
         frame2 = _frame_from_transverse(None if 2 in degenerate else mom.mean2 / mom.mag2, v)
         u, v = frame1.n_perp, frame2.n_perp

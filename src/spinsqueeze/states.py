@@ -47,7 +47,7 @@ class StateFormatError(ValueError):
 
 def _normalized(raw, shape, what: str) -> np.ndarray:
     a = np.asarray(raw, dtype=complex).reshape(shape)
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} contains non-finite amplitudes")
     norm = float(np.linalg.norm(a))
     if norm < NORM_TOL:
@@ -502,7 +502,7 @@ def load_state(path) -> CoupledState:
         ):
             raise StateFormatError(f"amplitude {k} must be a [re, im] pair of numbers")
         vec[k] = complex(pair[0], pair[1])
-    if not np.all(np.isfinite(vec.view(float))):
+    if not np.all(np.isfinite(vec)):
         raise StateFormatError("state file contains non-finite amplitudes")
     if float(np.linalg.norm(vec)) < NORM_TOL:
         raise StateFormatError("state file amplitudes have zero norm")

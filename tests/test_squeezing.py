@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -33,7 +34,8 @@ from spinsqueeze import (
     xi_product_pair,
 )
 from spinsqueeze.spin import Frame, cross3, frame_bases
-from spinsqueeze.squeezing import family_summary, moment_tables, xi_batch
+from spinsqueeze.squeezing import (DEGENERATE_MEAN_SPIN, _min_transverse_variance, family_summary,
+                                   moment_tables, xi_batch)
 
 from conftest import (
     random_coupled,
@@ -369,6 +371,124 @@ def test_single_degenerate_subsystem():
     opt = squeezing_report(state, Optimized())
     # sphere search finds the zero-variance axis of the m=0 state
     assert opt.xi == pytest.approx(1.0, abs=1e-9)
+
+
+# amplitudes (m = +1, 0, -1) of the Cartesian basis states |x>, |y>, |z> as columns
+_CARTESIAN = np.array([[-1.0, 1j, 0.0], [0.0, 0.0, math.sqrt(2.0)], [1.0, 1j, 0.0]]) / math.sqrt(2.0)
+
+
+def _zero_mean1(rng) -> CoupledState:
+    """An entangled state with <S1> = 0 exactly: c = U (A W) with A real and W
+    unitary in subsystem 1's Cartesian basis, so that sum_j conj(x_aj) x_bj
+    = (A A^T)_ab is real symmetric and every <S1_k> = -i eps_kab (A A^T)_ab
+    vanishes.  <S2> and the cross matrix are generically nonzero."""
+    w, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return CoupledState.normalized(_CARTESIAN @ rng.standard_normal((3, 3)) @ w)
+
+
+def _polar(rng) -> Spin1State:
+    """A spin-1 state with <S> = 0: a real Cartesian vector times a phase."""
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    return Spin1State.normalized(_CARTESIAN @ rng.standard_normal(3) * phase)
+
+
+def _random_spin1(rng) -> Spin1State:
+    return Spin1State.normalized(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+
+
+def _swapped(state: CoupledState) -> CoupledState:
+    return CoupledState.normalized(state.c.T)
+
+
+def _sphere_circle_scan(state: CoupledState, d: int) -> float:
+    """min xi over a dense (theta, phi) grid on subsystem d's sphere times a
+    dense angle grid on the other subsystem's transverse circle."""
+    mom = Moments(state)
+    theta, phi = np.meshgrid(np.linspace(0.0, math.pi, 91),
+                             np.linspace(0.0, 2.0 * math.pi, 180, endpoint=False), indexing="ij")
+    us = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+                  axis=-1).reshape(-1, 3)
+    t = np.linspace(0.0, 2.0 * math.pi, 180, endpoint=False)
+    mean_o = mom.mean2 if d == 1 else mom.mean1
+    base = build_frame(mean_o / np.linalg.norm(mean_o))
+    vs = np.outer(np.cos(t), base.n_perp) + np.outer(np.sin(t), base.n_perp2)
+    u1, u2 = (us, vs) if d == 1 else (vs, us)
+    var1 = np.einsum("ik,kl,il->i", u1, mom.mom1, u1) - (u1 @ mom.mean1) ** 2
+    var2 = np.einsum("ik,kl,il->i", u2, mom.mom2, u2) - (u2 @ mom.mean2) ** 2
+    num = 2.0 * var1[:, None] + 2.0 * var2[None, :] + 4.0 * (u1 @ mom.cross_mat @ u2.T)
+    return float(num.min()) / (mom.mag1 + mom.mag2)
+
+
+def test_sphere_branch_is_certified():
+    rng = np.random.default_rng(404)
+    entangled = [_zero_mean1(rng) for _ in range(4)]
+    entangled += [_swapped(s) for s in entangled]
+    pairs = [(_polar(rng), _random_spin1(rng)) for _ in range(6)]
+    products = [product(p, o) if k % 2 else product(o, p) for k, (p, o) in enumerate(pairs)]
+    for state in entangled + products:
+        rep = squeezing_report(state, Optimized())
+        assert rep.valid and len(rep.degenerate_subsystems) == 1
+        (d,) = rep.degenerate_subsystems
+        assert rep.xi <= _sphere_circle_scan(state, d) + 1e-12
+        assert abs(xi_oracle(state, rep.frame1, rep.frame2) - rep.xi) <= 1e-10
+    # with a polar factor both variances are minimized separately, the polar
+    # one over the whole sphere (the least eigenvalue of its second moments,
+    # which _min_transverse_variance returns for a zero mean spin)
+    for state, (polar, other) in zip(products, pairs):
+        min_polar, _ = _min_transverse_variance(polar)
+        min_other, mag_other = _min_transverse_variance(other)
+        xi = squeezing_report(state, Optimized()).xi
+        assert abs(xi - (2.0 * min_polar + 2.0 * min_other) / mag_other) <= 1e-12
+
+
+def test_optimized_xi_is_invariant_under_subsystem_swap():
+    rng = np.random.default_rng(505)
+    states = [random_coupled(rng) for _ in range(6)]
+    states += [product(_random_spin1(rng), _random_spin1(rng)) for _ in range(2)]
+    states += [product(_polar(rng), _random_spin1(rng)), product(_random_spin1(rng), _polar(rng))]
+    states += [_zero_mean1(rng) for _ in range(3)]
+    states += [_swapped(_zero_mean1(rng)) for _ in range(3)]
+    for state in states:
+        rep = squeezing_report(state, Optimized())
+        swapped = squeezing_report(_swapped(state), Optimized())
+        assert swapped.degenerate_subsystems == frozenset(3 - d for d in rep.degenerate_subsystems)
+        assert abs(swapped.xi - rep.xi) <= 1e-12 * max(1.0, abs(rep.xi))
+
+
+def test_sphere_search_contains_plane_search_across_the_switch():
+    # |<S1>| just below the threshold takes the sphere search, just above it
+    # the plane search; the sphere contains the plane, so xi may only drop
+    rng = np.random.default_rng(606)
+    for _ in range(4):
+        base = _zero_mean1(rng).c
+        kick = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+
+        def kicked(eps):
+            return CoupledState.normalized(base + eps * kick)
+
+        slope = Moments(kicked(1e-6)).mag1 / 1e-6
+        below, above = kicked(0.99e-9 / slope), kicked(1.01e-9 / slope)
+        assert Moments(below).mag1 < DEGENERATE_MEAN_SPIN <= Moments(above).mag1
+        sphere = squeezing_report(below, Optimized())
+        plane = squeezing_report(above, Optimized())
+        assert sphere.degenerate_subsystems == frozenset({1})
+        assert not plane.degenerate_subsystems
+        assert sphere.xi <= plane.xi + 1e-9
+
+
+def test_degenerate_report_peak_allocation():
+    # a deterministic memory bound, not a timing gate: the sphere branch
+    # peaks at tens of kilobytes per report, where a grid over the sphere
+    # times the circle takes megabytes
+    state = _zero_mean1(np.random.default_rng(707))
+    squeezing_report(state, Optimized())
+    tracemalloc.start()
+    try:
+        squeezing_report(state, Optimized())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
 
 
 def test_squeezed_flag_guard_at_boundary():

@@ -257,6 +257,19 @@ def test_constructor_rejects_non_finite_amplitudes(cls, size, bad):
         cls(amps)
 
 
+def test_normalized_accepts_non_contiguous_amplitudes(rng):
+    c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    npt.assert_array_equal(CoupledState.normalized(c.T).c, CoupledState.normalized(c.T.copy()).c)
+    x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    npt.assert_array_equal(Spin1State.normalized(x[::2]).amps, Spin1State.normalized(x[::2].copy()).amps)
+    c[2, 1] = complex(1.0, math.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        CoupledState.normalized(c.T)
+    x[4] = math.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        Spin1State.normalized(x[::2])
+
+
 # ------------------------------------------------------------ file io
 
 
