@@ -32,24 +32,16 @@ from .dynamics import (
 )
 from .spin import build_frame
 from .squeezing import (
+    FAMILIES,
     Fixed,
     MeanSpinAligned,
     Optimized,
-    ZeroDenominatorError,
-    closed_form_xi,
     family_summary,
     run_standard_comparisons,
     squeezing_report,
     xi_batch,
 )
-from .states import (
-    StateFormatError,
-    Spin1State,
-    canonical_squeezed,
-    config,
-    load_state,
-    z_alignment_audit,
-)
+from .states import StateFormatError, Spin1State, load_state, z_alignment_audit
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,19 +50,11 @@ EXIT_UNDEFINED = 3
 
 _LAB_FRAME = build_frame(np.array([0.0, 0.0, 1.0]))
 
-# kind -> (axis names, default (start, stop, count) per axis, default policy)
-_SWEEP_AXES = {
-    "product": (("theta1", "theta2"), ((0.05, 3.1, 50),) * 2, "aligned"),
-    "mixed": (("theta",), ((0.0, math.pi, 200),), "aligned"),
-    "config1": (("alpha", "beta"), ((0.05, 3.1, 50),) * 2, "optimized"),
-    "config2": (("alpha", "beta"), ((0.05, 3.1, 50),) * 2, "optimized"),
-    "config3": (("alpha", "beta"), ((0.05, 3.1, 50),) * 2, "optimized"),
-    "evolve": (("tau",), ((0.0, 3.0, 300),), "optimized"),
-    "evolve2": (("tau1", "tau2"), ((0.0, 3.0, 60),) * 2, "optimized"),
-}
-# closed-form family of each state sweep
-_SWEEP_FAMILY = {"product": "product_pair", "mixed": "coherent_squeezed",
-                 "config1": "config1", "config2": "config2", "config3": "config3"}
+_SWEEP_FAMILIES = {f.kind: f for f in FAMILIES.values()}
+# `sweep evolve|evolve2` are the default `evolve --stages 1|2` runs
+_EVOLVE_SWEEPS = {"evolve": 1, "evolve2": 2}
+_TAU_GRID = (0.0, 3.0, 300)      # one-stage default
+_TAU_GRID_2 = (0.0, 3.0, 60)     # two-stage default, both axes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,23 +156,21 @@ def cmd_xi(args) -> int:
 # sweep
 # --------------------------------------------------------------------------
 
-def _resolve_grids(kind: str, given: list[np.ndarray] | None, parser: _Parser):
-    """One grid per axis; config3 always gets its two phase axes, [0] when
-    not given."""
-    axes, defaults, _ = _SWEEP_AXES[kind]
-    n_axes = len(axes)
+def _resolve_grids(family, given: list[np.ndarray] | None, parser: _Parser):
+    """One grid per axis.  The leading axes take the defaults or the given
+    grids (one grid is used for all of them); the remaining (phase) axes
+    are [0] unless every axis is given."""
+    swept, n_axes = len(family.sweep_grid), len(family.axes)
     if not given:
-        grids = [np.linspace(*d) for d in defaults]
+        grids = [np.linspace(*d) for d in family.sweep_grid]
     elif len(given) == 1:
-        grids = [given[0]] * n_axes
-    elif len(given) == n_axes or (kind == "config3" and len(given) == 4):
+        grids = [given[0]] * swept
+    elif len(given) in (swept, n_axes):
         grids = list(given)
     else:
-        parser.error(f"{kind} sweep takes 1 or {n_axes} --grid flags"
-                     + (" (or 4 with phase axes)" if kind == "config3" else ""))
-    if kind == "config3" and len(grids) == 2:
-        grids += [np.array([0.0])] * 2
-    return grids
+        parser.error(f"{family.kind} sweep takes 1 or {swept} --grid flags"
+                     + (f" (or {n_axes} with phase axes)" if n_axes > swept else ""))
+    return grids + [np.array([0.0])] * (n_axes - len(grids))
 
 
 class _GridPointError(Exception):
@@ -205,98 +187,61 @@ def _built(names, values, builder, *args):
         raise _GridPointError(f"no state at grid point {point}: {exc}") from None
 
 
-def _axis_amplitudes(name: str, grid) -> np.ndarray:
-    """canonical_squeezed amplitudes (n, 3), one row per value of a theta axis."""
-    return np.array([_built((name,), (t,), canonical_squeezed, t).amps for t in grid])
-
-
-def _row_blocks(kind: str, names, grids):
+def _row_blocks(family, grids):
     """The amplitude stacks (M, 3, 3) of the cells sharing one value of the
-    first axis, in CSV order.  Product states are broadcast outer products,
-    as states.product forms them."""
-    if kind == "product":
-        a1 = _axis_amplitudes(names[0], grids[0])
-        a2 = _axis_amplitudes(names[1], grids[1])
-        for a in a1:
-            yield a[:, None] * a2[:, None, :]
-    elif kind == "mixed":
-        up = Spin1State.basis(1).amps
-        yield up[:, None] * _axis_amplitudes(names[0], grids[0])[:, None, :]
-    else:
-        number = int(kind[-1])
+    first axis (of a one-axis product family: all cells), in CSV order.
+    Product states are broadcast outer products of one amplitude table per
+    factor, as states.product forms them; configurations are built per
+    cell."""
+    if family.factors is None:
         for a in grids[0]:
-            yield np.array([_built(names, cell, config, number, *cell).c
+            yield np.array([_built(family.axes, cell, family.state, family.params(*cell)).c
                             for cell in itertools.product([a], *grids[1:])])
-
-
-def _closed_xi(kind: str, cell) -> float:
-    """The family's closed form at one grid cell, nan where undefined."""
-    if kind in ("product", "mixed"):
-        params = cell
-    else:
-        a, b = cell[:2]
-        sa, sb, ca, cb = math.sin(a), math.sin(b), math.cos(a), math.cos(b)
-        if kind in ("config1", "config2"):
-            params = (sa * cb, sa * sb, cb)
+        return
+    tables, swept = [], iter(zip(family.axes, grids))
+    for f in family.factors:
+        if isinstance(f, Spin1State):
+            tables.append(f.amps[None])
         else:
-            p1, p2 = cell[2:]
-            params = (complex(ca),
-                      complex(sa * cb) * complex(math.cos(p1), math.sin(p1)),
-                      complex(sa * sb) * complex(math.cos(p2), math.sin(p2)))
-    try:
-        return closed_form_xi(_SWEEP_FAMILY[kind], params)
-    except ZeroDenominatorError:
-        return float("nan")
+            name, grid = next(swept)
+            tables.append(np.array([_built((name,), (t,), f, t).amps for t in grid]))
+    left, right = tables
+    for a in left:
+        yield a[:, None] * right[:, None, :]
 
 
-def _sweep_table(kind: str, names, grids, policy) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_table(family, grids, policy) -> tuple[np.ndarray, np.ndarray]:
     """(engine xi, closed-form xi) per grid cell in CSV order.  xi_batch
     takes the cells of one first-axis value per call, which bounds the
     working set to one grid row."""
     cells = math.prod(len(g) for g in grids)
     engine = np.empty(cells)
     lo = 0
-    for block in _row_blocks(kind, names, grids):
+    for block in _row_blocks(family, grids):
         engine[lo:lo + len(block)] = xi_batch(block, policy)
         lo += len(block)
-    closed = np.fromiter((_closed_xi(kind, cell) for cell in itertools.product(*grids)),
+    closed = np.fromiter((family.closed(family.params(*cell)) for cell in itertools.product(*grids)),
                          dtype=float, count=cells)
     return engine, closed
 
 
 def cmd_sweep(args, parser: _Parser) -> int:
-    kind = args.kind
-    grids = _resolve_grids(kind, args.grid, parser)
-    axes, _, default_policy = _SWEEP_AXES[kind]
-    policy = _policy_from_name(args.policy or default_policy)
-
-    if kind == "evolve":
-        traj = trajectory(builtin_initial("coherent-11"),
-                          [(pair_exchange_generator(), grids[0])], policy)
-        rows = ([_fmt(t), _fmt(r.xi if r.valid else float("nan"))]
-                for t, r in zip(traj.tau_grid, traj.reports))
-        _write_csv(args.out, ["tau", "xi"], rows)
-        return EXIT_OK
-    if kind == "evolve2":
-        scan = two_stage_minimum(builtin_initial("coherent-11"), grids[0], grids[1], policy)
-        rows = ([_fmt(t1), _fmt(t2), _fmt(scan.xi[i, j])]
-                for i, t1 in enumerate(scan.tau1_grid)
-                for j, t2 in enumerate(scan.tau2_grid))
-        _write_csv(args.out, ["tau1", "tau2", "xi"], rows)
-        print(f"min_xi={_fmt(scan.min_xi)} tau1={_fmt(scan.argmin[0])} tau2={_fmt(scan.argmin[1])}")
-        return EXIT_OK
-
-    names = list(axes) + (["phi1", "phi2"] if kind == "config3" else [])
+    if args.kind in _EVOLVE_SWEEPS:
+        return cmd_evolve(argparse.Namespace(**vars(args), initial="coherent-11", tau1=None,
+                                             stages=_EVOLVE_SWEEPS[args.kind]), parser)
+    family = _SWEEP_FAMILIES[args.kind]
+    grids = _resolve_grids(family, args.grid, parser)
+    policy = _policy_from_name(args.policy) if args.policy else family.policy()
     # every value is computed before the output file is opened, so a
     # rejected grid point leaves no partial file behind
     try:
-        engine, closed = _sweep_table(kind, names, grids, policy)
+        engine, closed = _sweep_table(family, grids, policy)
     except _GridPointError as exc:
         parser.error(str(exc))
     axis_text = [[_fmt(x) for x in g] for g in grids]
     rows = ([*cell, _fmt(e), _fmt(c)]
             for cell, e, c in zip(itertools.product(*axis_text), engine, closed))
-    _write_csv(args.out, names + ["xi_engine", "xi_closed"], rows)
+    _write_csv(args.out, list(family.axes) + ["xi_engine", "xi_closed"], rows)
     return EXIT_OK
 
 
@@ -377,53 +322,65 @@ def cmd_check(args) -> int:
 # evolve
 # --------------------------------------------------------------------------
 
-def cmd_evolve(args, parser: _Parser) -> int:
+def _write_trajectory(args, parser: _Parser, state0, generator, policy) -> int:
+    """xi along the evolution of state0 under generator, on the one --grid
+    (default 0:3:300), as CSV (tau, xi)."""
+    if args.grid and len(args.grid) > 1:
+        parser.error("one-stage evolve and evolve --tau1 take at most one --grid")
+    grid = args.grid[0] if args.grid else np.linspace(*_TAU_GRID)
     try:
-        state0 = _load_initial(args.initial)
-    except (OSError, StateFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_STATE
-    policy = _policy_from_name(args.policy or "optimized")
-    grids = args.grid or []
+        traj = trajectory(state0, [(generator, grid)], policy)
+    except ValueError as exc:
+        parser.error(str(exc))
+    rows = ([_fmt(t), _fmt(r.xi if r.valid else float("nan"))]
+            for t, r in zip(traj.tau_grid, traj.reports))
+    _write_csv(args.out, ["tau", "xi"], rows)
+    return EXIT_OK
 
-    if args.stages == 1:
-        if len(grids) > 1:
-            parser.error("one-stage evolve takes at most one --grid")
-        grid = grids[0] if grids else np.linspace(0.0, 3.0, 300)
-        traj = trajectory(state0, [(pair_exchange_generator(), grid)], policy)
-        rows = ([_fmt(t), _fmt(r.xi if r.valid else float("nan"))]
-                for t, r in zip(traj.tau_grid, traj.reports))
-        _write_csv(args.out, ["tau", "xi"], rows)
-        return EXIT_OK
 
-    if args.tau1 is not None:
-        if args.tau1 < 0:
-            parser.error("--tau1 must be >= 0")
-        if len(grids) > 1:
-            parser.error("evolve with fixed --tau1 takes at most one --grid")
-        grid = grids[0] if grids else np.linspace(0.0, 3.0, 300)
-        launched = evolve_state(state0, pair_exchange_generator(), args.tau1)
-        traj = trajectory(launched, [(cross_quadratic_generator(), grid)], policy)
-        rows = ([_fmt(t), _fmt(r.xi if r.valid else float("nan"))]
-                for t, r in zip(traj.tau_grid, traj.reports))
-        _write_csv(args.out, ["tau", "xi"], rows)
-        return EXIT_OK
-
-    if len(grids) == 0:
-        g1 = g2 = np.linspace(0.0, 3.0, 60)
-    elif len(grids) == 1:
-        g1 = g2 = grids[0]
-    elif len(grids) == 2:
-        g1, g2 = grids
-    else:
+def _write_scan(args, parser: _Parser, state0, policy) -> int:
+    """The (tau1, tau2) xi surface of two-stage evolution as CSV, and its
+    minimum on stdout.  One --grid serves both axes (default 0:3:60)."""
+    grids = args.grid or [np.linspace(*_TAU_GRID_2)]
+    if len(grids) > 2:
         parser.error("two-stage evolve takes at most two --grid flags")
-    scan = two_stage_minimum(state0, g1, g2, policy)
+    g1, g2 = grids if len(grids) == 2 else grids * 2
+    try:
+        scan = two_stage_minimum(state0, g1, g2, policy)
+    except ValueError as exc:
+        parser.error(str(exc))
     rows = ([_fmt(t1), _fmt(t2), _fmt(scan.xi[i, j])]
             for i, t1 in enumerate(scan.tau1_grid)
             for j, t2 in enumerate(scan.tau2_grid))
     _write_csv(args.out, ["tau1", "tau2", "xi"], rows)
     print(f"min_xi={_fmt(scan.min_xi)} tau1={_fmt(scan.argmin[0])} tau2={_fmt(scan.argmin[1])}")
     return EXIT_OK
+
+
+def cmd_evolve(args, parser: _Parser) -> int:
+    """`evolve`, and `sweep evolve|evolve2` from coherent-11.  A tau grid
+    or tau1 that the propagation rejects is a usage error, reported before
+    any file is written."""
+    if args.tau1 is not None:
+        if args.stages != 2:
+            parser.error("--tau1 needs --stages 2")
+        if not (math.isfinite(args.tau1) and args.tau1 >= 0):
+            parser.error("--tau1 must be a finite number >= 0")
+    try:
+        state0 = _load_initial(args.initial)
+    except (OSError, StateFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_STATE
+    policy = _policy_from_name(args.policy or "optimized")
+    if args.stages == 1:
+        return _write_trajectory(args, parser, state0, pair_exchange_generator(), policy)
+    if args.tau1 is None:
+        return _write_scan(args, parser, state0, policy)
+    try:
+        launched = evolve_state(state0, pair_exchange_generator(), args.tau1)
+    except ValueError as exc:
+        parser.error(f"--tau1 {_fmt(args.tau1)}: {exc}")
+    return _write_trajectory(args, parser, launched, cross_quadratic_generator(), policy)
 
 
 # --------------------------------------------------------------------------
@@ -441,7 +398,7 @@ def build_parser() -> _Parser:
                       default="optimized")
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
-    p_sweep.add_argument("kind", choices=sorted(_SWEEP_AXES))
+    p_sweep.add_argument("kind", choices=sorted([*_SWEEP_FAMILIES, *_EVOLVE_SWEEPS]))
     p_sweep.add_argument("--grid", action="append", type=_parse_grid,
                          metavar="START:STOP:COUNT")
     p_sweep.add_argument("--policy", choices=("fixed", "aligned", "optimized"))

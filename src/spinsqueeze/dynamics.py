@@ -28,9 +28,8 @@ import numpy as np
 from .linalg import is_anti_hermitian, is_hermitian
 from .spin import raising_lowering, spin1_matrices, embed
 from .states import NORM_TOL, CoupledState
-from .squeezing import FramePolicy, Optimized, SqueezingReport, squeezing_report, xi_batch
-
-_TIE_TOL = 1e-14
+from .squeezing import (FramePolicy, Optimized, SqueezingReport, first_min_index,
+                        squeezing_report, xi_batch)
 
 
 @dataclass(frozen=True)
@@ -111,11 +110,14 @@ class Propagator:
         """U(tau) psi for every 9-vector psi in vecs (shape (..., 9)) and
         every tau, renormalized: shape (..., len(taus), 9).
 
-        Raises ValueError when a result is not normalized to NORM_TOL (a
-        non-finite input or generator spectrum).
+        Raises ValueError when a tau makes a phase non-finite, or when a
+        result is not normalized to NORM_TOL (a non-finite input).
         """
         coeffs = np.asarray(vecs, dtype=complex) @ self._v.conj()
-        phases = np.exp(-1j * np.multiply.outer(np.asarray(taus, dtype=float), self._w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = np.exp(-1j * np.multiply.outer(np.asarray(taus, dtype=float), self._w))
+        if not np.all(np.isfinite(phases)):
+            raise ValueError("tau is not finite, or too large for the generator's spectrum")
         # one einsum without intermediates: memory is the result alone
         amps = np.einsum("ij,tj,...j->...ti", self._v, phases, coeffs)
         amps /= _norms(amps)[..., None]
@@ -150,10 +152,13 @@ class Trajectory:
     def min_point(self) -> tuple[float, float]:
         """(tau, xi) at the first grid minimum of xi (nan entries skipped)."""
         xs = self.xi
-        finite = np.where(np.isnan(xs), np.inf, xs)
-        target = float(finite.min()) + _TIE_TOL
-        i = int(np.argmax(finite <= target))
+        i = _first_min(xs)
         return float(self.tau_grid[i]), float(xs[i])
+
+
+def _first_min(xi: np.ndarray) -> int:
+    """Flat index of the first grid minimum of xi, nan entries skipped."""
+    return int(first_min_index(np.where(np.isnan(xi), np.inf, xi)))
 
 
 def _check_grid(grid: np.ndarray) -> np.ndarray:
@@ -238,10 +243,7 @@ def two_stage_minimum(
     for i, row in enumerate(amps):
         # one tau1 row per block bounds the engine's working set
         xi[i] = xi_batch(row, policy)
-    finite = np.where(np.isnan(xi), np.inf, xi)
-    target = float(finite.min()) + _TIE_TOL
-    flat = int(np.argmax(finite.ravel() <= target))
-    i, j = np.unravel_index(flat, xi.shape)
+    i, j = np.unravel_index(_first_min(xi), xi.shape)
     return TwoStageScan(g1, g2, xi, float(xi[i, j]), (float(g1[i]), float(g2[j])))
 
 

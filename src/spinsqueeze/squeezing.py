@@ -31,14 +31,17 @@ the discrepancy report is the record of those gaps.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spin import (SX, SY, SZ, Frame, build_frame, build_frame_xz, cross3, frame_bases,
                    frame_bases_xz, in_xz_half_plane)
-from .states import NORM_TOL, CoupledState, Spin1State, canonical_squeezed, product
+from .states import (NORM_TOL, CoupledState, Spin1State, canonical_squeezed, config_amplitudes,
+                     config_state, product)
 
 DEGENERATE_MEAN_SPIN = 1e-9
 MATCH_TOL = 1e-10
@@ -165,18 +168,10 @@ class Moments:
     __slots__ = ("mean1", "mag1", "mean2", "mag2", "mom1", "mom2", "cross_mat")
 
     def __init__(self, state: CoupledState):
-        c = state.c
-        r1 = (c @ c.conj().T).reshape(9)
-        r2 = (c.T @ c.conj()).reshape(9)
-        self.mean1 = (_MEAN_FLAT @ r1).real
-        self.mean2 = (_MEAN_FLAT @ r2).real
+        tables = moment_tables(state.c[None])
+        self.mean1, self.mean2, self.mom1, self.mom2, self.cross_mat = (t[0] for t in tables)
         self.mag1 = float(np.linalg.norm(self.mean1))
         self.mag2 = float(np.linalg.norm(self.mean2))
-        self.mom1 = (_SYM_FLAT @ r1).real.reshape(3, 3)
-        self.mom2 = (_SYM_FLAT @ r2).real.reshape(3, 3)
-        psi = c.reshape(9)
-        big = np.outer(psi, psi.conj()).reshape(81)
-        self.cross_mat = (_CROSS_FLAT @ big).real.reshape(3, 3)
 
     def variance(self, subsystem: int, direction: np.ndarray) -> float:
         m = self.mean1 if subsystem == 1 else self.mean2
@@ -213,6 +208,13 @@ def moment_tables(c: np.ndarray):
         (r2 @ _SYM_FLAT.T).real.reshape(-1, 3, 3),
         (big @ _CROSS_FLAT.T).real.reshape(-1, 3, 3),
     )
+
+
+def first_min_index(values: np.ndarray, axis: int | None = None):
+    """The tie rule of every grid minimum: the index of the first entry
+    within 1e-14 of the minimum along ``axis`` (of the flattened array
+    when axis is None)."""
+    return np.argmax(values <= values.min(axis=axis, keepdims=True) + _TIE_TOL, axis=axis)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -293,8 +295,7 @@ def _grid_argmin(coef: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         m[:, 2:4, 4] = c[:, 0:2]
         m[:, 4, 2:4] = c[:, 2:4]
         flat = np.matmul(harm, m @ harm.T, out=vals[:len(c)]).reshape(len(c), n * n)
-        target = flat.min(axis=1, keepdims=True) + _TIE_TOL
-        idx[lo:lo + len(c)] = np.argmax(flat <= target, axis=1)
+        idx[lo:lo + len(c)] = first_min_index(flat, axis=1)
     i, j = np.divmod(idx, n)
     return ang[i], ang[j]
 
@@ -517,7 +518,7 @@ def _sphere_circle(mom: Moments, d: int, policy: Optimized) -> tuple[np.ndarray,
     n, cell = policy.grid_points, 2.0 * math.pi / policy.grid_points
     angles = np.concatenate([_grid_harmonics(n)[0], _SCAN])
     scan, _, ys = numerator(angles)
-    k, low = int(np.argmax(scan[:n] <= scan[:n].min() + _TIE_TOL)), int(scan.argmin())
+    k, low = int(first_min_index(scan[:n])), int(scan.argmin())
     t = angles[k]
     for _ in range(policy.refine_iters):
         t, value, y = polish(t)
@@ -780,20 +781,15 @@ def xi_oracle(state: CoupledState, frame1: Frame, frame2: Frame) -> float:
 # single-subsystem criteria
 # --------------------------------------------------------------------------
 
-def _single_moments(s: Spin1State):
-    rho = np.outer(s.amps, s.amps.conj())
-    mean = np.array([np.trace(rho @ m).real for m in _AXES])
-    mom = np.array([[np.trace(rho @ _SYM2[k][l]).real for l in range(3)] for k in range(3)])
-    return mean, mom
-
-
 def _min_transverse_variance(s: Spin1State) -> tuple[float, float]:
     """(min in-plane variance, mean-spin length) for one spin-1 state.
 
     For zero mean spin the minimum runs over the whole sphere (smallest
-    eigenvalue of the second-moment matrix).
+    eigenvalue of the second-moment matrix).  The moments of s are those of
+    subsystem 1 in s (x) |m=+1>.
     """
-    mean, mom = _single_moments(s)
+    moments = Moments(product(s, Spin1State.basis(1)))
+    mean, mom = moments.mean1, moments.mom1
     mag = float(np.linalg.norm(mean))
     if mag < DEGENERATE_MEAN_SPIN:
         return float(np.linalg.eigvalsh(mom).min()), mag
@@ -916,41 +912,97 @@ def xi_config3(c12: complex, c21: complex, c23: complex) -> float:
     return val.real
 
 
-FAMILIES = ("product_pair", "coherent_squeezed", "config1", "config2", "config3")
+def _squeezed(theta: float) -> Spin1State:
+    # looked up by name at each call, so a wrapper installed on
+    # canonical_squeezed after import sees the table's calls too
+    return canonical_squeezed(theta)
+
+
+def _grid_cells(*axes) -> tuple:
+    """The cells of a grid, one (start, stop, count) per axis, row-major."""
+    return tuple(itertools.product(*(np.linspace(*axis).tolist() for axis in axes)))
+
+
+@dataclass(frozen=True)
+class Family:
+    """One closed-form state family: what the sweeps, the check report and
+    the comparison harness know about it.
+
+    A product family's state is the product of its two ``factors``, each a
+    fixed Spin1State or a builder of one from one swept angle; its
+    closed-form parameters are the swept angles.  A configuration's
+    parameters are ``states.config_amplitudes(config, *cell)`` and its
+    state puts them in their slots (``states.config_state``).
+    """
+
+    name: str                             # closed-form family name
+    kind: str                             # its ``sweep`` kind
+    axes: tuple[str, ...]                 # sweep axes, in CSV column order
+    sweep_grid: tuple                     # default (start, stop, count) per leading axis;
+                                          # the remaining axes default to [0]
+    policy: Callable[[], FramePolicy]     # default frame policy
+    closed_form: Callable[..., float]     # the literal transcription
+    check_cells: tuple                    # the check report's sweep cells, in order
+    factors: tuple | None = None
+    config: int | None = None
+
+    def params(self, *cell) -> tuple:
+        """The closed-form parameters at a sweep cell."""
+        return cell if self.config is None else config_amplitudes(self.config, *cell)
+
+    def state(self, params: tuple) -> CoupledState:
+        """The coupled state at closed-form parameters ``params``."""
+        if self.config is not None:
+            return config_state(self.config, params)
+        swept = iter(params)
+        return product(*(f if isinstance(f, Spin1State) else f(next(swept))
+                         for f in self.factors))
+
+    def closed(self, params: tuple) -> float:
+        """The closed form at ``params``, nan where its denominator vanishes."""
+        try:
+            return closed_form_xi(self.name, params)
+        except ZeroDenominatorError:
+            return float("nan")
+
+
+_THETA_AXIS = (0.05, 3.1, 50)
+_CHECK_AB = (0.1, 3.0, 15)
+
+# A new family is one row here.
+FAMILIES = {f.name: f for f in (
+    Family("product_pair", "product", ("theta1", "theta2"), (_THETA_AXIS,) * 2,
+           MeanSpinAligned, xi_product_pair, _grid_cells(*((0.1, 3.0, 30),) * 2),
+           factors=(_squeezed, _squeezed)),
+    Family("coherent_squeezed", "mixed", ("theta",), ((0.0, math.pi, 200),),
+           MeanSpinAligned, xi_coherent_times_squeezed, _grid_cells((0.05, 3.1, 100)),
+           factors=(Spin1State.basis(1), _squeezed)),
+    Family("config1", "config1", ("alpha", "beta"), (_THETA_AXIS,) * 2,
+           Optimized, xi_config1, _grid_cells(_CHECK_AB, _CHECK_AB), config=1),
+    Family("config2", "config2", ("alpha", "beta"), (_THETA_AXIS,) * 2,
+           Optimized, xi_config2, _grid_cells(_CHECK_AB, _CHECK_AB), config=2),
+    Family("config3", "config3", ("alpha", "beta", "phi1", "phi2"), (_THETA_AXIS,) * 2,
+           Optimized, xi_config3,
+           tuple((a, b, *phases) for phases in ((0.0, 0.0), (0.7, 1.9))
+                 for a, b in _grid_cells(*((0.1, 3.0, 12),) * 2)),
+           config=3),
+)}
+
+
+def _family(name: str) -> Family:
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}") from None
 
 
 def closed_form_xi(family: str, params: tuple) -> float:
-    if family == "product_pair":
-        return xi_product_pair(*params)
-    if family == "coherent_squeezed":
-        return xi_coherent_times_squeezed(*params)
-    if family == "config1":
-        return xi_config1(*params)
-    if family == "config2":
-        return xi_config2(*params)
-    if family == "config3":
-        return xi_config3(*params)
-    raise ValueError(f"unknown family {family!r}")
+    return _family(family).closed_form(*params)
 
 
 def family_state(family: str, params: tuple) -> CoupledState:
     """The coupled state a closed-form family row refers to."""
-    if family == "product_pair":
-        t1, t2 = params
-        return product(canonical_squeezed(t1), canonical_squeezed(t2))
-    if family == "coherent_squeezed":
-        (t,) = params
-        return product(Spin1State.basis(1), canonical_squeezed(t))
-    c = np.zeros((3, 3), dtype=complex)
-    if family == "config1":
-        c[0, 0], c[1, 1], c[2, 2] = params
-    elif family == "config2":
-        c[0, 0], c[0, 2], c[1, 1] = params
-    elif family == "config3":
-        c[0, 1], c[1, 0], c[1, 2] = params
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return CoupledState.normalized(c)
+    return _family(family).state(params)
 
 
 @dataclass(frozen=True)
@@ -965,11 +1017,9 @@ class DiscrepancyRecord:
 
 def compare_closed_forms(family: str, params: tuple, policy: FramePolicy) -> DiscrepancyRecord:
     """One engine-versus-closed-form comparison row."""
-    try:
-        closed = closed_form_xi(family, params)
-    except ZeroDenominatorError:
-        closed = float("nan")
-    report = squeezing_report(family_state(family, params), policy)
+    fam = _family(family)
+    closed = fam.closed(params)
+    report = squeezing_report(fam.state(params), policy)
     engine = report.xi if report.valid else float("nan")
     if math.isnan(closed) or math.isnan(engine):
         return DiscrepancyRecord(family, params, closed, engine, float("nan"), "UNDEFINED")
@@ -978,49 +1028,19 @@ def compare_closed_forms(family: str, params: tuple, policy: FramePolicy) -> Dis
     return DiscrepancyRecord(family, params, closed, engine, diff, flag)
 
 
-def _family_policy(family: str) -> FramePolicy:
-    # The product families use the aligned in-plane frames the closed forms
-    # were derived in; the sparse configurations are compared against the
-    # strongest (optimized) engine value.
-    if family in ("product_pair", "coherent_squeezed"):
-        return MeanSpinAligned(gauge="auto")
-    return Optimized()
-
-
 def standard_comparison_grids() -> dict[str, list[tuple]]:
-    """Canonical parameter grids for the discrepancy report (deterministic)."""
-    grids: dict[str, list[tuple]] = {}
-    t = np.linspace(0.1, 3.0, 30)
-    grids["product_pair"] = [(float(a), float(b)) for a in t for b in t]
-    grids["coherent_squeezed"] = [(float(a),) for a in np.linspace(0.05, 3.1, 100)]
-    ab = np.linspace(0.1, 3.0, 15)
-    grids["config1"] = [
-        tuple(np.array([math.sin(a) * math.cos(b), math.sin(a) * math.sin(b), math.cos(b)]))
-        for a in ab
-        for b in ab
-    ]
-    grids["config2"] = grids["config1"]
-    ab3 = np.linspace(0.1, 3.0, 12)
-    phases = ((0.0, 0.0), (0.7, 1.9))
-    grids["config3"] = [
-        (
-            complex(math.cos(a)),
-            math.sin(a) * math.cos(b) * complex(math.cos(p1), math.sin(p1)),
-            math.sin(a) * math.sin(b) * complex(math.cos(p2), math.sin(p2)),
-        )
-        for p1, p2 in phases
-        for a in ab3
-        for b in ab3
-    ]
-    return grids
+    """Canonical parameter grids for the discrepancy report (deterministic):
+    each family's check cells as closed-form parameters."""
+    return {f.name: [f.params(*cell) for cell in f.check_cells] for f in FAMILIES.values()}
 
 
 def run_standard_comparisons() -> dict[str, list[DiscrepancyRecord]]:
     """Run the full engine-versus-closed-form comparison over the canonical
-    grids; returns records per family."""
+    grids, each family under its default policy; returns records per
+    family."""
     out: dict[str, list[DiscrepancyRecord]] = {}
     for family, grid in standard_comparison_grids().items():
-        policy = _family_policy(family)
+        policy = FAMILIES[family].policy()
         out[family] = [compare_closed_forms(family, params, policy) for params in grid]
     return out
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import expectation
-from .spin import SX, SY, embed, mean_spin
+from .spin import SX, SY, embed
 
 NORM_TOL = 1e-12
 
@@ -263,33 +263,51 @@ def is_oriented(state: CoupledState, q1, q2, tol: float = 1e-10) -> bool:
     return True
 
 
-def config(kind: int, alpha: float, beta: float, phi1: float = 0.0, phi2: float = 0.0) -> CoupledState:
-    """Sparse two-subsystem configurations, renormalized.
+# (row, column) of the three printed amplitudes of each sparse configuration
+_CONFIG_SLOTS = {
+    1: ((0, 0), (1, 1), (2, 2)),
+    2: ((0, 0), (0, 2), (1, 1)),
+    3: ((0, 1), (1, 0), (1, 2)),
+}
+
+
+def config_amplitudes(kind: int, alpha: float, beta: float,
+                      phi1: float = 0.0, phi2: float = 0.0) -> tuple:
+    """The printed amplitude triple of a sparse configuration:
 
     kind 1: (c11, c22, c33) = (sin a cos b, sin a sin b, cos b)
     kind 2: (c11, c13, c22) = (sin a cos b, sin a sin b, cos b)
     kind 3: (c12, c21, c23) = (cos a, sin a cos b e^{i phi1}, sin a sin b e^{i phi2})
+    """
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    sb, cb = math.sin(beta), math.cos(beta)
+    if kind in (1, 2):
+        return sa * cb, sa * sb, cb
+    if kind == 3:
+        return (complex(ca), sa * cb * complex(math.cos(phi1), math.sin(phi1)),
+                sa * sb * complex(math.cos(phi2), math.sin(phi2)))
+    raise ValueError(f"kind must be 1, 2 or 3, got {kind}")
+
+
+def config_state(kind: int, amplitudes) -> CoupledState:
+    """The configuration ``kind`` with its three amplitudes in their slots
+    (see ``config_amplitudes``), renormalized; ValueError when all three
+    vanish."""
+    c = np.zeros((3, 3), dtype=complex)
+    for slot, a in zip(_CONFIG_SLOTS[kind], amplitudes):
+        c[slot] = a
+    return CoupledState.normalized(c)
+
+
+def config(kind: int, alpha: float, beta: float, phi1: float = 0.0, phi2: float = 0.0) -> CoupledState:
+    """Sparse two-subsystem configurations, renormalized: the amplitudes
+    ``config_amplitudes(kind, alpha, beta, phi1, phi2)`` in their slots.
 
     All three keep both mean spins on the z axis.  The amplitude triple is
     not unit-normalized as printed, so the state is normalized here; the
     squeezing parameter is invariant under that rescaling.
     """
-    c = np.zeros((3, 3), dtype=complex)
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    sb, cb = math.sin(beta), math.cos(beta)
-    if kind == 1:
-        c[0, 0], c[1, 1], c[2, 2] = sa * cb, sa * sb, cb
-    elif kind == 2:
-        c[0, 0], c[0, 2], c[1, 1] = sa * cb, sa * sb, cb
-    elif kind == 3:
-        c[0, 1] = ca
-        c[1, 0] = sa * cb * cmath.exp(1j * phi1)
-        c[1, 2] = sa * sb * cmath.exp(1j * phi2)
-    else:
-        raise ValueError(f"kind must be 1, 2 or 3, got {kind}")
-    if float(np.linalg.norm(c)) < NORM_TOL:
-        raise ValueError("configuration amplitudes are all zero for these angles")
-    return CoupledState.normalized(c)
+    return config_state(kind, config_amplitudes(kind, alpha, beta, phi1, phi2))
 
 
 # --------------------------------------------------------------------------

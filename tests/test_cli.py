@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import numpy.testing as npt
 import pytest
 
 import spinsqueeze
@@ -16,6 +18,7 @@ from spinsqueeze import (
     canonical_squeezed,
     closed_form_xi,
     config,
+    family_state,
     product,
     save_state,
     squeezing_report,
@@ -260,7 +263,7 @@ def test_sweep_cells_equal_per_cell_reports(tmp_path, capsys, kind, policy):
     capsys.readouterr()
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     grids = [cli._parse_grid(g) for g in _SWEEP_GRIDS[kind]]
-    family = cli._SWEEP_FAMILY[kind]
+    family = cli._SWEEP_FAMILIES[kind].name
     cells = list(_reference_cells(kind, grids))
     assert len(rows) == len(cells)
     for row, (cell, state, params) in zip(rows, cells):
@@ -421,6 +424,73 @@ def test_evolve_grid_count_validation(tmp_path, capsys):
     assert main(["evolve", "--stages", "1", "--grid", "0:1:5", "--grid", "0:1:5", "--out", str(out)]) == EXIT_USAGE
     assert main(["evolve", "--stages", "2", "--tau1", "0.3", "--grid", "0:1:5", "--grid", "0:1:5", "--out", str(out)]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--grid=-1:3:10"],
+    ["sweep", "evolve", "--grid=-1:3:10"],
+    ["sweep", "evolve2", "--grid=-1:3:4"],
+    ["evolve", "--stages", "2", "--grid=-1:3:4"],
+    ["evolve", "--stages", "2", "--tau1", "0", "--grid=-1:3:4"],
+])
+def test_evolve_rejects_a_negative_tau_grid(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "tau grid must be ascending and start at tau >= 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau1", ["nan", "inf", "-inf", "-0.5", "1e308"])
+def test_evolve_rejects_an_unusable_tau1(tmp_path, capsys, tau1):
+    out = tmp_path / "x.csv"
+    assert main(["evolve", "--stages", "2", f"--tau1={tau1}", "--grid", "0:1:3",
+                 "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--tau1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_evolve_tau1_needs_two_stages(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for stages in ([], ["--stages", "1"]):
+        assert main(["evolve", *stages, "--tau1", "0.5", "--grid", "0:1:3",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "--tau1 needs --stages 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep, evolve", [
+    (["sweep", "evolve", "--grid", "0:1.5:7"], ["evolve", "--grid", "0:1.5:7"]),
+    (["sweep", "evolve", "--grid", "0:1:5", "--policy", "aligned"],
+     ["evolve", "--grid", "0:1:5", "--policy", "aligned"]),
+    (["sweep", "evolve2", "--grid", "0:2:4"], ["evolve", "--stages", "2", "--grid", "0:2:4"]),
+    (["sweep", "evolve2", "--grid", "0:2:4", "--grid", "0.5:3:5", "--policy", "fixed"],
+     ["evolve", "--stages", "2", "--grid", "0:2:4", "--grid", "0.5:3:5", "--policy", "fixed"]),
+])
+def test_sweep_evolve_kinds_are_the_default_evolve_runs(tmp_path, capsys, sweep, evolve):
+    outputs = []
+    for argv, name in ((sweep, "sweep.csv"), (evolve, "evolve.csv")):
+        assert main(argv + ["--out", str(tmp_path / name)]) == EXIT_OK
+        outputs.append(((tmp_path / name).read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("kind", sorted(_SWEEP_GRIDS))
+def test_sweep_block_states_equal_the_family_states(kind):
+    """Per cell, the state the sweep evaluates, the scalar builders' state
+    and family_state at the cell's closed-form parameters agree bit for
+    bit."""
+    family = cli._SWEEP_FAMILIES[kind]
+    grids = cli._resolve_grids(family, [cli._parse_grid(g) for g in _SWEEP_GRIDS[kind]], None)
+    blocks = np.concatenate(list(cli._row_blocks(family, grids)))
+    cells = list(_reference_cells(kind, grids))
+    assert len(blocks) == len(cells)
+    for block, (cell, state, _) in zip(blocks, cells):
+        npt.assert_array_equal(block, state.c)
+        npt.assert_array_equal(family_state(family.name, family.params(*cell)).c, state.c)
 
 
 def test_csv_17g_round_trip(tmp_path, capsys):

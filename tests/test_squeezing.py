@@ -35,7 +35,7 @@ from spinsqueeze import (
 )
 from spinsqueeze.spin import Frame, cross3, frame_bases
 from spinsqueeze.squeezing import (DEGENERATE_MEAN_SPIN, _min_transverse_variance, family_summary,
-                                   moment_tables, xi_batch)
+                                   moment_tables, standard_comparison_grids, xi_batch)
 
 from conftest import (
     random_coupled,
@@ -621,6 +621,30 @@ def test_standard_comparisons_summary():
     assert family_summary(recs["config2"])[0] == "MISMATCH"
     flags = {r.flag for r in recs["config3"]}
     assert "UNDEFINED" in flags  # complex-phase rows have no real closed form
+
+
+def test_standard_comparison_grids_are_the_check_grids():
+    """The family table reproduces the check report's grids, written out
+    here as they were constructed before the table existed."""
+    t = np.linspace(0.1, 3.0, 30)
+    ab = np.linspace(0.1, 3.0, 15)
+    config12 = [tuple(np.array([math.sin(a) * math.cos(b), math.sin(a) * math.sin(b), math.cos(b)]))
+                for a in ab for b in ab]
+    ab3 = np.linspace(0.1, 3.0, 12)
+    expected = {
+        "product_pair": [(float(a), float(b)) for a in t for b in t],
+        "coherent_squeezed": [(float(a),) for a in np.linspace(0.05, 3.1, 100)],
+        "config1": config12,
+        "config2": config12,
+        "config3": [(complex(math.cos(a)),
+                     math.sin(a) * math.cos(b) * complex(math.cos(p1), math.sin(p1)),
+                     math.sin(a) * math.sin(b) * complex(math.cos(p2), math.sin(p2)))
+                    for p1, p2 in ((0.0, 0.0), (0.7, 1.9)) for a in ab3 for b in ab3],
+    }
+    grids = standard_comparison_grids()
+    assert list(grids) == list(expected)
+    for family, params in expected.items():
+        assert grids[family] == params, family
 
 
 def test_closed_form_xi_dispatch():
