@@ -31,6 +31,9 @@ from .states import NORM_TOL, CoupledState
 from .squeezing import (FramePolicy, Optimized, SqueezingReport, first_min_index,
                         squeezing_report, xi_batch)
 
+# cells per xi_batch call in two_stage_minimum
+_BLOCK_CELLS = 512
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -229,8 +232,10 @@ def two_stage_minimum(
     Returns the full xi surface plus the grid minimum; ties within 1e-14
     resolve to the lexicographically lowest (tau1, tau2).  nan entries
     (undefined xi) are ignored by the minimum.  All cell states come from
-    one batched propagation, and xi_batch evaluates them one tau1 row per
-    call under any policy.
+    one batched propagation (144 bytes per cell), and xi_batch evaluates
+    them under any policy in blocks of at most 512 cells: as many whole
+    tau1 rows as fit, or 512-cell pieces of a longer row.  A block holds
+    about 1 MB of engine work space.
     """
     if policy is None:
         policy = Optimized()
@@ -238,11 +243,11 @@ def two_stage_minimum(
     g2 = _check_grid(tau2_grid)
     prop1 = Propagator(first if first is not None else pair_exchange_generator())
     prop2 = Propagator(second if second is not None else cross_quadratic_generator())
-    amps = prop2.propagate(prop1.propagate(state0.vec, g1), g2).reshape(g1.size, g2.size, 3, 3)
-    xi = np.empty((g1.size, g2.size))
-    for i, row in enumerate(amps):
-        # one tau1 row per block bounds the engine's working set
-        xi[i] = xi_batch(row, policy)
+    amps = prop2.propagate(prop1.propagate(state0.vec, g1), g2).reshape(-1, 3, 3)
+    # whole tau1 rows per call, or pieces of one row longer than a block
+    block = _BLOCK_CELLS // g2.size * g2.size or _BLOCK_CELLS
+    xi = np.concatenate([xi_batch(amps[lo:lo + block], policy)
+                         for lo in range(0, len(amps), block)]).reshape(g1.size, g2.size)
     i, j = np.unravel_index(_first_min(xi), xi.shape)
     return TwoStageScan(g1, g2, xi, float(xi[i, j]), (float(g1[i]), float(g2[j])))
 

@@ -105,10 +105,13 @@ class Optimized:
     lexicographically lowest angles) seeds a joint 2-D Newton solve.  A
     step is rejected when the Hessian is not positive definite or the step
     is longer than one grid cell, and that round takes one coordinate-
-    descent sweep instead.  The converged point is certified when 256-point
-    scans along each angle, the other held fixed, find nothing lower;
-    otherwise the search jumps to the lower scan point and polishes again.
-    refine_iters caps these rounds.
+    descent sweep instead.  A converged point stands when a closed-form
+    certificate proves it the global minimum (the Lagrange multipliers read
+    off it leave a positive semidefinite dual matrix: a 3x3 test on Newton's
+    derivatives).  Only an uncertified point is scanned, 256 points along
+    each angle with the other held fixed; it stands if nothing is lower,
+    else the search polishes again from the lower scan point.  refine_iters
+    caps these rounds.
 
     A degenerate subsystem: its direction runs over the full sphere, where
     the minimum for each in-plane angle t of the other subsystem is exact
@@ -192,10 +195,19 @@ class Moments:
         return xi, var1, var2, cross
 
 
+# rows per BLAS product: OpenBLAS splits larger ones over its threads
+_BLAS_ROWS = 64
+
+
 def moment_tables(c: np.ndarray):
     """The Moments tables for a stack of amplitude matrices (N, 3, 3):
     (mean1, mean2) of shape (N, 3) and (mom1, mom2, cross_mat) of shape
-    (N, 3, 3), computed with stacked matrix products."""
+    (N, 3, 3), from stacked matrix products in equal blocks of at most
+    _BLAS_ROWS rows (a one-row block would be a matrix-vector product, whose
+    rounding differs)."""
+    if len(c) > _BLAS_ROWS:
+        blocks = [moment_tables(b) for b in np.array_split(c, -(-len(c) // _BLAS_ROWS))]
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
     ch = c.conj()
     r1 = (c @ ch.transpose(0, 2, 1)).reshape(-1, 9)
     r2 = (c.transpose(0, 2, 1) @ ch).reshape(-1, 9)
@@ -339,6 +351,26 @@ def _scale(c) -> float:
     return sum(map(abs, c))
 
 
+def _derivatives(c, s, t):
+    """The numerator's gradient (gs, gt), Hessian (hss, htt, hst), x = u.K.v,
+    a = u_perp.K.v and b = u.K.v_perp at (s, t): a coefficient row and float
+    angles, or a coefficient table (8, N) and angle arrays."""
+    p, q, r, w, k00, k01, k10, k11 = c
+    trig = np if isinstance(s, np.ndarray) else math
+    cs, ss, ct, st = trig.cos(s), trig.sin(s), trig.cos(t), trig.sin(t)
+    c2s, s2s = cs * cs - ss * ss, 2.0 * ss * cs
+    c2t, s2t = ct * ct - st * st, 2.0 * st * ct
+    ka, kb = k00 * ct + k01 * st, k10 * ct + k11 * st
+    kat, kbt = k01 * ct - k00 * st, k11 * ct - k10 * st
+    x = cs * ka + ss * kb
+    gs = 2.0 * (q * c2s - p * s2s) + cs * kb - ss * ka
+    gt = 2.0 * (w * c2t - r * s2t) + cs * kat + ss * kbt
+    hss = -4.0 * (p * c2s + q * s2s) - x
+    htt = -4.0 * (r * c2t + w * s2t) - x
+    hst = cs * kbt - ss * kat
+    return gs, gt, hss, htt, hst, x, cs * kb - ss * ka, cs * kat + ss * kbt
+
+
 def _newton(c, s: float, t: float, cell: float) -> tuple[float, float, bool]:
     """Joint 2-D Newton on the numerator from (s, t).
 
@@ -346,22 +378,11 @@ def _newton(c, s: float, t: float, cell: float) -> tuple[float, float, bool]:
     (converged False) when the Hessian is not positive definite or the step
     is longer than one grid cell.
     """
-    p, q, r, w, k00, k01, k10, k11 = c
     tol = 1e-15 * _scale(c)
     for _ in range(_NEWTON_STEPS):
-        cs, ss, ct, st = math.cos(s), math.sin(s), math.cos(t), math.sin(t)
-        c2s, s2s = cs * cs - ss * ss, 2.0 * ss * cs
-        c2t, s2t = ct * ct - st * st, 2.0 * st * ct
-        ka, kb = k00 * ct + k01 * st, k10 * ct + k11 * st
-        kat, kbt = k01 * ct - k00 * st, k11 * ct - k10 * st
-        x = cs * ka + ss * kb
-        gs = 2.0 * (q * c2s - p * s2s) + cs * kb - ss * ka
-        gt = 2.0 * (w * c2t - r * s2t) + cs * kat + ss * kbt
+        gs, gt, hss, htt, hst, *_ = _derivatives(c, s, t)
         if abs(gs) + abs(gt) <= tol:
             return s, t, True
-        hss = -4.0 * (p * c2s + q * s2s) - x
-        htt = -4.0 * (r * c2t + w * s2t) - x
-        hst = cs * kbt - ss * kat
         det = hss * htt - hst * hst
         if hss <= 0.0 or det <= 0.0:
             return s, t, False
@@ -375,10 +396,50 @@ def _newton(c, s: float, t: float, cell: float) -> tuple[float, float, bool]:
     return s, t, False
 
 
+def _newton_rows(c: np.ndarray, s: np.ndarray, t: np.ndarray, cell: float):
+    """_newton on every column of a coefficient table (8, N) at once, with
+    its rules and arithmetic: (s, t, converged) arrays."""
+    tol = 1e-15 * _scale(c)
+    s, t = s.copy(), t.copy()
+    converged = np.zeros(len(s), dtype=bool)
+    live = np.arange(len(s))
+    for _ in range(_NEWTON_STEPS):
+        gs, gt, hss, htt, hst, *_ = _derivatives(c[:, live], s[live], t[live])
+        done = np.abs(gs) + np.abs(gt) <= tol[live]
+        det = hss * htt - hst * hst
+        ok = np.flatnonzero(~done & (hss > 0.0) & (det > 0.0))
+        ds = (hst[ok] * gt[ok] - htt[ok] * gs[ok]) / det[ok]
+        dt = (hst[ok] * gs[ok] - hss[ok] * gt[ok]) / det[ok]
+        step = ds * ds + dt * dt <= cell * cell
+        ok, ds, dt = live[ok[step]], ds[step], dt[step]
+        s[ok], t[ok] = s[ok] + ds, t[ok] + dt
+        small = np.abs(ds) + np.abs(dt) <= 1e-14
+        converged[live[done]] = converged[ok[small]] = True
+        live = ok[~small]
+        if not live.size:
+            break
+    return s, t, converged
+
+
+def _certified(c, s, t):
+    """Whether a stationary point (s, t) is the numerator's global minimum:
+    the numerator is z.M.z in z = (u, v) on |u| = |v| = 1, and the
+    multipliers l1 = u.(Mz)_u, l2 = v.(Mz)_v leave M - diag(l1, l1, l2, l2)
+    positive semidefinite (weak duality).  That matrix annihilates z; on
+    (u_perp, 0), (0, v_perp), (u, -v)/r2 it is half of [[hss, hst, -r2 a],
+    [hst, htt, r2 b], [-r2 a, r2 b, -2x]] (r2 = sqrt 2), tested by the Schur
+    complement of Newton's Hessian with a slack of 1e-12 of the coefficient
+    scale.  Floats or arrays, as _derivatives."""
+    _, _, hss, htt, hst, x, a, b = _derivatives(c, s, t)
+    det = hss * htt - hst * hst
+    slack = (1e-12 * _scale(c) - x) * det
+    return (hss > 0.0) & (det > 0.0) & (slack >= htt * a * a + 2.0 * hst * a * b + hss * b * b)
+
+
 def _section_jump(c, s: float, t: float) -> tuple[float, float] | None:
-    """The certificate: scan the numerator over s at fixed t, then over t
-    at fixed s (256 points each).  Returns a scan point lower than (s, t),
-    or None when neither scan finds one."""
+    """The scan test: scan the numerator over s at fixed t, then over t at
+    fixed s (256 points each).  Returns a scan point lower than (s, t), or
+    None when neither scan finds one."""
     p, q, r, w, k00, k01, k10, k11 = c
     tol = 1e-14 * _scale(c)
     cs, ss, ct, st = math.cos(s), math.sin(s), math.cos(t), math.sin(t)
@@ -393,39 +454,60 @@ def _section_jump(c, s: float, t: float) -> tuple[float, float] | None:
     return None
 
 
-def _refine(c, s: float, t: float, cell: float, rounds: int) -> tuple[float, float]:
-    """Converged minimum of one coefficient row, starting from a grid point.
+def _finish_round(c, s: float, t: float, converged: bool) -> tuple[float, float, bool]:
+    """The rest of a refinement round after Newton: (s, t, final).  After a
+    rejected step, one coordinate-descent sweep (each angle re-minimized
+    globally); a converged point is final when certified or when the section
+    scans find nothing lower, else the next round starts at the scan point."""
+    if not converged:
+        p, q, r, w, k00, k01, k10, k11 = c
+        ct, st = math.cos(t), math.sin(t)
+        s = _remin(p, q, k00 * ct + k01 * st, k10 * ct + k11 * st)
+        cs, ss = math.cos(s), math.sin(s)
+        t = _remin(r, w, k00 * cs + k10 * ss, k01 * cs + k11 * ss)
+        return s, t, False
+    if _certified(c, s, t):
+        return s, t, True
+    lower = _section_jump(c, s, t)
+    return (s, t, True) if lower is None else (*lower, False)
 
-    Each round polishes by joint Newton and then certifies the point with
-    the section scans; a lower scan point starts the next round.  When
-    Newton rejects a step the round falls back to one coordinate-descent
-    sweep (each angle re-minimized globally) instead.
-    """
-    p, q, r, w, k00, k01, k10, k11 = c
+
+def _refine(c, s: float, t: float, cell: float, rounds: int) -> tuple[float, float]:
+    """Converged minimum of one coefficient row, starting from a grid point:
+    at most ``rounds`` rounds of joint Newton and _finish_round."""
     for _ in range(rounds):
-        s, t, converged = _newton(c, s, t, cell)
-        if not converged:
-            ct, st = math.cos(t), math.sin(t)
-            s = _remin(p, q, k00 * ct + k01 * st, k10 * ct + k11 * st)
-            cs, ss = math.cos(s), math.sin(s)
-            t = _remin(r, w, k00 * cs + k10 * ss, k01 * cs + k11 * ss)
-            continue
-        lower = _section_jump(c, s, t)
-        if lower is None:
+        s, t, final = _finish_round(c, *_newton(c, s, t, cell))
+        if final:
             break
-        s, t = lower
     return s, t
+
+
+# plane-plane rows from which the first refinement round runs on arrays
+_BATCH_ROWS = 64
 
 
 def _plane_plane_angles(coef: np.ndarray, policy: Optimized) -> np.ndarray:
     """Minimizing angles (N, 2) for coefficient rows (N, 8): grid argmin,
-    then the converged refinement of each row."""
+    then the converged refinement of each row.  From _BATCH_ROWS rows on,
+    the first Newton pass and the certificate run on arrays, and only rows
+    they leave open continue per row, with _refine's arithmetic throughout."""
     s0, t0 = _grid_argmin(coef, policy.grid_points)
     cell = 2.0 * math.pi / policy.grid_points
-    return np.array([
-        _refine(c, s, t, cell, policy.refine_iters)
-        for c, s, t in zip(coef.tolist(), s0.tolist(), t0.tolist())
-    ]).reshape(-1, 2)
+    rounds = policy.refine_iters
+    if len(coef) < _BATCH_ROWS:
+        return np.array([
+            _refine(c, s, t, cell, rounds)
+            for c, s, t in zip(coef.tolist(), s0.tolist(), t0.tolist())
+        ]).reshape(-1, 2)
+    table = np.ascontiguousarray(coef.T)
+    s, t, converged = _newton_rows(table, s0, t0, cell)
+    certified = converged & _certified(table, s, t)
+    out = np.stack([s, t], axis=1)
+    for k in np.flatnonzero(~certified).tolist():
+        c = coef[k].tolist()
+        sk, tk, final = _finish_round(c, float(s[k]), float(t[k]), bool(converged[k]))
+        out[k] = (sk, tk) if final else _refine(c, sk, tk, cell, rounds - 1)
+    return out
 
 
 # One degenerate subsystem d: its direction u runs over the whole sphere and
@@ -660,9 +742,11 @@ def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
     the transverse directions are, per policy, the Fixed frames' n_perp,
     MeanSpinAligned's gauge from frame_bases/frame_bases_xz (an "xz" row
     outside the half-plane raises build_frame_xz's ValueError), or the
-    report's Optimized grid argmin and refinement.  Rows with a degenerate
-    subsystem go through squeezing_report itself.  Memory is linear in N,
-    so callers pass a grid one row at a time.
+    report's Optimized grid argmin and refinement (batched from _BATCH_ROWS
+    rows on, with the same result).  Rows with a degenerate subsystem go
+    through squeezing_report itself.  Memory is linear in N, about 1.5 KB
+    per state under Optimized plus a fixed 0.4 MB, so callers pass blocks
+    of a few hundred states (two_stage_minimum: at most 512).
     """
     if policy is None:
         policy = Optimized()

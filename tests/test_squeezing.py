@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -34,7 +35,8 @@ from spinsqueeze import (
     xi_product_pair,
 )
 from spinsqueeze.spin import Frame, cross3, frame_bases
-from spinsqueeze.squeezing import (DEGENERATE_MEAN_SPIN, _min_transverse_variance, family_summary,
+from spinsqueeze.squeezing import (_BATCH_ROWS, DEGENERATE_MEAN_SPIN, _certified, _harmonics,
+                                   _min_transverse_variance, _plane_plane_angles, family_summary,
                                    moment_tables, standard_comparison_grids, xi_batch)
 
 from conftest import (
@@ -265,6 +267,138 @@ def test_optimized_frames_are_stationary():
         grad_t = 2.0 * (w * math.cos(2 * t) - r * math.sin(2 * t)) + us @ k @ dt
         scale = abs(p) + abs(q) + abs(r) + abs(w) + np.abs(k).sum()
         assert max(abs(grad_s), abs(grad_t)) <= 1e-10 * scale
+
+
+def _dense_draw(seed: int, n: int = 2000) -> np.ndarray:
+    """n normalized dense amplitude matrices from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+    return c / np.linalg.norm(c.reshape(-1, 9), axis=1)[:, None, None]
+
+
+def _plane_plane_coefficients(c: np.ndarray) -> np.ndarray:
+    """Optimized's harmonic coefficient rows (N, 8) for plane-plane states."""
+    mean1, mean2, mom1, mom2, cross = moment_tables(c)
+    d1 = mean1 / np.linalg.norm(mean1, axis=1)[:, None]
+    d2 = mean2 / np.linalg.norm(mean2, axis=1)[:, None]
+    return _harmonics(mom1, mom2, cross, frame_bases(d1), frame_bases(d2))
+
+
+@functools.lru_cache(maxsize=None)
+def _angle_scan_xi(amps: tuple, n: int = 2048) -> float:
+    """The minimum of xi over an n x n grid of in-plane angles."""
+    state = CoupledState(np.array(amps))
+    mom = Moments(state)
+    b1, b2 = build_frame(mom.mean1 / mom.mag1), build_frame(mom.mean2 / mom.mag2)
+    ang = np.arange(n) * (2.0 * math.pi / n)
+    us = np.outer(np.cos(ang), b1.n_perp) + np.outer(np.sin(ang), b1.n_perp2)
+    vs = np.outer(np.cos(ang), b2.n_perp) + np.outer(np.sin(ang), b2.n_perp2)
+    var1 = np.einsum("ik,kl,il->i", us, mom.mom1, us) - (us @ mom.mean1) ** 2
+    var2 = np.einsum("ik,kl,il->i", vs, mom.mom2, vs) - (vs @ mom.mean2) ** 2
+    num = 2.0 * var1[:, None] + 2.0 * var2[None, :] + 4.0 * (us @ mom.cross_mat @ vs.T)
+    return float(num.min()) / (mom.mag1 + mom.mag2)
+
+
+# Plane-plane states where Optimized returns a local minimum: (amplitudes,
+# engine xi, 2048^2 angle-scan xi).  The returned point is stationary and the
+# section scans find nothing lower, but a lower minimum exists elsewhere.
+_MISSES = {
+    "seed-11 row 820": ((
+        (-0.2969856539769743-0.18366426783790055j), (0.2083107240639281-0.05589213337748554j),
+        (-0.18866702411636757-0.08935503342485414j), (0.10052193493498222-0.3160476550362299j),
+        (-0.09704361998310707-0.15359664288610567j), (-0.16731552635886382-0.09897072816373041j),
+        (0.6407888344741124+0.1635926168449518j), (-0.1293354565430727+0.23547586558036435j),
+        (-0.3123131486861635-0.009556028944250823j)), 1.2817517, 1.2817245),
+    # config(2, 2.477551020408163, 1.979591836734694)
+    "config2 cell": ((
+        -0.33404913708965284, 0.0, 0.7711200166714052, 0.0, -0.5420194589665117, 0.0,
+        0.0, 0.0, 0.0), 0.5942065, 0.5938312),
+    # evolve --stages 2 default grid, (tau1, tau2) = (2.0338983050847457, 1.0169491525423728)
+    "two-stage cell (40, 20)": ((
+        (0.8290657137373346-0.1834073158865613j), (-3.1918911957973265e-16-4.163336342344339e-17j),
+        (0.10222348338473106+0.1834073158865617j), (-5.4838166784400275e-18+1.3180176911888037e-17j),
+        (0.18815905387452225-0.30426210302410756j), (-1.877851073140869e-17+1.1305468043331441e-17j),
+        (-0.10222348338473097-0.18340731588656176j), (1.110223024625157e-16+1.110223024625157e-16j),
+        (0.17093428626266519+0.18340731588656287j)), 0.9160897, 0.9151886),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="Optimized stops at a local minimum (ROADMAP item 1)")
+@pytest.mark.parametrize("name", list(_MISSES))
+def test_optimized_reaches_the_angle_scan_minimum(name):
+    amps, _, _ = _MISSES[name]
+    state = CoupledState(np.array(amps).reshape(3, 3))
+    assert squeezing_report(state, Optimized()).xi <= _angle_scan_xi(amps) + 1e-9
+
+
+@pytest.mark.parametrize("name", list(_MISSES))
+def test_recorded_misses_are_uncertified(name):
+    amps, engine, scan = _MISSES[name]
+    c = np.array(amps).reshape(3, 3)
+    assert squeezing_report(CoupledState(c), Optimized()).xi == pytest.approx(engine, abs=1e-7)
+    assert _angle_scan_xi(amps) == pytest.approx(scan, abs=1e-7)
+    coef = _plane_plane_coefficients(c[None])
+    ((s, t),) = _plane_plane_angles(coef, Optimized()).tolist()
+    assert not _certified(coef[0].tolist(), s, t)
+
+
+def test_certificate_implies_a_positive_semidefinite_dual_matrix():
+    # 2,000 dense states, and the 60 tau2 = 0 two-stage cells, whose minima are flat
+    c = np.concatenate([_dense_draw(11), two_stage_amplitudes(np.linspace(0.0, 3.0, 60))[::60]])
+    coef = _plane_plane_coefficients(c)
+    s, t = _plane_plane_angles(coef, Optimized()).T
+    certified = _certified(coef.T, s, t)
+    assert certified.tolist() == [_certified(k, a, b) for k, a, b in
+                                  zip(coef.tolist(), s.tolist(), t.tolist())]
+    # the numerator is z.M.z on |u| = |v| = 1, z = (cos s, sin s, cos t, sin t)
+    p, q, r, w = coef[:, :4].T
+    m = np.zeros((len(c), 4, 4))
+    m[:, 0, 0], m[:, 1, 1], m[:, 0, 1], m[:, 1, 0] = p, -p, q, q
+    m[:, 2, 2], m[:, 3, 3], m[:, 2, 3], m[:, 3, 2] = r, -r, w, w
+    m[:, :2, 2:] = coef[:, 4:].reshape(-1, 2, 2) / 2.0
+    m[:, 2:, :2] = m[:, :2, 2:].transpose(0, 2, 1)
+    z = np.stack([np.cos(s), np.sin(s), np.cos(t), np.sin(t)], axis=1)
+    mz = np.einsum("nij,nj->ni", m, z)
+    lam1 = np.einsum("ni,ni->n", z[:, :2], mz[:, :2])
+    lam2 = np.einsum("ni,ni->n", z[:, 2:], mz[:, 2:])
+    m[:, [0, 1, 2, 3], [0, 1, 2, 3]] -= np.stack([lam1, lam1, lam2, lam2], axis=1)
+    low = np.linalg.eigvalsh(m)[:, 0]
+    scale = np.abs(coef).sum(axis=1)
+    assert np.all(low[certified] >= -1e-10 * scale[certified])
+    # not vacuous: all but row 820 of the dense states are certified, and
+    # row 820's dual matrix has a negative direction
+    assert np.flatnonzero(~certified[:2000]).tolist() == [820]
+    assert low[820] < -1e-6 * scale[820]
+
+
+@pytest.mark.parametrize("size", [_BATCH_ROWS - 1, _BATCH_ROWS, 2000])
+def test_xi_batch_equals_reports_across_the_batch_threshold(size, monkeypatch):
+    from spinsqueeze import squeezing
+
+    c = _dense_draw(11)
+    # in this draw rows 135, 185 and 429 take the Newton-rejection fallback
+    # and row 820 (a converged point that is not certified) the section scans
+    first = [135, 185, 429, 820]
+    rows = np.concatenate([first, np.setdiff1d(np.arange(len(c)), first)])[:size]
+    calls = {}
+
+    def counted(name):
+        fn = getattr(squeezing, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(squeezing, name, wrapper)
+
+    for name in ("_newton_rows", "_remin", "_section_jump"):
+        counted(name)
+    xi = xi_batch(c[rows], Optimized())
+    assert bool(calls.get("_newton_rows")) == (size >= _BATCH_ROWS)
+    assert calls["_remin"] >= 6 and calls["_section_jump"] >= 1
+    monkeypatch.undo()
+    for got, row in zip(xi, c[rows]):
+        rep = squeezing_report(CoupledState(row), Optimized())
+        assert abs(got - rep.xi) <= 1e-12 * abs(rep.xi)
 
 
 def test_policy_parameter_validation():
