@@ -30,7 +30,6 @@ the discrepancy report is the record of those gaps.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -97,38 +96,22 @@ class MeanSpinAligned:
 
 @dataclass(frozen=True)
 class Optimized:
-    """Minimize xi over transverse directions.
+    """Minimize xi over transverse directions: a certified global minimum,
+    with no parameters.
 
-    Both mean spins nonzero: the numerator is a trigonometric polynomial in
-    the two in-plane angles.  Its minimum on a grid_points x grid_points
-    grid (first-minimum tie-break at 1e-14, so equal minima resolve to the
-    lexicographically lowest angles) seeds a joint 2-D Newton solve.  A
-    step is rejected when the Hessian is not positive definite or the step
-    is longer than one grid cell, and that round takes one coordinate-
-    descent sweep instead.  A converged point stands when a closed-form
-    certificate proves it the global minimum (the Lagrange multipliers read
-    off it leave a positive semidefinite dual matrix: a 3x3 test on Newton's
-    derivatives).  Only an uncertified point is scanned, 256 points along
-    each angle with the other held fixed; it stands if nothing is lower,
-    else the search polishes again from the lower scan point.  refine_iters
-    caps these rounds.
-
-    A degenerate subsystem: its direction runs over the full sphere, where
-    the minimum for each in-plane angle t of the other subsystem is exact
-    (a trust-region subproblem in the eigenbasis of its covariance).  The
-    first minimum over t on the grid_points grid is polished by Newton on
-    the envelope slope and certified by a 256-point scan over t in the same
-    way, refine_iters capping the rounds.
+    The numerator is z.M.z in z = (u, v) on |u| = |v| = 1, u and v in the
+    transverse planes (u on the whole sphere for a subsystem whose mean
+    spin vanishes), and the Lagrangian dual bound, max over delta of
+    delta + 2 lambda_min(M - delta diag(I_u, 0)), equals its minimum.  The
+    first minimum of a 64-point grid per angle (ties within 1e-14 go to the
+    lowest angles) is polished by Newton and stands when a closed-form test
+    (plane-plane) or one 5x5 eigenvalue test (sphere-circle) puts it within
+    1e-12 of M's scale of the bound.  Any other row goes to one batched
+    dual solve started there, which returns that point if it is within the
+    tolerance, else the lowest eigenvector at the optimal delta with u and
+    v normalized separately or, if that eigenvalue is repeated, the mixture
+    of its eigenvectors with |u| = |v|.
     """
-
-    grid_points: int = 64
-    refine_iters: int = 40
-
-    def __post_init__(self):
-        if self.grid_points < 8:
-            raise ValueError("grid_points must be >= 8")
-        if self.refine_iters < 1:
-            raise ValueError("refine_iters must be >= 1")
 
 
 FramePolicy = Fixed | MeanSpinAligned | Optimized
@@ -229,35 +212,16 @@ def first_min_index(values: np.ndarray, axis: int | None = None):
     return np.argmax(values <= values.min(axis=axis, keepdims=True) + _TIE_TOL, axis=axis)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Argmin of a unimodal-enough f on [lo, hi] by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return (a + b) / 2.0
-
-
-_SCAN = np.arange(256) * (2.0 * math.pi / 256)
-# f(x) = p2 cos2x + q2 sin2x + a cos x + b sin x on the scan is this table
-# times (p2, q2, a, b)
-_SCAN_HARM = np.stack([np.cos(2.0 * _SCAN), np.sin(2.0 * _SCAN), np.cos(_SCAN), np.sin(_SCAN)],
-                      axis=1)
-_SCAN_STEP = 2.0 * math.pi / 256
-
 _NEWTON_STEPS = 30
-# grid rows evaluated per chunk: bounds the (rows, n, n) value table
+# grid rows evaluated per chunk: bounds the (rows, _GRID, _GRID) value table
 _GRID_CHUNK = 8
+# the start grid of both Optimized branches: _GRID angles per circle
+_GRID = 64
+_CELL = 2.0 * math.pi / _GRID
+_GRID_ANGLES = np.arange(_GRID) * _CELL
+# harmonics [cos, sin, cos2, sin2, 1] of the grid angles (_GRID, 5)
+_GRID_HARM = np.stack([np.cos(_GRID_ANGLES), np.sin(_GRID_ANGLES), np.cos(2.0 * _GRID_ANGLES),
+                       np.sin(2.0 * _GRID_ANGLES), np.ones(_GRID)], axis=1)
 
 
 # The plane-plane numerator.  With u(s) = cos(s) a1 + sin(s) b1 and v(t)
@@ -283,20 +247,10 @@ def _harmonics(mom1, mom2, cross_mat, e1, e2) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_harmonics(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid angles and their harmonics [cos, sin, cos2, sin2, 1] (n, 5)."""
-    ang = np.arange(n) * (2.0 * math.pi / n)
-    harm = np.stack([np.cos(ang), np.sin(ang), np.cos(2.0 * ang), np.sin(2.0 * ang),
-                     np.ones(n)], axis=1)
-    ang.flags.writeable = harm.flags.writeable = False
-    return ang, harm
-
-
-def _grid_argmin(coef: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per coefficient row, the angles (s, t) of the first n x n grid point
-    (row-major) within 1e-14 of the grid minimum."""
-    ang, harm = _grid_harmonics(n)
+def _grid_argmin(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per coefficient row, the angles (s, t) of the first _GRID x _GRID
+    grid point (row-major) within 1e-14 of the grid minimum."""
+    n = _GRID
     idx = np.empty(len(coef), dtype=np.intp)
     vals = np.empty((min(len(coef), _GRID_CHUNK), n, n))
     for lo in range(0, len(coef), _GRID_CHUNK):
@@ -306,49 +260,10 @@ def _grid_argmin(coef: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         m[:, :2, :2] = c[:, 4:].reshape(-1, 2, 2)
         m[:, 2:4, 4] = c[:, 0:2]
         m[:, 4, 2:4] = c[:, 2:4]
-        flat = np.matmul(harm, m @ harm.T, out=vals[:len(c)]).reshape(len(c), n * n)
+        flat = np.matmul(_GRID_HARM, m @ _GRID_HARM.T, out=vals[:len(c)]).reshape(len(c), n * n)
         idx[lo:lo + len(c)] = first_min_index(flat, axis=1)
     i, j = np.divmod(idx, n)
-    return ang[i], ang[j]
-
-
-def _section_min(p2, q2, a_, b_) -> tuple[float, float]:
-    """(x, f(x)) at the lowest of the 256 scan points of
-    f(x) = p2 cos2x + q2 sin2x + a_ cos x + b_ sin x."""
-    vals = _SCAN_HARM @ (p2, q2, a_, b_)
-    k = vals.argmin()
-    return float(_SCAN[k]), float(vals[k])
-
-
-def _remin(p2, q2, a_, b_) -> float:
-    """Global argmin of f(x) = p2 cos2x + q2 sin2x + a_ cos x + b_ sin x:
-    dense scan for the basin, then Newton on f' (golden section if the local
-    curvature is unusable)."""
-    x, _ = _section_min(p2, q2, a_, b_)
-    scale = abs(p2) + abs(q2) + abs(a_) + abs(b_) + 1e-300
-    for _ in range(30):
-        s2, c2 = math.sin(2.0 * x), math.cos(2.0 * x)
-        s1, c1 = math.sin(x), math.cos(x)
-        d1 = -2.0 * p2 * s2 + 2.0 * q2 * c2 - a_ * s1 + b_ * c1
-        d2 = -4.0 * p2 * c2 - 4.0 * q2 * s2 - a_ * c1 - b_ * s1
-        if d2 <= 0.0:
-            break
-        step = d1 / d2
-        if abs(step) > _SCAN_STEP:
-            break
-        x -= step
-        if abs(step) <= 1e-14 or abs(d1) <= 1e-15 * scale:
-            return x
-
-    def f(y):
-        return (p2 * math.cos(2.0 * y) + q2 * math.sin(2.0 * y)
-                + a_ * math.cos(y) + b_ * math.sin(y))
-    return _golden_min(f, x - _SCAN_STEP, x + _SCAN_STEP, tol=1e-12)
-
-
-def _scale(c) -> float:
-    """Size of a coefficient row: the sum of absolute coefficients."""
-    return sum(map(abs, c))
+    return _GRID_ANGLES[i], _GRID_ANGLES[j]
 
 
 def _derivatives(c, s, t):
@@ -371,14 +286,14 @@ def _derivatives(c, s, t):
     return gs, gt, hss, htt, hst, x, cs * kb - ss * ka, cs * kat + ss * kbt
 
 
-def _newton(c, s: float, t: float, cell: float) -> tuple[float, float, bool]:
+def _newton(c, s: float, t: float) -> tuple[float, float, bool]:
     """Joint 2-D Newton on the numerator from (s, t).
 
     Returns the last point and whether it converged; a step is rejected
     (converged False) when the Hessian is not positive definite or the step
     is longer than one grid cell.
     """
-    tol = 1e-15 * _scale(c)
+    tol = 1e-15 * sum(map(abs, c))
     for _ in range(_NEWTON_STEPS):
         gs, gt, hss, htt, hst, *_ = _derivatives(c, s, t)
         if abs(gs) + abs(gt) <= tol:
@@ -388,7 +303,7 @@ def _newton(c, s: float, t: float, cell: float) -> tuple[float, float, bool]:
             return s, t, False
         ds = (hst * gt - htt * gs) / det
         dt = (hst * gs - hss * gt) / det
-        if ds * ds + dt * dt > cell * cell:
+        if ds * ds + dt * dt > _CELL * _CELL:
             return s, t, False
         s, t = s + ds, t + dt
         if abs(ds) + abs(dt) <= 1e-14:
@@ -396,10 +311,10 @@ def _newton(c, s: float, t: float, cell: float) -> tuple[float, float, bool]:
     return s, t, False
 
 
-def _newton_rows(c: np.ndarray, s: np.ndarray, t: np.ndarray, cell: float):
+def _newton_rows(c: np.ndarray, s: np.ndarray, t: np.ndarray):
     """_newton on every column of a coefficient table (8, N) at once, with
     its rules and arithmetic: (s, t, converged) arrays."""
-    tol = 1e-15 * _scale(c)
+    tol = 1e-15 * sum(map(abs, c))
     s, t = s.copy(), t.copy()
     converged = np.zeros(len(s), dtype=bool)
     live = np.arange(len(s))
@@ -410,7 +325,7 @@ def _newton_rows(c: np.ndarray, s: np.ndarray, t: np.ndarray, cell: float):
         ok = np.flatnonzero(~done & (hss > 0.0) & (det > 0.0))
         ds = (hst[ok] * gt[ok] - htt[ok] * gs[ok]) / det[ok]
         dt = (hst[ok] * gs[ok] - hss[ok] * gt[ok]) / det[ok]
-        step = ds * ds + dt * dt <= cell * cell
+        step = ds * ds + dt * dt <= _CELL * _CELL
         ok, ds, dt = live[ok[step]], ds[step], dt[step]
         s[ok], t[ok] = s[ok] + ds, t[ok] + dt
         small = np.abs(ds) + np.abs(dt) <= 1e-14
@@ -428,86 +343,141 @@ def _certified(c, s, t):
     positive semidefinite (weak duality).  That matrix annihilates z; on
     (u_perp, 0), (0, v_perp), (u, -v)/r2 it is half of [[hss, hst, -r2 a],
     [hst, htt, r2 b], [-r2 a, r2 b, -2x]] (r2 = sqrt 2), tested by the Schur
-    complement of Newton's Hessian with a slack of 1e-12 of the coefficient
-    scale.  Floats or arrays, as _derivatives."""
+    complement of Newton's Hessian with e = 1e-12/2 of sum|coefficients|
+    added to its eigenvalues: a flat valley (singular Hessian) passes, and a
+    passing point is within 2 e of the dual bound.  As _derivatives."""
     _, _, hss, htt, hst, x, a, b = _derivatives(c, s, t)
-    det = hss * htt - hst * hst
-    slack = (1e-12 * _scale(c) - x) * det
-    return (hss > 0.0) & (det > 0.0) & (slack >= htt * a * a + 2.0 * hst * a * b + hss * b * b)
+    e = 0.5e-12 * sum(map(abs, c))
+    hss, htt = hss + 2.0 * e, htt + 2.0 * e
+    d = hss * htt - hst * hst
+    return (hss > 0.0) & (d > 0.0) & ((e - x) * d >= htt * a * a + 2.0 * hst * a * b + hss * b * b)
 
 
-def _section_jump(c, s: float, t: float) -> tuple[float, float] | None:
-    """The scan test: scan the numerator over s at fixed t, then over t at
-    fixed s (256 points each).  Returns a scan point lower than (s, t), or
-    None when neither scan finds one."""
-    p, q, r, w, k00, k01, k10, k11 = c
-    tol = 1e-14 * _scale(c)
-    cs, ss, ct, st = math.cos(s), math.sin(s), math.cos(t), math.sin(t)
-    ka, kb = k00 * ct + k01 * st, k10 * ct + k11 * st
-    x, low = _section_min(p, q, ka, kb)
-    if low < p * math.cos(2.0 * s) + q * math.sin(2.0 * s) + ka * cs + kb * ss - tol:
-        return x, t
-    ka, kb = k00 * cs + k10 * ss, k01 * cs + k11 * ss
-    x, low = _section_min(r, w, ka, kb)
-    if low < r * math.cos(2.0 * t) + w * math.sin(2.0 * t) + ka * ct + kb * st - tol:
-        return s, x
-    return None
+# a guard on dual iterations: from any start the test sets need at most 8
+_DUAL_STEPS = 60
 
 
-def _finish_round(c, s: float, t: float, converged: bool) -> tuple[float, float, bool]:
-    """The rest of a refinement round after Newton: (s, t, final).  After a
-    rejected step, one coordinate-descent sweep (each angle re-minimized
-    globally); a converged point is final when certified or when the section
-    scans find nothing lower, else the next round starts at the scan point."""
-    if not converged:
-        p, q, r, w, k00, k01, k10, k11 = c
-        ct, st = math.cos(t), math.sin(t)
-        s = _remin(p, q, k00 * ct + k01 * st, k10 * ct + k11 * st)
-        cs, ss = math.cos(s), math.sin(s)
-        t = _remin(r, w, k00 * cs + k10 * ss, k01 * cs + k11 * ss)
-        return s, t, False
-    if _certified(c, s, t):
-        return s, t, True
-    lower = _section_jump(c, s, t)
-    return (s, t, True) if lower is None else (*lower, False)
-
-
-def _refine(c, s: float, t: float, cell: float, rounds: int) -> tuple[float, float]:
-    """Converged minimum of one coefficient row, starting from a grid point:
-    at most ``rounds`` rounds of joint Newton and _finish_round."""
-    for _ in range(rounds):
-        s, t, final = _finish_round(c, *_newton(c, s, t, cell))
-        if final:
+def _dual_min(m: np.ndarray, nu: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Global minima of z.M.z over |u| = |v| = 1, z = (u, v) with u the
+    first nu coordinates, for symmetric matrices (N, n, n) and feasible
+    start points z (N, n): the minimizers and lower bounds within 1e-12 of
+    sum|M| of their values.  Each delta bounds from below by phi(delta) =
+    delta + 2 lambda_min(M - delta D), D = diag(I_u, 0), and the largest
+    bound is the minimum: n >= 3 makes the joint range of z.M.z, |u|^2 and
+    |v|^2 convex (B. T. Polyak, JOTA 99, 1998).  delta starts at the start
+    point's l1 - l2 (l1 = u.(Mz)_u, l2 = v.(Mz)_v), where one eigh of all
+    rows settles those whose start point is within the tolerance; the rest
+    iterate (_dual_step), one eigh of all of them per iteration.
+    """
+    dd = np.diag(np.arange(m.shape[-1]) < nu)
+    scale = np.abs(m).sum(axis=(1, 2))
+    tol = 1e-12 * scale
+    zmz = z * (m @ z[:, :, None])[:, :, 0]
+    top = zmz.sum(axis=1)               # the start value, l1 + l2
+    delta = 2.0 * zmz[:, :nu].sum(axis=1) - top
+    lam, x = np.linalg.eigh(m - delta[:, None, None] * dd)
+    bound = delta + 2.0 * lam[:, 0]
+    rows = np.flatnonzero(top - bound > tol)
+    if not rows.size:
+        return z, bound
+    z = z.copy()
+    # an open row: [row, start point, M, start value, tolerance, delta, lo, hi]
+    state = np.stack([top, tol, delta, -4.0 * scale, 4.0 * scale], axis=1)[rows].tolist()
+    live = [[k, z[k], m[k].tolist(), *v] for k, v in zip(rows.tolist(), state)]
+    lam, x = lam[rows], x[rows]
+    for _ in range(_DUAL_STEPS):
+        rest = []
+        for row, lk, xk in zip(live, lam.tolist(), x.tolist()):
+            bound[row[0]], y = _dual_step(row, lk, xk, nu)
+            if y is None:
+                rest.append(row)
+            else:
+                z[row[0]] = y
+        live = rest
+        if not live:
             break
-    return s, t
+        lam, x = np.linalg.eigh(m[[row[0] for row in live]]
+                                - np.array([row[5] for row in live])[:, None, None] * dd)
+    return z, bound
 
 
-# plane-plane rows from which the first refinement round runs on arrays
+def _dual_step(row: list, lam: list, x: list, nu: int):
+    """One _dual_min iteration of an open row on floats, from the eigenpairs
+    (lam, columns of x) of M - delta D: (phi, minimizer), or (phi, None)
+    with the row's delta and bracket advanced.  Done when the start point,
+    x with u and v normalized separately, or in the hard case (lam0 repeated
+    to half the tolerance) a mixture of its eigenvectors with |u| = |v| is
+    within the tolerance of phi.  Else the step along the slope g = 1 -
+    2 |x_u|^2 of the concave phi is the shorter of a Newton step on g and
+    the step to where lam0's tangent meets another's, or a bisection if
+    that crosses half the bracket."""
+    _, start, m, top, tol, delta, lo, hi = row
+    phi = delta + 2.0 * lam[0]
+    if top - phi <= tol:
+        return phi, start
+    n, xu = len(lam), x[:nu]
+    g0 = [sum(e[0] * e[j] for e in xu) for j in range(n)]  # x_0.D.x_j
+    gd = [sum(e[j] * e[j] for e in xu) for j in range(n)]  # x_j.D.x_j
+    a, g = g0[0], 1.0 - 2.0 * g0[0]
+    candidates = [[e[0] for e in x]]
+    cluster = [j for j in range(n) if 2.0 * (lam[j] - lam[0]) <= tol]
+    if len(cluster) > 1:
+        # D - I/2 on the eigenspace: extreme values -a < 0 < b mix as b^.5 p + a^.5 q
+        val, vec = np.linalg.eigh([[sum(e[i] * e[j] for e in xu) - (i == j) / 2.0 for j in cluster]
+                                   for i in cluster])
+        if val[0] < 0.0 < val[-1]:
+            mix = (math.sqrt(val[-1]) * vec[:, 0] + math.sqrt(-val[0]) * vec[:, -1]).tolist()
+            candidates.append([sum(f * e[j] for f, j in zip(mix, cluster)) for e in x])
+    for y in candidates:
+        su, sv = math.sqrt(sum(w * w for w in y[:nu])), math.sqrt(sum(w * w for w in y[nu:]))
+        if su > 0.0 and sv > 0.0:
+            y = [w / su for w in y[:nu]] + [w / sv for w in y[nu:]]
+            if sum(w * sum(p * q for p, q in zip(mi, y)) for w, mi in zip(y, m)) - phi <= tol:
+                return phi, y
+    # phi still rises where g > 0: the maximum is above delta
+    row[6:8] = lo, hi = (delta, hi) if g > 0.0 else (lo, delta)
+    gaps = [max(lam[j] - lam[0], 1e-300) for j in range(1, n)]
+    newton = abs(g) / max(4.0 * sum(g0[j] ** 2 / gaps[j - 1] for j in range(1, n)), 1e-300)
+    meet = max((gd[j] - a) * math.copysign(1.0, g) / gaps[j - 1] for j in range(1, n))
+    stride = min(newton, 1.0 / max(meet, 1e-300))
+    row[5] = delta + math.copysign(stride, g) if stride <= 0.5 * (hi - lo) else 0.5 * (lo + hi)
+    return phi, None
+
+
+# coef @ _PLANE_M is M of a coefficient row, flattened: z.M.z is the
+# numerator less its constant at z = (cos s, sin s, cos t, sin t)
+_PLANE_M = np.zeros((8, 4, 4))      # rows p, q, r, w, then K / 2
+_PLANE_M[[0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 0, 1, 2, 3, 2, 3], [0, 1, 1, 0, 2, 3, 3, 2]] = \
+    [1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0]
+_PLANE_M[[4, 4, 5, 5, 6, 6, 7, 7], [0, 2, 0, 3, 1, 2, 1, 3], [2, 0, 3, 0, 2, 1, 3, 1]] = 0.5
+_PLANE_M = _PLANE_M.reshape(8, 16)
+
+# plane-plane rows from which Newton and the certificate run on arrays
 _BATCH_ROWS = 64
 
 
-def _plane_plane_angles(coef: np.ndarray, policy: Optimized) -> np.ndarray:
-    """Minimizing angles (N, 2) for coefficient rows (N, 8): grid argmin,
-    then the converged refinement of each row.  From _BATCH_ROWS rows on,
-    the first Newton pass and the certificate run on arrays, and only rows
-    they leave open continue per row, with _refine's arithmetic throughout."""
-    s0, t0 = _grid_argmin(coef, policy.grid_points)
-    cell = 2.0 * math.pi / policy.grid_points
-    rounds = policy.refine_iters
+def _plane_plane_min(coef: np.ndarray) -> np.ndarray:
+    """The numerator's global minimizers z = (cos s, sin s, cos t, sin t)
+    (N, 4) for coefficient rows (N, 8): grid argmin, joint Newton, and the
+    point if _certified proves it global; every other row (a rejected step
+    or an unproven point) goes into one _dual_min call started there.
+    Newton and the certificate run per row on floats below _BATCH_ROWS
+    rows, on arrays from there on, with the same arithmetic."""
+    s, t = _grid_argmin(coef)
     if len(coef) < _BATCH_ROWS:
-        return np.array([
-            _refine(c, s, t, cell, rounds)
-            for c, s, t in zip(coef.tolist(), s0.tolist(), t0.tolist())
-        ]).reshape(-1, 2)
-    table = np.ascontiguousarray(coef.T)
-    s, t, converged = _newton_rows(table, s0, t0, cell)
-    certified = converged & _certified(table, s, t)
-    out = np.stack([s, t], axis=1)
-    for k in np.flatnonzero(~certified).tolist():
-        c = coef[k].tolist()
-        sk, tk, final = _finish_round(c, float(s[k]), float(t[k]), bool(converged[k]))
-        out[k] = (sk, tk) if final else _refine(c, sk, tk, cell, rounds - 1)
-    return out
+        rows = coef.tolist()
+        points = [_newton(c, a, b) for c, a, b in zip(rows, s.tolist(), t.tolist())]
+        z = np.array([(math.cos(a), math.sin(a), math.cos(b), math.sin(b)) for a, b, _ in points])
+        rest = [k for k, (c, (a, b, ok)) in enumerate(zip(rows, points))
+                if not (ok and _certified(c, a, b))]
+    else:
+        table = np.ascontiguousarray(coef.T)
+        s, t, converged = _newton_rows(table, s, t)
+        z = np.stack([np.cos(s), np.sin(s), np.cos(t), np.sin(t)], axis=1)
+        rest = np.flatnonzero(~(converged & _certified(table, s, t)))
+    if len(rest):
+        z[rest] = _dual_min((coef[rest] @ _PLANE_M).reshape(-1, 4, 4), 2, z[rest])[0]
+    return z
 
 
 # One degenerate subsystem d: its direction u runs over the whole sphere and
@@ -552,18 +522,16 @@ def _sphere_min(gamma: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.nda
     return (y * y) @ gamma + 2.0 * (beta * y) @ _ONES3, y
 
 
-def _sphere_circle(mom: Moments, d: int, policy: Optimized) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) minimizing the numerator when subsystem d's mean spin vanishes.
-
-    With the sphere side minimized exactly (_sphere_min), the first
-    grid_points grid minimum over t is polished by Newton on the
-    slope (by the envelope theorem, the partial t-derivative at the
-    minimizing u), with a central-difference curvature; a step is rejected
-    when the curvature is not positive or the step is longer than one grid
-    cell.  The point is certified when a 256-point scan over t finds
-    nothing lower; otherwise the search jumps to the lowest scan point and
-    polishes again, at most refine_iters rounds.
-    """
+def _sphere_circle(mom: Moments, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) minimizing the numerator when subsystem d's mean spin vanishes:
+    with the sphere side minimized exactly (_sphere_min), the first minimum
+    over t on the _GRID grid is polished by Newton on the envelope-theorem
+    slope with a central-difference curvature (a step is rejected when the
+    curvature is not positive or the step exceeds a grid cell).  In z = (y,
+    cos t, sin t), y in A's eigenbasis, the numerator is z.M.z; the point
+    stands when its multipliers l1 = y.(Mz)_y, l2 = (Mz)_t.(cos t, sin t)
+    leave M - diag(l1 I3, l2 I2) within 1e-12 of sum|M| of positive
+    semidefinite, else _dual_min from there returns the minimum."""
     sides = ((mom.mean1, mom.mom1), (mom.mean2, mom.mom2))
     (mean_d, mom_d), (mean_o, mom_o) = sides if d == 1 else sides[::-1]
     cross = mom.cross_mat if d == 1 else mom.cross_mat.T
@@ -575,7 +543,6 @@ def _sphere_circle(mom: Moments, d: int, policy: Optimized) -> tuple[np.ndarray,
     # P(t) + alpha_0 = p0 + p cos 2t + r sin 2t; beta(t) = [cos t, sin t] @ b
     p0, p, r = g[0, 0] + g[1, 1] + alpha[0], g[0, 0] - g[1, 1], 2.0 * g[0, 1]
     b = 2.0 * e @ cross.T @ q
-    tol = 1e-14 * (abs(p0) + abs(p) + abs(r) + np.abs(alpha).sum() + np.abs(b).sum())
 
     def numerator(t):
         """(value, slope, y) at the angles t (n,)."""
@@ -593,21 +560,18 @@ def _sphere_circle(mom: Moments, d: int, policy: Optimized) -> tuple[np.ndarray,
             f, slope, y = numerator(t + _FD)
             curv = (slope[2] - slope[1]) / (2.0 * _FD[2])
             step = -slope[0] / curv if curv > 0.0 else math.inf
-            if not 1e-13 < abs(step) <= cell:
+            if not 1e-13 < abs(step) <= _CELL:
                 break
         return t, f[0], y[0]
 
-    n, cell = policy.grid_points, 2.0 * math.pi / policy.grid_points
-    angles = np.concatenate([_grid_harmonics(n)[0], _SCAN])
-    scan, _, ys = numerator(angles)
-    k, low = int(first_min_index(scan[:n])), int(scan.argmin())
-    t = angles[k]
-    for _ in range(policy.refine_iters):
-        t, value, y = polish(t)
-        if scan[low] >= value - tol:
-            break
-        t, y = angles[low], ys[low]
-    return q @ y, math.cos(t) * e[0] + math.sin(t) * e[1]
+    t, _, y = polish(_GRID_ANGLES[first_min_index(numerator(_GRID_ANGLES)[0])])
+    z = np.array([*y, math.cos(t), math.sin(t)])
+    m = np.zeros((5, 5))
+    m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:] = np.diag(alpha), b.T, b, 2.0 * g
+    l1, l2 = np.add.reduceat(z * (m @ z), [0, 3])
+    if np.linalg.eigvalsh(m - np.diag([l1, l1, l1, l2, l2]))[0] < -1e-12 * np.abs(m).sum():
+        z = _dual_min(m[None], 3, z[None])[0][0]
+    return q @ z[:3], z[3] * e[0] + z[4] * e[1]
 
 
 def _frame_from_transverse(n_dir: np.ndarray | None, t: np.ndarray) -> Frame:
@@ -690,13 +654,13 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
             a1, b1, a2, b2 = base1.n_perp, base1.n_perp2, base2.n_perp, base2.n_perp2
             coef = _harmonics(mom.mom1[None], mom.mom2[None], mom.cross_mat[None],
                               np.array([[a1, b1]]), np.array([[a2, b2]]))
-            ((s, t),) = _plane_plane_angles(coef, policy).tolist()
-            u = math.cos(s) * a1 + math.sin(s) * b1
-            v = math.cos(t) * a2 + math.sin(t) * b2
+            ((cs, ss, ct, st),) = _plane_plane_min(coef).tolist()
+            u = cs * a1 + ss * b1
+            v = ct * a2 + st * b2
         elif 1 in degenerate:
-            u, v = _sphere_circle(mom, 1, policy)
+            u, v = _sphere_circle(mom, 1)
         else:
-            v, u = _sphere_circle(mom, 2, policy)
+            v, u = _sphere_circle(mom, 2)
         frame1 = _frame_from_transverse(None if 1 in degenerate else mom.mean1 / mom.mag1, u)
         frame2 = _frame_from_transverse(None if 2 in degenerate else mom.mean2 / mom.mag2, v)
         u, v = frame1.n_perp, frame2.n_perp
@@ -735,18 +699,15 @@ def _aligned_n_perp(d: np.ndarray, gauge: str) -> np.ndarray:
 
 def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
     """xi for a stack of normalized amplitude matrices (N, 3, 3) under any
-    frame policy (default Optimized()), nan where undefined.
-
-    Equals squeezing_report(CoupledState(c[k]), policy).xi row by row:
-    moment_tables and the final xi are evaluated for all rows at once, and
-    the transverse directions are, per policy, the Fixed frames' n_perp,
-    MeanSpinAligned's gauge from frame_bases/frame_bases_xz (an "xz" row
-    outside the half-plane raises build_frame_xz's ValueError), or the
-    report's Optimized grid argmin and refinement (batched from _BATCH_ROWS
-    rows on, with the same result).  Rows with a degenerate subsystem go
-    through squeezing_report itself.  Memory is linear in N, about 1.5 KB
-    per state under Optimized plus a fixed 0.4 MB, so callers pass blocks
-    of a few hundred states (two_stage_minimum: at most 512).
+    frame policy (default Optimized()), nan where undefined; equal to
+    squeezing_report(CoupledState(c[k]), policy).xi row by row.  Moments and
+    xi are evaluated for all rows at once, along the Fixed frames' n_perp,
+    MeanSpinAligned's vectorized gauge (an "xz" row outside the half-plane
+    raises build_frame_xz's ValueError) or the directions of
+    _plane_plane_min, whose open rows share one dual solve.  Rows with a
+    degenerate subsystem go through squeezing_report.  Memory is linear in
+    N, about 1.5 KB per state under Optimized plus a fixed 0.4 MB, so
+    callers pass blocks of a few hundred states (two_stage_minimum: 512).
     """
     if policy is None:
         policy = Optimized()
@@ -776,10 +737,9 @@ def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
         u, v = _aligned_n_perp(d1, policy.gauge), _aligned_n_perp(d2, policy.gauge)
     else:
         e1, e2 = frame_bases(d1), frame_bases(d2)
-        angles = _plane_plane_angles(_harmonics(m1, m2, cm, e1, e2), policy)
-        cs, sn = np.cos(angles), np.sin(angles)
-        u = cs[:, :1] * e1[:, 0] + sn[:, :1] * e1[:, 1]
-        v = cs[:, 1:] * e2[:, 0] + sn[:, 1:] * e2[:, 1]
+        z = _plane_plane_min(_harmonics(m1, m2, cm, e1, e2))
+        u = z[:, :1] * e1[:, 0] + z[:, 1:2] * e1[:, 1]
+        v = z[:, 2:3] * e2[:, 0] + z[:, 3:] * e2[:, 1]
 
     def variance(mom, mean, d):
         # as Moments.variance, including its clamp of roundoff below 0

@@ -58,6 +58,15 @@ def rotate_coupled(state: CoupledState, axis: np.ndarray, angle: float) -> Coupl
     return CoupledState.normalized(u @ state.c @ u.T)
 
 
+def rotate_local(state: CoupledState, axis1: np.ndarray, angle1: float, axis2: np.ndarray,
+                 angle2: float) -> CoupledState:
+    """Apply independent SU(2) rotations exp(-i angle_k axis_k.S) to the two
+    subsystems."""
+    u1 = matrix_exponential(spin_component(axis1), scale=-1j * angle1, kind="hermitian")
+    u2 = matrix_exponential(spin_component(axis2), scale=-1j * angle2, kind="hermitian")
+    return CoupledState.normalized(u1 @ state.c @ u2.T)
+
+
 def two_stage_amplitudes(grid: np.ndarray) -> np.ndarray:
     """Amplitude matrices (len(grid)**2, 3, 3) of the coherent-11 two-stage
     scan over grid x grid, row-major in (tau1, tau2), as two_stage_minimum
