@@ -36,6 +36,7 @@ from .squeezing import (
     Fixed,
     MeanSpinAligned,
     Optimized,
+    block_cells,
     family_summary,
     run_standard_comparisons,
     squeezing_report,
@@ -109,11 +110,25 @@ def _load_initial(name_or_path: str):
     return load_state(name_or_path)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+# CSV lines formatted and written per write call
+_WRITE_LINES = 512
+
+
+def _write_csv(path: str, header: list[str], axes, columns) -> None:
+    """A grid's CSV: the header, then one line per cell of the grid
+    ``axes`` in row-major order, its axis values and then its entry of each
+    array of ``columns``, all as _fmt writes them.  Each axis value is
+    formatted once; the lines are formatted and written _WRITE_LINES at a
+    time, so the file's text is never held whole."""
+    cells = itertools.product(*([_fmt(x) for x in g] for g in axes))
+    columns = [np.asarray(c, dtype=float).ravel() for c in columns]
+    line = ",".join(["%s"] * len(axes) + ["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for lo in range(0, len(columns[0]), _WRITE_LINES):
+            values = zip(*(c[lo:lo + _WRITE_LINES].tolist() for c in columns))
+            block = [cell + v for cell, v in zip(itertools.islice(cells, _WRITE_LINES), values)]
+            fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
 # --------------------------------------------------------------------------
@@ -187,16 +202,19 @@ def _built(names, values, builder, *args):
         raise _GridPointError(f"no state at grid point {point}: {exc}") from None
 
 
-def _row_blocks(family, grids):
-    """The amplitude stacks (M, 3, 3) of the cells sharing one value of the
-    first axis (of a one-axis product family: all cells), in CSV order.
-    Product states are broadcast outer products of one amplitude table per
-    factor, as states.product forms them; configurations are built per
-    cell."""
+def _cell_blocks(family, grids):
+    """The amplitude stacks (M, 3, 3) of the grid's cells in CSV order, in
+    the xi_batch blocks of block_cells: as many whole first-axis rows as
+    fit in 512 cells, or 512 cells when a row is longer.  Product states are
+    broadcast outer products of one amplitude table per factor, as
+    states.product forms them; configurations are built per cell."""
+    cells = math.prod(len(g) for g in grids)
+    step = block_cells(cells // len(grids[0]))
     if family.factors is None:
-        for a in grids[0]:
+        grid_cells = itertools.product(*grids)
+        for _ in range(0, cells, step):
             yield np.array([_built(family.axes, cell, family.state, family.params(*cell)).c
-                            for cell in itertools.product([a], *grids[1:])])
+                            for cell in itertools.islice(grid_cells, step)])
         return
     tables, swept = [], iter(zip(family.axes, grids))
     for f in family.factors:
@@ -206,23 +224,18 @@ def _row_blocks(family, grids):
             name, grid = next(swept)
             tables.append(np.array([_built((name,), (t,), f, t).amps for t in grid]))
     left, right = tables
-    for a in left:
-        yield a[:, None] * right[:, None, :]
+    for lo in range(0, cells, step):
+        i, j = np.divmod(np.arange(lo, min(lo + step, cells)), len(right))
+        yield left[i, :, None] * right[j, None, :]
 
 
 def _sweep_table(family, grids, policy) -> tuple[np.ndarray, np.ndarray]:
     """(engine xi, closed-form xi) per grid cell in CSV order.  xi_batch
-    takes the cells of one first-axis value per call, which bounds the
-    working set to one grid row."""
-    cells = math.prod(len(g) for g in grids)
-    engine = np.empty(cells)
-    lo = 0
-    for block in _row_blocks(family, grids):
-        engine[lo:lo + len(block)] = xi_batch(block, policy)
-        lo += len(block)
-    closed = np.fromiter((family.closed(family.params(*cell)) for cell in itertools.product(*grids)),
-                         dtype=float, count=cells)
-    return engine, closed
+    takes one block of _cell_blocks per call, which bounds the engine's
+    working set; the closed form is evaluated once, on the axis arrays
+    broadcast against each other."""
+    engine = np.concatenate([xi_batch(block, policy) for block in _cell_blocks(family, grids)])
+    return engine, family.closed(family.params(*np.ix_(*grids))).ravel()
 
 
 def cmd_sweep(args, parser: _Parser) -> int:
@@ -238,10 +251,7 @@ def cmd_sweep(args, parser: _Parser) -> int:
         engine, closed = _sweep_table(family, grids, policy)
     except _GridPointError as exc:
         parser.error(str(exc))
-    axis_text = [[_fmt(x) for x in g] for g in grids]
-    rows = ([*cell, _fmt(e), _fmt(c)]
-            for cell, e, c in zip(itertools.product(*axis_text), engine, closed))
-    _write_csv(args.out, list(family.axes) + ["xi_engine", "xi_closed"], rows)
+    _write_csv(args.out, [*family.axes, "xi_engine", "xi_closed"], grids, (engine, closed))
     return EXIT_OK
 
 
@@ -332,9 +342,8 @@ def _write_trajectory(args, parser: _Parser, state0, generator, policy) -> int:
         traj = trajectory(state0, [(generator, grid)], policy)
     except ValueError as exc:
         parser.error(str(exc))
-    rows = ([_fmt(t), _fmt(r.xi if r.valid else float("nan"))]
-            for t, r in zip(traj.tau_grid, traj.reports))
-    _write_csv(args.out, ["tau", "xi"], rows)
+    xi = [r.xi if r.valid else float("nan") for r in traj.reports]
+    _write_csv(args.out, ["tau", "xi"], (traj.tau_grid,), (xi,))
     return EXIT_OK
 
 
@@ -349,10 +358,7 @@ def _write_scan(args, parser: _Parser, state0, policy) -> int:
         scan = two_stage_minimum(state0, g1, g2, policy)
     except ValueError as exc:
         parser.error(str(exc))
-    rows = ([_fmt(t1), _fmt(t2), _fmt(scan.xi[i, j])]
-            for i, t1 in enumerate(scan.tau1_grid)
-            for j, t2 in enumerate(scan.tau2_grid))
-    _write_csv(args.out, ["tau1", "tau2", "xi"], rows)
+    _write_csv(args.out, ["tau1", "tau2", "xi"], (scan.tau1_grid, scan.tau2_grid), (scan.xi,))
     print(f"min_xi={_fmt(scan.min_xi)} tau1={_fmt(scan.argmin[0])} tau2={_fmt(scan.argmin[1])}")
     return EXIT_OK
 

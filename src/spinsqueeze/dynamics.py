@@ -28,11 +28,8 @@ import numpy as np
 from .linalg import is_anti_hermitian, is_hermitian
 from .spin import raising_lowering, spin1_matrices, embed
 from .states import NORM_TOL, CoupledState
-from .squeezing import (FramePolicy, Optimized, SqueezingReport, first_min_index,
+from .squeezing import (FramePolicy, Optimized, SqueezingReport, block_cells, first_min_index,
                         squeezing_report, xi_batch)
-
-# cells per xi_batch call in two_stage_minimum
-_BLOCK_CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -233,9 +230,8 @@ def two_stage_minimum(
     resolve to the lexicographically lowest (tau1, tau2).  nan entries
     (undefined xi) are ignored by the minimum.  All cell states come from
     one batched propagation (144 bytes per cell), and xi_batch evaluates
-    them under any policy in blocks of at most 512 cells: as many whole
-    tau1 rows as fit, or 512-cell pieces of a longer row.  A block holds
-    about 1 MB of engine work space.
+    them under any policy in the blocks of block_cells: as many whole tau1
+    rows as fit in 512 cells, or 512 cells when a row is longer.
     """
     if policy is None:
         policy = Optimized()
@@ -244,8 +240,7 @@ def two_stage_minimum(
     prop1 = Propagator(first if first is not None else pair_exchange_generator())
     prop2 = Propagator(second if second is not None else cross_quadratic_generator())
     amps = prop2.propagate(prop1.propagate(state0.vec, g1), g2).reshape(-1, 3, 3)
-    # whole tau1 rows per call, or pieces of one row longer than a block
-    block = _BLOCK_CELLS // g2.size * g2.size or _BLOCK_CELLS
+    block = block_cells(g2.size)
     xi = np.concatenate([xi_batch(amps[lo:lo + block], policy)
                          for lo in range(0, len(amps), block)]).reshape(g1.size, g2.size)
     i, j = np.unravel_index(_first_min(xi), xi.shape)

@@ -697,6 +697,17 @@ def _aligned_n_perp(d: np.ndarray, gauge: str) -> np.ndarray:
     return out
 
 
+# cells per xi_batch call of the grid scans: two_stage_minimum and sweep
+_BLOCK_CELLS = 512
+
+
+def block_cells(row: int) -> int:
+    """The cells per xi_batch call on a grid whose first-axis rows hold
+    ``row`` cells: as many whole rows as fit in _BLOCK_CELLS or, when a row
+    is longer, _BLOCK_CELLS."""
+    return _BLOCK_CELLS // row * row or _BLOCK_CELLS
+
+
 def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
     """xi for a stack of normalized amplitude matrices (N, 3, 3) under any
     frame policy (default Optimized()), nan where undefined; equal to
@@ -706,8 +717,10 @@ def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
     raises build_frame_xz's ValueError) or the directions of
     _plane_plane_min, whose open rows share one dual solve.  Rows with a
     degenerate subsystem go through squeezing_report.  Memory is linear in
-    N, about 1.5 KB per state under Optimized plus a fixed 0.4 MB, so
-    callers pass blocks of a few hundred states (two_stage_minimum: 512).
+    N, about 1.5 KB per state under Optimized plus a fixed 0.4 MB, so the
+    grid scans (two_stage_minimum and every state sweep) pass blocks of
+    at most _BLOCK_CELLS = 512 states, cut by block_cells: about 1 MB of
+    work space per call.
     """
     if policy is None:
         policy = Optimized()
@@ -868,55 +881,113 @@ def puri_parameter(s: Spin1State) -> float:
 # --------------------------------------------------------------------------
 # closed forms (literal transcriptions)
 # --------------------------------------------------------------------------
+#
+# Each closed form takes scalars or arrays of parameters (of one shape, or
+# broadcasting).  At scalars it returns a float and raises
+# ZeroDenominatorError where its denominator vanishes; at arrays it returns
+# an array, nan there.  Array elements equal the scalar results bit for bit:
+# numpy's real arithmetic, cos and sqrt round as Python's and math's do, and
+# the complex arithmetic of xi_config3 is spelled out in _PyComplex.
 
-def xi_product_pair(theta1: float, theta2: float) -> float:
+
+def _denominator(den, tol: float, what: str):
+    """den, nan where den <= tol; at a scalar den raises
+    ZeroDenominatorError(what) there instead."""
+    undefined = den <= tol
+    if np.ndim(den) == 0:
+        if undefined:
+            raise ZeroDenominatorError(what)
+        return den
+    return np.where(undefined, np.nan, den)
+
+
+def _value(x):
+    """A closed form's result: a float at scalar parameters, else the array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+class _PyComplex:
+    """Complex numbers held as arrays of real and imaginary parts and
+    combined as Python combines complex numbers, so an array of them rounds
+    element by element like the Python scalars.  numpy's own complex
+    product, complex-by-real quotient and abs do not: they differ in the
+    last bit for about a third of random operands."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0.0):
+        self.re, self.im = re, im
+
+    @classmethod
+    def of(cls, z) -> "_PyComplex":
+        z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
+        return cls(z.real, z.imag)
+
+    def __add__(self, w):
+        return _PyComplex(self.re + w.re, self.im + w.im)
+
+    def __sub__(self, w):
+        return _PyComplex(self.re - w.re, self.im - w.im)
+
+    def __mul__(self, w):
+        return _PyComplex(self.re * w.re - self.im * w.im, self.re * w.im + self.im * w.re)
+
+    def __rmul__(self, x: float):
+        # Python promotes the real factor to complex(x, 0.0)
+        return _PyComplex(x) * self
+
+    def __abs__(self):
+        return np.hypot(self.re, self.im)
+
+
+# x ** 2 as Python's float power (the C library's pow) rounds it; numpy's
+# ** 2 is x * x, which differs in the last bit for about 1 value in 1,200
+_POW2 = np.frompyfunc(lambda x: x ** 2, 1, 1)
+
+
+def xi_product_pair(theta1, theta2):
     """Closed form for canonical_squeezed(theta1) x canonical_squeezed(theta2):
 
         xi = [ (1+cos t1)/(3+cos t1) + (1+cos t2)/(3+cos t2) ]
              / [ |sqrt(2(1+cos t1))/(3+cos t1)| + |sqrt(2(1+cos t2))/(3+cos t2)| ]
     """
-    c1, c2 = math.cos(theta1), math.cos(theta2)
+    c1, c2 = np.cos(theta1), np.cos(theta2)
     num = (1.0 + c1) / (3.0 + c1) + (1.0 + c2) / (3.0 + c2)
-    den = abs(math.sqrt(2.0 * (1.0 + c1)) / (3.0 + c1)) + abs(
-        math.sqrt(2.0 * (1.0 + c2)) / (3.0 + c2)
+    den = abs(np.sqrt(2.0 * (1.0 + c1)) / (3.0 + c1)) + abs(
+        np.sqrt(2.0 * (1.0 + c2)) / (3.0 + c2)
     )
-    if den <= 1e-300:
-        raise ZeroDenominatorError("mean-spin lengths vanish for these angles")
-    return num / den
+    return _value(num / _denominator(den, 1e-300, "mean-spin lengths vanish for these angles"))
 
 
-def xi_coherent_times_squeezed(theta: float) -> float:
+def xi_coherent_times_squeezed(theta):
     """Closed form for coherent(m=+1) x canonical_squeezed(theta):
 
         xi = [ 1 + (1+cos t)/(3+cos t) ] / [ 1 + |sqrt(2(1+cos t))/(3+cos t)| ]
     """
-    ct = math.cos(theta)
+    ct = np.cos(theta)
     num = 1.0 + (1.0 + ct) / (3.0 + ct)
-    den = 1.0 + abs(math.sqrt(2.0 * (1.0 + ct)) / (3.0 + ct))
-    return num / den
+    den = 1.0 + abs(np.sqrt(2.0 * (1.0 + ct)) / (3.0 + ct))
+    return _value(num / den)
 
 
-def xi_config1(c11: float, c22: float, c33: float) -> float:
+def xi_config1(c11, c22, c33):
     """Closed form for the diagonal configuration (c11, c22, c33):
 
         xi = [ c11^2 + 2 c22^2 + c33^2 - 2 (c11 c22 - c22 c33) ] / |c11^2 - c33^2|
     """
-    den = abs(c11 * c11 - c33 * c33)
-    if den <= 1e-12:
-        raise ZeroDenominatorError("|c11^2 - c33^2| vanishes")
+    den = _denominator(abs(c11 * c11 - c33 * c33), 1e-12, "|c11^2 - c33^2| vanishes")
     num = c11 * c11 + 2.0 * c22 * c22 + c33 * c33 - 2.0 * (c11 * c22 - c22 * c33)
-    return num / den
+    return _value(num / den)
 
 
-def xi_config2(c11: float, c13: float, c22: float) -> float:
+def xi_config2(c11, c13, c22):
     """Closed form for the configuration (c11, c13, c22):
 
         xi = [ c11^2 + c13^2 + 2 c22^2 - c11 c13 + 2 c13 c22 - 2 c22 c11 ]
              / [ |c11^2 + c13^2| + |c11^2 - c13^2| ]
     """
-    den = abs(c11 * c11 + c13 * c13) + abs(c11 * c11 - c13 * c13)
-    if den <= 1e-12:
-        raise ZeroDenominatorError("mean-spin lengths vanish")
+    den = _denominator(abs(c11 * c11 + c13 * c13) + abs(c11 * c11 - c13 * c13), 1e-12,
+                       "mean-spin lengths vanish")
     num = (
         c11 * c11
         + c13 * c13
@@ -925,10 +996,10 @@ def xi_config2(c11: float, c13: float, c22: float) -> float:
         + 2.0 * c13 * c22
         - 2.0 * c22 * c11
     )
-    return num / den
+    return _value(num / den)
 
 
-def xi_config3(c12: complex, c21: complex, c23: complex) -> float:
+def xi_config3(c12, c21, c23):
     """Closed form for the configuration (c12, c21, c23):
 
         xi = [ 3 c12^2 + 3 c21^2 + 3 c23^2 - 2 c21 c23 + 4 c12 c21 - 4 c12 c23 ]
@@ -938,10 +1009,9 @@ def xi_config3(c12: complex, c21: complex, c23: complex) -> float:
     is evaluated as written and nan is returned when the result has a
     non-negligible imaginary part (recorded as UNDEFINED by the harness).
     """
-    c12, c21, c23 = complex(c12), complex(c21), complex(c23)
-    den = abs(c12) ** 2 + abs(c21 * c21 - c23 * c23)
-    if den <= 1e-12:
-        raise ZeroDenominatorError("mean-spin lengths vanish")
+    c12, c21, c23 = (_PyComplex.of(c) for c in (c12, c21, c23))
+    den = _denominator(np.asarray(_POW2(abs(c12)), dtype=float) + abs(c21 * c21 - c23 * c23),
+                       1e-12, "mean-spin lengths vanish")
     num = (
         3.0 * c12 * c12
         + 3.0 * c21 * c21
@@ -950,10 +1020,9 @@ def xi_config3(c12: complex, c21: complex, c23: complex) -> float:
         + 4.0 * c12 * c21
         - 4.0 * c12 * c23
     )
-    val = num / den
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-        return float("nan")
-    return val.real
+    # Python divides a complex by a real part by part
+    re, im = num.re / den, num.im / den
+    return _value(np.where(abs(im) > 1e-9 * np.fmax(1.0, abs(re)), np.nan, re))
 
 
 def _squeezed(theta: float) -> Spin1State:
@@ -985,13 +1054,14 @@ class Family:
     sweep_grid: tuple                     # default (start, stop, count) per leading axis;
                                           # the remaining axes default to [0]
     policy: Callable[[], FramePolicy]     # default frame policy
-    closed_form: Callable[..., float]     # the literal transcription
+    closed_form: Callable                 # the literal transcription
     check_cells: tuple                    # the check report's sweep cells, in order
     factors: tuple | None = None
     config: int | None = None
 
     def params(self, *cell) -> tuple:
-        """The closed-form parameters at a sweep cell."""
+        """The closed-form parameters at a sweep cell, or at the cells of
+        arrays of axis values."""
         return cell if self.config is None else config_amplitudes(self.config, *cell)
 
     def state(self, params: tuple) -> CoupledState:
@@ -1002,10 +1072,11 @@ class Family:
         return product(*(f if isinstance(f, Spin1State) else f(next(swept))
                          for f in self.factors))
 
-    def closed(self, params: tuple) -> float:
-        """The closed form at ``params``, nan where its denominator vanishes."""
+    def closed(self, params: tuple):
+        """The closed form at ``params``, nan where its denominator vanishes:
+        a float at scalar parameters, an array at arrays of them."""
         try:
-            return closed_form_xi(self.name, params)
+            return self.closed_form(*params)
         except ZeroDenominatorError:
             return float("nan")
 

@@ -278,14 +278,20 @@ def config_amplitudes(kind: int, alpha: float, beta: float,
     kind 1: (c11, c22, c33) = (sin a cos b, sin a sin b, cos b)
     kind 2: (c11, c13, c22) = (sin a cos b, sin a sin b, cos b)
     kind 3: (c12, c21, c23) = (cos a, sin a cos b e^{i phi1}, sin a sin b e^{i phi2})
+
+    Numbers are evaluated with math, and arrays (broadcasting) with numpy
+    in the same expressions: each array element is bit for bit the scalar
+    result, since numpy's sin and cos round as math's do and a real factor
+    times e^{i phi} is one rounded product per part either way.
     """
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    sb, cb = math.sin(beta), math.cos(beta)
+    xp = np if any(isinstance(x, np.ndarray) for x in (alpha, beta, phi1, phi2)) else math
+    sa, ca = xp.sin(alpha), xp.cos(alpha)
+    sb, cb = xp.sin(beta), xp.cos(beta)
     if kind in (1, 2):
         return sa * cb, sa * sb, cb
     if kind == 3:
-        return (complex(ca), sa * cb * complex(math.cos(phi1), math.sin(phi1)),
-                sa * sb * complex(math.cos(phi2), math.sin(phi2)))
+        return (ca + 0j, sa * cb * (xp.cos(phi1) + 1j * xp.sin(phi1)),
+                sa * sb * (xp.cos(phi2) + 1j * xp.sin(phi2)))
     raise ValueError(f"kind must be 1, 2 or 3, got {kind}")
 
 

@@ -4,11 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import spinsqueeze
 from spinsqueeze import (
@@ -206,6 +209,40 @@ def test_sweep_rejects_non_finite_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_NON_FINITE = st.sampled_from(["inf", "-inf", "nan", "Infinity", "-NaN", "1e400"])
+
+
+@st.composite
+def _malformed_grid(draw):
+    """A --grid string of one of four malformed kinds."""
+    kind = draw(st.sampled_from(["arity", "count", "non-finite", "order"]))
+    start, stop = sorted(draw(st.lists(_FINITE, min_size=2, max_size=2, unique=True)))
+    count = draw(st.integers(2, 50))
+    if kind == "arity":
+        parts = [repr(start), repr(stop), str(count), str(count)]
+        return ":".join(parts[:draw(st.sampled_from([0, 1, 2, 4]))])
+    if kind == "count":
+        return f"{start!r}:{stop!r}:{draw(st.integers(-5, 1))}"
+    if kind == "non-finite":
+        ends = draw(st.sampled_from([(0, 1), (1, 0), (1, 1)]))
+        a, b = (draw(_NON_FINITE) if bad else repr(x) for bad, x in zip(ends, (start, stop)))
+        return f"{a}:{b}:{count}"
+    if draw(st.booleans()):
+        start = stop
+    return f"{stop!r}:{start!r}:{count}"
+
+
+@given(grid=_malformed_grid(), command=st.sampled_from([
+    ["sweep", "product"], ["sweep", "mixed"], ["sweep", "config3"], ["evolve"],
+    ["evolve", "--stages", "2"]]))
+def test_malformed_grids_exit_1_and_write_nothing(grid, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "x.csv"
+        assert main([*command, f"--grid={grid}", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, point", [
     # theta > pi: the first of 0, 0.5, ..., 4
     (["sweep", "product", "--grid", "0:4:9"], "theta1=3.5:"),
@@ -281,13 +318,8 @@ def test_sweep_cells_equal_per_cell_reports(tmp_path, capsys, kind, policy):
             assert math.isnan(got)
 
 
-@pytest.mark.parametrize("kind, grids, row", [
-    ("product", ["0.1:1.0:4", "0.2:2.0:5"], 5),
-    ("mixed", ["0.1:3.0:7"], 7),
-    ("config2", ["0.2:1.4:3", "0.1:1.0:6"], 6),
-    ("config3", ["0.3:1.2:3", "0.3:1.2:3", "0:1:2", "0:2:4"], 3 * 2 * 4),
-])
-def test_sweep_evaluates_one_grid_row_per_engine_call(tmp_path, capsys, monkeypatch, kind, grids, row):
+def _engine_block_sizes(monkeypatch, argv) -> list[int]:
+    """The stack sizes the CLI hands xi_batch while running argv."""
     sizes = []
     xi_batch = cli.xi_batch
 
@@ -296,13 +328,49 @@ def test_sweep_evaluates_one_grid_row_per_engine_call(tmp_path, capsys, monkeypa
         return xi_batch(c, policy)
 
     monkeypatch.setattr(cli, "xi_batch", recording)
+    assert main(argv) == EXIT_OK
+    return sizes
+
+
+@pytest.mark.parametrize("kind, grids, sizes", [
+    # 30-cell rows: 17 whole rows (510 cells) per call
+    ("product", ["0.1:1.0:40", "0.2:2.0:30"], [510, 510, 180]),
+    ("product", ["0.1:1.0:4", "0.2:2.0:5"], [20]),
+    # one axis: every row is one cell
+    ("mixed", ["0.1:3.0:1100"], [512, 512, 76]),
+    ("config2", ["0.2:1.4:3", "0.1:1.0:6"], [18]),
+    ("config3", ["0.3:1.2:30", "0.3:1.2:3", "0:1:2", "0:2:4"], [504, 216]),
+    # rows longer than 512 cells: 512 cells at a time
+    ("product", ["0.1:3.0:3", "0.05:3.1:700"], [512] * 4 + [52]),
+    ("config1", ["0.2:1.4:2", "0.1:1.0:600"], [512, 512, 176]),
+], ids=["product-rows", "product-one-block", "mixed", "config2", "config3",
+        "product-long-rows", "config1-long-rows"])
+def test_sweep_engine_blocks_are_whole_rows_up_to_512_cells(tmp_path, capsys, monkeypatch,
+                                                            kind, grids, sizes):
+    """Each xi_batch call of a sweep takes as many whole first-axis rows as
+    fit in 512 cells or, when a row is longer, the next 512 cells."""
     argv = ["sweep", kind, "--out", str(tmp_path / "s.csv")]
     for g in grids:
         argv += ["--grid", g]
-    assert main(argv) == EXIT_OK
+    assert _engine_block_sizes(monkeypatch, argv) == sizes
     capsys.readouterr()
-    cells = math.prod(len(cli._parse_grid(g)) for g in grids)
-    assert sizes == [row] * (cells // row)
+
+
+def test_a_long_mixed_sweep_is_bounded_and_equals_per_cell_reports(tmp_path, capsys, monkeypatch):
+    """2,000 points of the one-axis product family: no xi_batch call takes
+    more than 512 cells, and every row equals its own squeezing_report."""
+    out = tmp_path / "m.csv"
+    grid = "0.01:3.1:2000"
+    sizes = _engine_block_sizes(monkeypatch, ["sweep", "mixed", "--grid", grid, "--out", str(out)])
+    capsys.readouterr()
+    assert max(sizes) <= 512 and sum(sizes) == 2000
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    thetas = cli._parse_grid(grid)
+    assert [r[0] for r in rows] == [cli._fmt(t) for t in thetas]
+    policy = cli._SWEEP_FAMILIES["mixed"].policy()
+    for row, theta in zip(rows, thetas):
+        rep = squeezing_report(product(Spin1State.basis(1), canonical_squeezed(theta)), policy)
+        assert abs(float(row[1]) - rep.xi) <= 1e-12 * abs(rep.xi), (row, rep.xi)
 
 
 def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -485,7 +553,7 @@ def test_sweep_block_states_equal_the_family_states(kind):
     bit."""
     family = cli._SWEEP_FAMILIES[kind]
     grids = cli._resolve_grids(family, [cli._parse_grid(g) for g in _SWEEP_GRIDS[kind]], None)
-    blocks = np.concatenate(list(cli._row_blocks(family, grids)))
+    blocks = np.concatenate(list(cli._cell_blocks(family, grids)))
     cells = list(_reference_cells(kind, grids))
     assert len(blocks) == len(cells)
     for block, (cell, state, _) in zip(blocks, cells):
@@ -501,3 +569,38 @@ def test_csv_17g_round_trip(tmp_path, capsys):
         for tok in line.split(","):
             v = float(tok)
             assert f"{v:.17g}" == tok
+
+
+_AWKWARD = [float("nan"), 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 29384.0,
+            0.1, 1.0 / 3.0, 1e16, 2.0 ** 53 + 2.0]
+
+
+def _awkward(n: int, seed: int) -> np.ndarray:
+    """n values: the awkward ones, then seeded draws over many decades."""
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    return np.concatenate([_AWKWARD, draws])[:n]
+
+
+@pytest.mark.parametrize("cells", [513, 1025])
+@pytest.mark.parametrize("layout", [
+    # header, axis lengths (their product is the cell count), value columns
+    ("sweep", ["theta1", "theta2", "xi_engine", "xi_closed"], 2),
+    ("scan", ["tau1", "tau2", "xi"], 1),
+    ("trajectory", ["tau", "xi"], 1),
+], ids=lambda layout: layout[0])
+def test_csv_writer_lines_equal_fmt(tmp_path, layout, cells):
+    """Across write blocks, every line the writer produces is the _fmt text
+    of its axis values and column entries, joined by commas."""
+    _, header, n_columns = layout
+    n_axes = len(header) - n_columns
+    lengths = {1: (cells,), 2: {513: (27, 19), 1025: (25, 41)}[cells]}[n_axes]
+    axes = [_awkward(n, seed) for seed, n in enumerate(lengths)]
+    columns = [_awkward(cells, 10 + k) for k in range(n_columns)]
+    out = tmp_path / "w.csv"
+    cli._write_csv(str(out), header, axes, columns)
+    lines = out.read_bytes().decode("utf-8").split("\n")
+    assert lines[0] == ",".join(header) and lines[-1] == ""
+    want = [",".join(cli._fmt(x) for x in (*cell, *(c[k] for c in columns)))
+            for k, cell in enumerate(itertools.product(*axes))]
+    assert lines[1:-1] == want

@@ -1,6 +1,8 @@
 import functools
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -37,10 +39,12 @@ from spinsqueeze import (
     xi_product_pair,
 )
 from spinsqueeze.spin import Frame, cross3, frame_bases
-from spinsqueeze.squeezing import (_BATCH_ROWS, _PLANE_M, DEGENERATE_MEAN_SPIN, _certified,
-                                   _dual_min, _grid_argmin, _harmonics, _min_transverse_variance,
-                                   _newton, _newton_rows, family_summary, moment_tables,
-                                   standard_comparison_grids, xi_batch)
+from spinsqueeze.states import load_state, save_state
+from spinsqueeze.squeezing import (_BATCH_ROWS, _PLANE_M, _POW2, DEGENERATE_MEAN_SPIN, FAMILIES,
+                                   _certified, _dual_min, _grid_argmin, _harmonics,
+                                   _min_transverse_variance, _newton, _newton_rows, _PyComplex,
+                                   family_summary, moment_tables, standard_comparison_grids,
+                                   xi_batch)
 
 from conftest import (
     random_coupled,
@@ -905,6 +909,19 @@ def test_xi_batch_equals_reports_on_generated_states(states):
             assert math.isnan(got)
 
 
+@given(state=_STATE)
+def test_state_files_round_trip(state):
+    """save_state then load_state gives the state back: JSON keeps every
+    float exactly, and load_state's renormalization moves a normalized
+    state by rounding only."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        save_state(path, state)
+        back = load_state(path)
+    assert back.c.shape == (3, 3)
+    assert np.max(np.abs(back.c - state.c)) <= 4e-16
+
+
 # ------------------------------------------------------- closed forms
 
 
@@ -1058,6 +1075,86 @@ def test_closed_form_xi_dispatch():
     assert closed_form_xi("product_pair", (1.0, 1.0)) == xi_product_pair(1.0, 1.0)
     with pytest.raises(ValueError):
         closed_form_xi("nonsense", (1.0,))
+
+
+def _same_bits(a, b) -> bool:
+    """Equal arrays of floats, bit for bit (the sign of zero included);
+    nan entries must sit at the same places."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+def _closed_form_cells(family) -> dict[str, list[np.ndarray]]:
+    """Named cell sets of a family as axis arrays: its full default sweep
+    grid, its check cells, and the cells that need more than those."""
+    grids = [np.linspace(*d) for d in family.sweep_grid]
+    grids += [np.zeros(1)] * (len(family.axes) - len(grids))
+    sets = {"sweep": np.meshgrid(*grids, indexing="ij"),
+            "check": list(np.array(family.check_cells).T)}
+    rng = np.random.default_rng(7)
+    if family.name == "config3":
+        # nonzero phases; those near 0, pi and 2 pi leave the numerator real
+        phases = [math.pi, 2.0 * math.pi, -math.pi, 1e-9, 0.7, 1.9]
+        draw = lambda: np.where(rng.random(3000) < 0.5, rng.choice(phases, 3000),
+                                rng.uniform(0.0, 2.0 * math.pi, 3000))
+        sets["phases"] = [rng.uniform(0.0, math.pi, 3000), rng.uniform(0.0, math.pi, 3000),
+                          draw(), draw()]
+    if family.name == "product_pair":
+        # theta = pi on both axes: both mean spins vanish
+        sets["undefined"] = [np.array([math.pi]), np.array([math.pi])]
+    if family.name == "config1":
+        # sin(alpha) = 1 makes c11 = c33
+        sets["undefined"] = [np.full(5, math.pi / 2.0), np.linspace(0.1, 3.0, 5)]
+    return {name: [np.ravel(a) for a in axes] for name, axes in sets.items()}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_closed_forms_on_arrays_equal_the_scalar_forms_bit_for_bit(name):
+    """Family.closed on arrays of sweep cells equals closed_form_xi cell by
+    cell, nan where the scalar form raises ZeroDenominatorError."""
+    family = FAMILIES[name]
+    for label, axes in _closed_form_cells(family).items():
+        params = family.params(*axes)
+        scalar_params = [family.params(*cell) for cell in zip(*(a.tolist() for a in axes))]
+        want = []
+        for cell_params in scalar_params:
+            try:
+                want.append(closed_form_xi(name, cell_params))
+            except ZeroDenominatorError:
+                want.append(float("nan"))
+        got = family.closed(params)
+        assert _same_bits(got, want), label
+        # the parameters themselves are the scalar ones, element for element
+        for p, scalar in zip(params, zip(*scalar_params)):
+            assert _same_bits(np.real(p), np.real(scalar)) and _same_bits(np.imag(p), np.imag(scalar))
+        if label == "undefined":
+            assert np.all(np.isnan(got))
+        if label == "phases":
+            assert np.count_nonzero(~np.isnan(got)) > 100
+
+
+def test_py_complex_rounds_like_python_complex(rng):
+    """_PyComplex arithmetic on arrays and _POW2 equal Python's complex and
+    float operations element for element, where numpy's own differ."""
+    a = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
+    b = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
+    x = rng.uniform(0.0, 3.0, 5000)
+    za, zb = _PyComplex.of(a), _PyComplex.of(b)
+    pairs = list(zip(a.tolist(), b.tolist(), x.tolist()))
+    for got, want in (
+        (za * zb, [p * q for p, q, _ in pairs]),
+        (za + zb, [p + q for p, q, _ in pairs]),
+        (za - zb, [p - q for p, q, _ in pairs]),
+        (3.0 * za, [3.0 * p for p, _, _ in pairs]),
+    ):
+        assert _same_bits(got.re, np.real(want)) and _same_bits(got.im, np.imag(want))
+    assert _same_bits(abs(za), [abs(p) for p, _, _ in pairs])
+    assert _same_bits(np.asarray(_POW2(x), dtype=float), [t ** 2 for _, _, t in pairs])
+    # the reason for both: numpy's complex product and its x ** 2 round otherwise
+    assert not _same_bits((a * b).real, [(p * q).real for p, q, _ in pairs])
+    assert not _same_bits(x ** 2, [t ** 2 for _, _, t in pairs])
 
 
 # ---------------------------------------------- single-subsystem gauges
