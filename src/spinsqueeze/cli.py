@@ -34,15 +34,14 @@ from .spin import build_frame
 from .squeezing import (
     FAMILIES,
     Fixed,
+    GridPointError,
     MeanSpinAligned,
     Optimized,
-    block_cells,
     family_summary,
     run_standard_comparisons,
     squeezing_report,
-    xi_batch,
 )
-from .states import StateFormatError, Spin1State, load_state, z_alignment_audit
+from .states import StateFormatError, load_state, z_alignment_audit
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -177,65 +176,12 @@ def _resolve_grids(family, given: list[np.ndarray] | None, parser: _Parser):
     are [0] unless every axis is given."""
     swept, n_axes = len(family.sweep_grid), len(family.axes)
     if not given:
-        grids = [np.linspace(*d) for d in family.sweep_grid]
-    elif len(given) == 1:
-        grids = [given[0]] * swept
-    elif len(given) in (swept, n_axes):
-        grids = list(given)
-    else:
+        return family.axis_grids(family.sweep_grid)
+    if len(given) not in (1, swept, n_axes):
         parser.error(f"{family.kind} sweep takes 1 or {swept} --grid flags"
                      + (f" (or {n_axes} with phase axes)" if n_axes > swept else ""))
-    return grids + [np.array([0.0])] * (n_axes - len(grids))
-
-
-class _GridPointError(Exception):
-    """A state builder rejected a sweep grid point."""
-
-
-def _built(names, values, builder, *args):
-    """builder(*args), its ValueError re-raised as a _GridPointError that
-    names the grid point."""
-    try:
-        return builder(*args)
-    except ValueError as exc:
-        point = " ".join(f"{n}={_fmt(v)}" for n, v in zip(names, values))
-        raise _GridPointError(f"no state at grid point {point}: {exc}") from None
-
-
-def _cell_blocks(family, grids):
-    """The amplitude stacks (M, 3, 3) of the grid's cells in CSV order, in
-    the xi_batch blocks of block_cells: as many whole first-axis rows as
-    fit in 512 cells, or 512 cells when a row is longer.  Product states are
-    broadcast outer products of one amplitude table per factor, as
-    states.product forms them; configurations are built per cell."""
-    cells = math.prod(len(g) for g in grids)
-    step = block_cells(cells // len(grids[0]))
-    if family.factors is None:
-        grid_cells = itertools.product(*grids)
-        for _ in range(0, cells, step):
-            yield np.array([_built(family.axes, cell, family.state, family.params(*cell)).c
-                            for cell in itertools.islice(grid_cells, step)])
-        return
-    tables, swept = [], iter(zip(family.axes, grids))
-    for f in family.factors:
-        if isinstance(f, Spin1State):
-            tables.append(f.amps[None])
-        else:
-            name, grid = next(swept)
-            tables.append(np.array([_built((name,), (t,), f, t).amps for t in grid]))
-    left, right = tables
-    for lo in range(0, cells, step):
-        i, j = np.divmod(np.arange(lo, min(lo + step, cells)), len(right))
-        yield left[i, :, None] * right[j, None, :]
-
-
-def _sweep_table(family, grids, policy) -> tuple[np.ndarray, np.ndarray]:
-    """(engine xi, closed-form xi) per grid cell in CSV order.  xi_batch
-    takes one block of _cell_blocks per call, which bounds the engine's
-    working set; the closed form is evaluated once, on the axis arrays
-    broadcast against each other."""
-    engine = np.concatenate([xi_batch(block, policy) for block in _cell_blocks(family, grids)])
-    return engine, family.closed(family.params(*np.ix_(*grids))).ravel()
+    grids = given * swept if len(given) == 1 else list(given)
+    return grids + [np.zeros(1)] * (n_axes - len(grids))
 
 
 def cmd_sweep(args, parser: _Parser) -> int:
@@ -248,8 +194,8 @@ def cmd_sweep(args, parser: _Parser) -> int:
     # every value is computed before the output file is opened, so a
     # rejected grid point leaves no partial file behind
     try:
-        engine, closed = _sweep_table(family, grids, policy)
-    except _GridPointError as exc:
+        engine, closed = family.xi_grid(grids, policy)
+    except GridPointError as exc:
         parser.error(str(exc))
     _write_csv(args.out, [*family.axes, "xi_engine", "xi_closed"], grids, (engine, closed))
     return EXIT_OK
@@ -342,8 +288,7 @@ def _write_trajectory(args, parser: _Parser, state0, generator, policy) -> int:
         traj = trajectory(state0, [(generator, grid)], policy)
     except ValueError as exc:
         parser.error(str(exc))
-    xi = [r.xi if r.valid else float("nan") for r in traj.reports]
-    _write_csv(args.out, ["tau", "xi"], (traj.tau_grid,), (xi,))
+    _write_csv(args.out, ["tau", "xi"], (traj.tau_grid,), (traj.xi,))
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ couples m = +1 to m = -1 within each subsystem and populates c13/c31 when
 applied after pair-exchange evolution.  eta and t enter only as the
 dimensionless product tau = eta*t, which is what all grids range over.
 
-``trajectory`` sweeps squeezing reports along one or more evolution stages;
+``trajectory`` evaluates xi along one or more evolution stages;
 ``two_stage_minimum`` scans a (tau1, tau2) grid for the best squeezing
 reachable by pair-exchange followed by the cross-quadratic Hamiltonian.
 """
@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import is_anti_hermitian, is_hermitian
+from .linalg import check_hermiticity
 from .spin import raising_lowering, spin1_matrices, embed
 from .states import NORM_TOL, CoupledState
-from .squeezing import (FramePolicy, Optimized, SqueezingReport, block_cells, first_min_index,
-                        squeezing_report, xi_batch)
+from .squeezing import FramePolicy, Optimized, block_cells, first_min_index, xi_batch
 
 
 @dataclass(frozen=True)
@@ -48,14 +47,7 @@ class Generator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (9, 9):
             raise ValueError(f"generator must be 9x9, got {m.shape}")
-        if self.kind == "hermitian":
-            if not is_hermitian(m):
-                raise ValueError("matrix violates its hermitian tag")
-        elif self.kind == "anti_hermitian":
-            if not is_anti_hermitian(m):
-                raise ValueError("matrix violates its anti_hermitian tag")
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
+        check_hermiticity(m, self.kind)
         object.__setattr__(self, "matrix", m)
 
 
@@ -141,13 +133,9 @@ def evolve(state: CoupledState, g: Generator, tau: float) -> CoupledState:
 class Trajectory:
     tau_grid: np.ndarray
     states: list[CoupledState]
-    reports: list[SqueezingReport]
+    xi: np.ndarray  # per state, nan where undefined
     policy: FramePolicy
     stage_labels: list[str] = field(default_factory=list)
-
-    @property
-    def xi(self) -> np.ndarray:
-        return np.array([r.xi for r in self.reports])
 
     def min_point(self) -> tuple[float, float]:
         """(tau, xi) at the first grid minimum of xi (nan entries skipped)."""
@@ -175,12 +163,13 @@ def trajectory(
     stages: list[tuple[Generator, np.ndarray]],
     policy: FramePolicy | None = None,
 ) -> Trajectory:
-    """Squeezing reports along a piecewise evolution.
+    """xi along a piecewise evolution.
 
     Each stage is (generator, tau grid); stage n+1 starts from the last state
     of stage n and its grid counts time from that point.  The recorded
     tau_grid is cumulative; a stage whose grid starts at 0 contributes no
-    duplicate sample for the boundary state.
+    duplicate sample for the boundary state.  xi_batch evaluates the states
+    in the blocks of block_cells, 512 at a time.
     """
     if policy is None:
         policy = Optimized()
@@ -196,15 +185,15 @@ def trajectory(
         prop = Propagator(gen)
         if stage_index > 0 and g[0] == 0.0:
             g = g[1:]
-        for s in prop.apply_grid(current, g):
-            states.append(s)
+        states.extend(prop.apply_grid(current, g))
         taus.extend(origin + t for t in g)
         labels.extend(gen.label for _ in g)
         if len(g):
             current = states[-1]
             origin = taus[-1]
-    reports = [squeezing_report(s, policy) for s in states]
-    return Trajectory(np.array(taus), states, reports, policy, labels)
+    amps = np.array([s.c for s in states])
+    xi = np.concatenate([xi_batch(amps[b], policy) for b in block_cells(len(amps), 1)])
+    return Trajectory(np.array(taus), states, xi, policy, labels)
 
 
 @dataclass(frozen=True)
@@ -240,9 +229,8 @@ def two_stage_minimum(
     prop1 = Propagator(first if first is not None else pair_exchange_generator())
     prop2 = Propagator(second if second is not None else cross_quadratic_generator())
     amps = prop2.propagate(prop1.propagate(state0.vec, g1), g2).reshape(-1, 3, 3)
-    block = block_cells(g2.size)
-    xi = np.concatenate([xi_batch(amps[lo:lo + block], policy)
-                         for lo in range(0, len(amps), block)]).reshape(g1.size, g2.size)
+    xi = np.concatenate([xi_batch(amps[b], policy)
+                         for b in block_cells(len(amps), g2.size)]).reshape(g1.size, g2.size)
     i, j = np.unravel_index(_first_min(xi), xi.shape)
     return TwoStageScan(g1, g2, xi, float(xi[i, j]), (float(g1[i]), float(g2[j])))
 

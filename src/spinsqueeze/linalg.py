@@ -21,18 +21,30 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
+def _adjoint_gap(m, sign: float) -> float:
+    """max |m - sign m^H| for a square matrix m, inf for a non-square one."""
     a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return float(np.max(np.abs(a - a.conj().T))) <= tol
+    return float(np.max(np.abs(a - sign * a.conj().T))) if a.shape[0] == a.shape[1] else np.inf
+
+
+def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
+    return _adjoint_gap(m, 1.0) <= tol
 
 
 def is_anti_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return float(np.max(np.abs(a + a.conj().T))) <= tol
+    return _adjoint_gap(m, -1.0) <= tol
+
+
+_TAG_TESTS = {"hermitian": is_hermitian, "anti_hermitian": is_anti_hermitian}
+
+
+def check_hermiticity(m, kind: str) -> None:
+    """Raise ValueError unless the matrix m is what its hermiticity tag
+    ``kind`` ("hermitian" or "anti_hermitian") says."""
+    if kind not in _TAG_TESTS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if not _TAG_TESTS[kind](m):
+        raise ValueError(f"matrix violates its {kind} tag")
 
 
 def kron(a, b) -> np.ndarray:
@@ -71,25 +83,15 @@ def matrix_exponential(m, scale, kind: str | None = None) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if kind is None:
-        if is_hermitian(a):
-            kind = "hermitian"
-        elif is_anti_hermitian(a):
-            kind = "anti_hermitian"
-        else:
-            raise ValueError(
-                "matrix is neither Hermitian nor anti-Hermitian within tolerance"
-            )
+        kind = next((k for k, test in _TAG_TESTS.items() if test(a)), None)
+        if kind is None:
+            raise ValueError("matrix is neither Hermitian nor anti-Hermitian within tolerance")
+    check_hermiticity(a, kind)
     if kind == "hermitian":
-        if not is_hermitian(a):
-            raise ValueError("matrix violates its hermitian tag")
         w, v = np.linalg.eigh(a)
         eigs = w.astype(complex)
-    elif kind == "anti_hermitian":
-        if not is_anti_hermitian(a):
-            raise ValueError("matrix violates its anti_hermitian tag")
+    else:
         # i*m is Hermitian with real eigenvalues w; m itself has -i*w.
         w, v = np.linalg.eigh(1j * a)
         eigs = -1j * w
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
     return (v * np.exp(scale * eigs)) @ v.conj().T

@@ -40,7 +40,7 @@ import numpy as np
 from .spin import (SX, SY, SZ, Frame, build_frame, build_frame_xz, cross3, frame_bases,
                    frame_bases_xz, in_xz_half_plane)
 from .states import (NORM_TOL, CoupledState, Spin1State, canonical_squeezed, config_amplitudes,
-                     config_state, product)
+                     config_matrices, product)
 
 DEGENERATE_MEAN_SPIN = 1e-9
 MATCH_TOL = 1e-10
@@ -104,13 +104,13 @@ class Optimized:
     spin vanishes), and the Lagrangian dual bound, max over delta of
     delta + 2 lambda_min(M - delta diag(I_u, 0)), equals its minimum.  The
     first minimum of a 64-point grid per angle (ties within 1e-14 go to the
-    lowest angles) is polished by Newton and stands when a closed-form test
-    (plane-plane) or one 5x5 eigenvalue test (sphere-circle) puts it within
-    1e-12 of M's scale of the bound.  Any other row goes to one batched
-    dual solve started there, which returns that point if it is within the
-    tolerance, else the lowest eigenvector at the optimal delta with u and
-    v normalized separately or, if that eigenvalue is repeated, the mixture
-    of its eigenvectors with |u| = |v|.
+    lowest angles) is polished by Newton.  A plane-plane point stands when
+    a closed-form test puts it within 1e-12 of M's scale of the bound; any
+    other plane-plane row, and every sphere-circle point, goes to one
+    batched dual solve started there, which returns that point if it is
+    within the tolerance, else the lowest eigenvector at the optimal delta
+    with u and v normalized separately or, if that eigenvalue is repeated,
+    the mixture of its eigenvectors with |u| = |v|.
     """
 
 
@@ -528,10 +528,9 @@ def _sphere_circle(mom: Moments, d: int) -> tuple[np.ndarray, np.ndarray]:
     over t on the _GRID grid is polished by Newton on the envelope-theorem
     slope with a central-difference curvature (a step is rejected when the
     curvature is not positive or the step exceeds a grid cell).  In z = (y,
-    cos t, sin t), y in A's eigenbasis, the numerator is z.M.z; the point
-    stands when its multipliers l1 = y.(Mz)_y, l2 = (Mz)_t.(cos t, sin t)
-    leave M - diag(l1 I3, l2 I2) within 1e-12 of sum|M| of positive
-    semidefinite, else _dual_min from there returns the minimum."""
+    cos t, sin t), y in A's eigenbasis, the numerator is z.M.z, and
+    _dual_min started at the polished point returns it when its first eigh
+    puts it within tolerance of the dual bound, else the minimum."""
     sides = ((mom.mean1, mom.mom1), (mom.mean2, mom.mom2))
     (mean_d, mom_d), (mean_o, mom_o) = sides if d == 1 else sides[::-1]
     cross = mom.cross_mat if d == 1 else mom.cross_mat.T
@@ -568,9 +567,7 @@ def _sphere_circle(mom: Moments, d: int) -> tuple[np.ndarray, np.ndarray]:
     z = np.array([*y, math.cos(t), math.sin(t)])
     m = np.zeros((5, 5))
     m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:] = np.diag(alpha), b.T, b, 2.0 * g
-    l1, l2 = np.add.reduceat(z * (m @ z), [0, 3])
-    if np.linalg.eigvalsh(m - np.diag([l1, l1, l1, l2, l2]))[0] < -1e-12 * np.abs(m).sum():
-        z = _dual_min(m[None], 3, z[None])[0][0]
+    z = _dual_min(m[None], 3, z[None])[0][0]
     return q @ z[:3], z[3] * e[0] + z[4] * e[1]
 
 
@@ -701,26 +698,27 @@ def _aligned_n_perp(d: np.ndarray, gauge: str) -> np.ndarray:
 _BLOCK_CELLS = 512
 
 
-def block_cells(row: int) -> int:
-    """The cells per xi_batch call on a grid whose first-axis rows hold
-    ``row`` cells: as many whole rows as fit in _BLOCK_CELLS or, when a row
-    is longer, _BLOCK_CELLS."""
-    return _BLOCK_CELLS // row * row or _BLOCK_CELLS
+def block_cells(cells: int, row: int) -> list[slice]:
+    """The xi_batch blocks of a grid of ``cells`` cells whose first-axis
+    rows hold ``row`` cells: as many whole rows as fit in _BLOCK_CELLS or,
+    when a row is longer, _BLOCK_CELLS cells."""
+    step = _BLOCK_CELLS // row * row or _BLOCK_CELLS
+    return [slice(lo, min(lo + step, cells)) for lo in range(0, cells, step)]
 
 
 def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
     """xi for a stack of normalized amplitude matrices (N, 3, 3) under any
     frame policy (default Optimized()), nan where undefined; equal to
-    squeezing_report(CoupledState(c[k]), policy).xi row by row.  Moments and
-    xi are evaluated for all rows at once, along the Fixed frames' n_perp,
-    MeanSpinAligned's vectorized gauge (an "xz" row outside the half-plane
-    raises build_frame_xz's ValueError) or the directions of
-    _plane_plane_min, whose open rows share one dual solve.  Rows with a
-    degenerate subsystem go through squeezing_report.  Memory is linear in
-    N, about 1.5 KB per state under Optimized plus a fixed 0.4 MB, so the
-    grid scans (two_stage_minimum and every state sweep) pass blocks of
-    at most _BLOCK_CELLS = 512 states, cut by block_cells: about 1 MB of
-    work space per call.
+    squeezing_report(CoupledState(c[k]), policy).xi to 1e-12 relative (the
+    last bits can differ).  Moments and xi are evaluated for all rows at
+    once, along the Fixed frames' n_perp, MeanSpinAligned's vectorized gauge
+    (an "xz" row outside the half-plane raises build_frame_xz's ValueError)
+    or the directions of _plane_plane_min, whose open rows share one dual
+    solve.  Rows with a degenerate subsystem go through squeezing_report.
+    Memory is linear in N, about 1.5 KB per state under Optimized plus a
+    fixed 0.4 MB, so every grid caller (Family.xi_grid, trajectory and
+    two_stage_minimum) passes blocks of at most _BLOCK_CELLS = 512 states,
+    cut by block_cells: about 1 MB of work space per call.
     """
     if policy is None:
         policy = Optimized()
@@ -1031,9 +1029,18 @@ def _squeezed(theta: float) -> Spin1State:
     return canonical_squeezed(theta)
 
 
-def _grid_cells(*axes) -> tuple:
-    """The cells of a grid, one (start, stop, count) per axis, row-major."""
-    return tuple(itertools.product(*(np.linspace(*axis).tolist() for axis in axes)))
+class GridPointError(ValueError):
+    """A state builder rejected a grid point."""
+
+
+def _built(names, values, builder, *args):
+    """builder(*args), its ValueError re-raised as a GridPointError that
+    names the grid point."""
+    try:
+        return builder(*args)
+    except ValueError as exc:
+        point = " ".join(f"{n}={float(v):.17g}" for n, v in zip(names, values))
+        raise GridPointError(f"no state at grid point {point}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -1045,7 +1052,8 @@ class Family:
     fixed Spin1State or a builder of one from one swept angle; its
     closed-form parameters are the swept angles.  A configuration's
     parameters are ``states.config_amplitudes(config, *cell)`` and its
-    state puts them in their slots (``states.config_state``).
+    state puts them in their slots (``states.config_matrices``).  A grid spec
+    has the ``sweep_grid`` form.
     """
 
     name: str                             # closed-form family name
@@ -1055,7 +1063,7 @@ class Family:
                                           # the remaining axes default to [0]
     policy: Callable[[], FramePolicy]     # default frame policy
     closed_form: Callable                 # the literal transcription
-    check_cells: tuple                    # the check report's sweep cells, in order
+    check_grids: tuple                    # the check report's grid specs, in order
     factors: tuple | None = None
     config: int | None = None
 
@@ -1067,7 +1075,7 @@ class Family:
     def state(self, params: tuple) -> CoupledState:
         """The coupled state at closed-form parameters ``params``."""
         if self.config is not None:
-            return config_state(self.config, params)
+            return CoupledState.normalized(config_matrices(self.config, params))
         swept = iter(params)
         return product(*(f if isinstance(f, Spin1State) else f(next(swept))
                          for f in self.factors))
@@ -1080,26 +1088,70 @@ class Family:
         except ZeroDenominatorError:
             return float("nan")
 
+    def axis_grids(self, spec: tuple) -> list[np.ndarray]:
+        """One array of values per axis for a grid spec."""
+        return [np.linspace(*d) for d in spec] + [np.zeros(1)] * (len(self.axes) - len(spec))
+
+    def cell_blocks(self, grids):
+        """The normalized amplitude stacks (M, 3, 3) of the cells of the
+        grid ``grids`` (one array per axis) in row-major order, in the
+        xi_batch blocks of block_cells.  Product states are broadcast outer
+        products of one amplitude table per factor, as states.product forms
+        them; configurations are built on each block's axis arrays.  A grid
+        point that a builder rejects raises GridPointError."""
+        shape = tuple(len(g) for g in grids)
+        if self.config is None:
+            tables, swept = [], iter(zip(self.axes, grids))
+            for f in self.factors:
+                if isinstance(f, Spin1State):
+                    tables.append(f.amps[None])
+                else:
+                    name, grid = next(swept)
+                    tables.append(np.array([_built((name,), (t,), f, t).amps for t in grid]))
+            left, right = tables
+        for block in block_cells(math.prod(shape), math.prod(shape[1:])):
+            index = np.arange(block.start, block.stop)
+            if self.config is None:
+                i, j = np.divmod(index, len(right))
+                yield left[i, :, None] * right[j, None, :]
+                continue
+            cell = [g[k] for g, k in zip(grids, np.unravel_index(index, shape))]
+            c = config_matrices(self.config, config_amplitudes(self.config, *cell))
+            # CoupledState.normalized's norm, bit for bit: np.linalg.norm per
+            # row (its axis form and a sum of squares round differently)
+            norms = np.array([np.linalg.norm(a) for a in c])
+            bad = np.flatnonzero(norms < NORM_TOL)
+            if bad.size:  # the scalar builder raises its error for the first
+                _built(self.axes, [g[bad[0]] for g in cell], CoupledState.normalized, c[bad[0]])
+            yield c / norms[:, None, None]
+
+    def xi_grid(self, grids, policy: FramePolicy) -> tuple[np.ndarray, np.ndarray]:
+        """(engine xi, closed-form xi) per cell of the grid ``grids`` in
+        row-major order: xi_batch on each block of cell_blocks, and the
+        closed form once, on the axis arrays broadcast against each other."""
+        engine = np.concatenate([xi_batch(b, policy) for b in self.cell_blocks(grids)])
+        return engine, self.closed(self.params(*np.ix_(*grids))).ravel()
+
 
 _THETA_AXIS = (0.05, 3.1, 50)
-_CHECK_AB = (0.1, 3.0, 15)
+_CHECK_AB = ((0.1, 3.0, 15),) * 2
 
 # A new family is one row here.
 FAMILIES = {f.name: f for f in (
     Family("product_pair", "product", ("theta1", "theta2"), (_THETA_AXIS,) * 2,
-           MeanSpinAligned, xi_product_pair, _grid_cells(*((0.1, 3.0, 30),) * 2),
+           MeanSpinAligned, xi_product_pair, (((0.1, 3.0, 30),) * 2,),
            factors=(_squeezed, _squeezed)),
     Family("coherent_squeezed", "mixed", ("theta",), ((0.0, math.pi, 200),),
-           MeanSpinAligned, xi_coherent_times_squeezed, _grid_cells((0.05, 3.1, 100)),
+           MeanSpinAligned, xi_coherent_times_squeezed, (((0.05, 3.1, 100),),),
            factors=(Spin1State.basis(1), _squeezed)),
     Family("config1", "config1", ("alpha", "beta"), (_THETA_AXIS,) * 2,
-           Optimized, xi_config1, _grid_cells(_CHECK_AB, _CHECK_AB), config=1),
+           Optimized, xi_config1, (_CHECK_AB,), config=1),
     Family("config2", "config2", ("alpha", "beta"), (_THETA_AXIS,) * 2,
-           Optimized, xi_config2, _grid_cells(_CHECK_AB, _CHECK_AB), config=2),
+           Optimized, xi_config2, (_CHECK_AB,), config=2),
+    # two check grids: the phase pairs (0, 0) and (0.7, 1.9)
     Family("config3", "config3", ("alpha", "beta", "phi1", "phi2"), (_THETA_AXIS,) * 2,
            Optimized, xi_config3,
-           tuple((a, b, *phases) for phases in ((0.0, 0.0), (0.7, 1.9))
-                 for a, b in _grid_cells(*((0.1, 3.0, 12),) * 2)),
+           (((0.1, 3.0, 12),) * 2, ((0.1, 3.0, 12),) * 2 + ((0.7, 0.7, 1), (1.9, 1.9, 1))),
            config=3),
 )}
 
@@ -1130,33 +1182,42 @@ class DiscrepancyRecord:
     flag: str  # MATCH | MISMATCH | UNDEFINED
 
 
-def compare_closed_forms(family: str, params: tuple, policy: FramePolicy) -> DiscrepancyRecord:
-    """One engine-versus-closed-form comparison row."""
-    fam = _family(family)
-    closed = fam.closed(params)
-    report = squeezing_report(fam.state(params), policy)
-    engine = report.xi if report.valid else float("nan")
+def _record(family: str, params: tuple, closed: float, engine: float) -> DiscrepancyRecord:
+    """A comparison row: UNDEFINED where either value is nan, else MATCH or
+    MISMATCH by MATCH_TOL on their difference."""
     if math.isnan(closed) or math.isnan(engine):
         return DiscrepancyRecord(family, params, closed, engine, float("nan"), "UNDEFINED")
     diff = abs(closed - engine)
-    flag = "MATCH" if diff <= MATCH_TOL else "MISMATCH"
-    return DiscrepancyRecord(family, params, closed, engine, diff, flag)
+    return DiscrepancyRecord(family, params, closed, engine, diff,
+                             "MATCH" if diff <= MATCH_TOL else "MISMATCH")
+
+
+def compare_closed_forms(family: str, params: tuple, policy: FramePolicy) -> DiscrepancyRecord:
+    """One engine-versus-closed-form comparison row: the one-cell case of
+    run_standard_comparisons."""
+    fam = _family(family)
+    report = squeezing_report(fam.state(params), policy)
+    return _record(family, params, fam.closed(params), report.xi if report.valid else math.nan)
 
 
 def standard_comparison_grids() -> dict[str, list[tuple]]:
     """Canonical parameter grids for the discrepancy report (deterministic):
-    each family's check cells as closed-form parameters."""
-    return {f.name: [f.params(*cell) for cell in f.check_cells] for f in FAMILIES.values()}
+    the cells of each family's check grids as closed-form parameters."""
+    return {f.name: [f.params(*cell) for spec in f.check_grids
+                     for cell in itertools.product(*(g.tolist() for g in f.axis_grids(spec)))]
+            for f in FAMILIES.values()}
 
 
 def run_standard_comparisons() -> dict[str, list[DiscrepancyRecord]]:
     """Run the full engine-versus-closed-form comparison over the canonical
-    grids, each family under its default policy; returns records per
-    family."""
+    grids, each family's check grids through Family.xi_grid under its
+    default policy; returns records per family."""
     out: dict[str, list[DiscrepancyRecord]] = {}
-    for family, grid in standard_comparison_grids().items():
-        policy = FAMILIES[family].policy()
-        out[family] = [compare_closed_forms(family, params, policy) for params in grid]
+    for family, params in standard_comparison_grids().items():
+        fam = FAMILIES[family]
+        tables = [fam.xi_grid(fam.axis_grids(spec), fam.policy()) for spec in fam.check_grids]
+        engine, closed = (np.concatenate(t).tolist() for t in zip(*tables))
+        out[family] = [_record(family, *row) for row in zip(params, closed, engine)]
     return out
 
 

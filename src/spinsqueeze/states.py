@@ -295,14 +295,15 @@ def config_amplitudes(kind: int, alpha: float, beta: float,
     raise ValueError(f"kind must be 1, 2 or 3, got {kind}")
 
 
-def config_state(kind: int, amplitudes) -> CoupledState:
-    """The configuration ``kind`` with its three amplitudes in their slots
-    (see ``config_amplitudes``), renormalized; ValueError when all three
-    vanish."""
-    c = np.zeros((3, 3), dtype=complex)
-    for slot, a in zip(_CONFIG_SLOTS[kind], amplitudes):
-        c[slot] = a
-    return CoupledState.normalized(c)
+def config_matrices(kind: int, amplitudes) -> np.ndarray:
+    """The configuration ``kind`` with its three amplitudes (see
+    ``config_amplitudes``) in their slots, not normalized: a (3, 3)
+    amplitude matrix for numbers, a stack (..., 3, 3) for arrays of one
+    shape."""
+    c = np.zeros(np.shape(amplitudes[0]) + (3, 3), dtype=complex)
+    for (i, j), a in zip(_CONFIG_SLOTS[kind], amplitudes):
+        c[..., i, j] = a
+    return c
 
 
 def config(kind: int, alpha: float, beta: float, phi1: float = 0.0, phi2: float = 0.0) -> CoupledState:
@@ -311,9 +312,11 @@ def config(kind: int, alpha: float, beta: float, phi1: float = 0.0, phi2: float 
 
     All three keep both mean spins on the z axis.  The amplitude triple is
     not unit-normalized as printed, so the state is normalized here; the
-    squeezing parameter is invariant under that rescaling.
+    squeezing parameter is invariant under that rescaling.  ValueError when
+    all three amplitudes vanish.
     """
-    return config_state(kind, config_amplitudes(kind, alpha, beta, phi1, phi2))
+    amplitudes = config_amplitudes(kind, alpha, beta, phi1, phi2)
+    return CoupledState.normalized(config_matrices(kind, amplitudes))
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from spinsqueeze import (
     save_state,
     squeezing_report,
 )
-from spinsqueeze import cli
+from spinsqueeze import cli, squeezing
 from spinsqueeze.cli import EXIT_BAD_STATE, EXIT_OK, EXIT_UNDEFINED, EXIT_USAGE
 from spinsqueeze.cli import main as cli_main
 
@@ -319,15 +319,16 @@ def test_sweep_cells_equal_per_cell_reports(tmp_path, capsys, kind, policy):
 
 
 def _engine_block_sizes(monkeypatch, argv) -> list[int]:
-    """The stack sizes the CLI hands xi_batch while running argv."""
+    """The stack sizes the grid evaluator hands xi_batch while the CLI runs
+    argv."""
     sizes = []
-    xi_batch = cli.xi_batch
+    xi_batch = squeezing.xi_batch
 
     def recording(c, policy=None):
         sizes.append(len(c))
         return xi_batch(c, policy)
 
-    monkeypatch.setattr(cli, "xi_batch", recording)
+    monkeypatch.setattr(squeezing, "xi_batch", recording)
     assert main(argv) == EXIT_OK
     return sizes
 
@@ -421,6 +422,32 @@ def test_check_report(tmp_path, capsys):
     assert "reproducers" in text
     # engine minimum of the mixed family is reported against the printed form
     assert "coherent_squeezed engine minimum:" in text
+
+
+def test_check_is_the_grid_evaluator_on_the_check_grids(tmp_path, capsys, monkeypatch):
+    """`check` makes one xi_batch call per block_cells block of each check
+    grid, and its records equal per-cell compare_closed_forms: the same
+    families, params, closed forms and flags, the engine within
+    1e-12 max(1, |xi|)."""
+    sizes = _engine_block_sizes(monkeypatch, ["check", "--out", str(tmp_path / "r.txt")])
+    capsys.readouterr()
+    # product 30x30 rows, mixed 100 one-cell rows, config1/2 15x15, config3 two 12x12 grids
+    assert sizes == [510, 390, 100, 225, 225, 144, 144]
+    monkeypatch.undo()
+    records = squeezing.run_standard_comparisons()
+    assert list(records) == list(squeezing.FAMILIES)
+    for family, rows in records.items():
+        policy = squeezing.FAMILIES[family].policy()
+        params = squeezing.standard_comparison_grids()[family]
+        assert [r.params for r in rows] == params
+        for r in rows:
+            want = squeezing.compare_closed_forms(family, r.params, policy)
+            assert (r.family, r.flag) == (want.family, want.flag), r
+            assert np.array_equal(r.closed_form, want.closed_form, equal_nan=True), r
+            if math.isnan(want.engine):
+                assert math.isnan(r.engine), r
+            else:
+                assert abs(r.engine - want.engine) <= 1e-12 * max(1.0, abs(want.engine)), r
 
 
 def test_check_to_stdout(capsys):
@@ -546,14 +573,17 @@ def test_sweep_evolve_kinds_are_the_default_evolve_runs(tmp_path, capsys, sweep,
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("kind", sorted(_SWEEP_GRIDS))
-def test_sweep_block_states_equal_the_family_states(kind):
+@pytest.mark.parametrize("kind, grids", [*((k, g) for k, g in sorted(_SWEEP_GRIDS.items())),
+                                         ("config1", None)],
+                         ids=[*sorted(_SWEEP_GRIDS), "config1-default"])
+def test_sweep_block_states_equal_the_family_states(kind, grids):
     """Per cell, the state the sweep evaluates, the scalar builders' state
     and family_state at the cell's closed-form parameters agree bit for
-    bit."""
+    bit; the full default config1 grid is where a vectorized norm of the
+    rows differs (168 of its 2,500 cells)."""
     family = cli._SWEEP_FAMILIES[kind]
-    grids = cli._resolve_grids(family, [cli._parse_grid(g) for g in _SWEEP_GRIDS[kind]], None)
-    blocks = np.concatenate(list(cli._cell_blocks(family, grids)))
+    grids = cli._resolve_grids(family, grids and [cli._parse_grid(g) for g in grids], None)
+    blocks = np.concatenate(list(family.cell_blocks(grids)))
     cells = list(_reference_cells(kind, grids))
     assert len(blocks) == len(cells)
     for block, (cell, state, _) in zip(blocks, cells):

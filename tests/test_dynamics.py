@@ -224,6 +224,7 @@ def test_trajectory_reports_use_policy():
         [(pair_exchange_generator(), grid)],
         Optimized(),
     )
-    for state, rep in zip(traj.states, traj.reports):
-        again = squeezing_report(state, Optimized())
-        assert rep.xi == pytest.approx(again.xi, abs=1e-12)
+    assert len(traj.xi) == len(traj.states) == 4
+    for state, xi in zip(traj.states, traj.xi):
+        rep = squeezing_report(state, Optimized())
+        assert abs(xi - rep.xi) <= 1e-12 * max(1.0, abs(rep.xi))

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tempfile
 import tracemalloc
@@ -1092,7 +1093,8 @@ def _closed_form_cells(family) -> dict[str, list[np.ndarray]]:
     grids = [np.linspace(*d) for d in family.sweep_grid]
     grids += [np.zeros(1)] * (len(family.axes) - len(grids))
     sets = {"sweep": np.meshgrid(*grids, indexing="ij"),
-            "check": list(np.array(family.check_cells).T)}
+            "check": list(np.array([cell for spec in family.check_grids
+                                    for cell in itertools.product(*family.axis_grids(spec))]).T)}
     rng = np.random.default_rng(7)
     if family.name == "config3":
         # nonzero phases; those near 0, pi and 2 pi leave the numerator real
