@@ -55,22 +55,25 @@ def _dot3(a, b) -> float:
 def _sumsq(v) -> float:
     # spelled out rather than a dot product so that frame_bases, summing
     # the same products column-wise, rounds identically
-    x, y, z = v.tolist()
+    x, y, z = v
     return x * x + y * y + z * z
 
 
-def _unit(v, name: str = "direction") -> np.ndarray:
-    a = np.asarray(v, dtype=float).reshape(3)
+def _unit(v, name: str = "direction") -> list[float]:
+    """v as a unit 3-vector of Python floats, as numpy divides the array by
+    its length."""
+    a = np.asarray(v, dtype=float).reshape(3).tolist()
     n2 = _sumsq(a)
     # written so that a nan length fails too
     if not abs(n2 - 1.0) <= _UNIT_TOL:
         raise ValueError(f"{name} must be a unit 3-vector, got |v|^2 = {n2}")
-    return a / np.sqrt(n2)
+    r = math.sqrt(n2)
+    return [w / r for w in a]
 
 
 def spin_component(direction) -> np.ndarray:
     """S . d for a unit direction d; Hermitian with eigenvalues 1, 0, -1."""
-    d = _unit(direction)
+    d = np.array(_unit(direction))
     return d[0] * SX + d[1] * SY + d[2] * SZ
 
 
@@ -125,6 +128,10 @@ class Frame:
     ``n`` points along the mean spin; ``n_perp`` is the transverse direction
     the squeezing parameter is evaluated along; ``n_perp2`` completes the
     triad so that n_perp x n_perp2 = n.
+
+    Frame(...) validates its vectors: user frames are checked at the API
+    boundary.  The frames the engine builds (build_frame, build_frame_xz and
+    the reports' frames) are orthonormal by construction and skip the check.
     """
 
     n: np.ndarray
@@ -149,6 +156,14 @@ class Frame:
                 and abs(p[0] * q[1] - p[1] * q[0] - n[2]) <= tol):
             raise ValueError("frame is not right-handed (n_perp x n_perp2 != n)")
 
+    @classmethod
+    def _trusted(cls, n: np.ndarray, n_perp: np.ndarray, n_perp2: np.ndarray) -> "Frame":
+        """A frame of float 3-vectors that its builder made orthonormal,
+        without __post_init__'s checks."""
+        frame = object.__new__(cls)
+        frame.__dict__.update(n=n, n_perp=n_perp, n_perp2=n_perp2)
+        return frame
+
 
 def build_frame(n) -> Frame:
     """Deterministic frame for a unit direction n.
@@ -156,15 +171,12 @@ def build_frame(n) -> Frame:
     Gauge: n_perp = normalize(z x n), except within 1e-9 of the poles where
     n_perp is x-hat orthogonalized against n exactly; n_perp2 = n x n_perp.
     """
-    nn = _unit(n)
-    if abs(nn[2]) > 1.0 - 1e-9:
-        p = np.array([1.0, 0.0, 0.0]) - nn[0] * nn
-    else:
-        p = np.array([-nn[1], nn[0], 0.0])
-    p = p / math.sqrt(_sumsq(p))
-    q = cross3(nn, p)
-    q = q / math.sqrt(_sumsq(q))
-    return Frame(nn, p, q)
+    x, y, z = _unit(n)
+    p = [1.0 - x * x, 0.0 - x * y, 0.0 - x * z] if abs(z) > 1.0 - 1e-9 else [-y, x, 0.0]
+    r = math.sqrt(_sumsq(p))
+    p = [w / r for w in p]
+    q = cross3((x, y, z), p)
+    return Frame._trusted(np.array([x, y, z]), np.array(p), q / math.sqrt(_sumsq(q.tolist())))
 
 
 def _sumsq_rows(v: np.ndarray) -> np.ndarray:
@@ -195,7 +207,13 @@ def in_xz_half_plane(directions) -> np.ndarray:
     """Whether each direction (..., 3) lies in the x-z half-plane: |n_y| <=
     1e-9 and n_z >= -1e-12 (False for nan)."""
     d = np.asarray(directions, dtype=float)
-    return (np.abs(d[..., 1]) <= 1e-9) & (d[..., 2] >= -1e-12)
+    return _in_xz(d[..., 1], d[..., 2])
+
+
+def _in_xz(y, z):
+    """in_xz_half_plane's test on the y and z components, arrays or Python
+    floats (one direction without the array overhead)."""
+    return (abs(y) <= 1e-9) & (z >= -1e-12)
 
 
 def build_frame_xz(n) -> Frame:
@@ -205,14 +223,13 @@ def build_frame_xz(n) -> Frame:
     n_perp2 = y-hat.  For a mean spin at polar angle t this is the frame
     (sin t, 0, cos t), (cos t, 0, -sin t), (0, 1, 0).
     """
-    nn = _unit(n)
-    if not in_xz_half_plane(nn):
+    x, y, z = _unit(n)
+    if not _in_xz(y, z):
         raise ValueError(_XZ_ERROR)
-    nn = np.array([nn[0], 0.0, max(nn[2], 0.0)])
-    nn = nn / math.sqrt(_sumsq(nn))
-    p = np.array([nn[2], 0.0, -nn[0]])
-    q = np.array([0.0, 1.0, 0.0])
-    return Frame(nn, p, q)
+    z = max(z, 0.0)
+    r = math.sqrt(_sumsq((x, 0.0, z)))
+    x, z = x / r, z / r
+    return Frame._trusted(np.array([x, 0.0, z]), np.array([z, 0.0, -x]), np.array([0.0, 1.0, 0.0]))
 
 
 def frame_bases_xz(directions) -> np.ndarray:

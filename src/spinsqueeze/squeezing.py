@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import (SX, SY, SZ, Frame, build_frame, build_frame_xz, cross3, frame_bases,
+from .spin import (SX, SY, SZ, Frame, _in_xz, build_frame, build_frame_xz, cross3, frame_bases,
                    frame_bases_xz, in_xz_half_plane)
 from .states import (NORM_TOL, CoupledState, Spin1State, canonical_squeezed, config_amplitudes,
                      config_matrices, product)
@@ -59,6 +59,12 @@ _CROSS_FLAT = np.stack(
 )
 
 _ZHAT = np.array([0.0, 0.0, 1.0])
+
+
+def _length(v: np.ndarray) -> float:
+    """np.linalg.norm of a real 3-vector, by its own arithmetic (the square
+    root of v.dot(v)), without its overhead."""
+    return math.sqrt(float(v.dot(v)))
 
 
 class ZeroDenominatorError(ValueError):
@@ -156,8 +162,8 @@ class Moments:
     def __init__(self, state: CoupledState):
         tables = moment_tables(state.c[None])
         self.mean1, self.mean2, self.mom1, self.mom2, self.cross_mat = (t[0] for t in tables)
-        self.mag1 = float(np.linalg.norm(self.mean1))
-        self.mag2 = float(np.linalg.norm(self.mean2))
+        self.mag1 = _length(self.mean1)
+        self.mag2 = _length(self.mean2)
 
     def variance(self, subsystem: int, direction: np.ndarray) -> float:
         m = self.mean1 if subsystem == 1 else self.mean2
@@ -209,7 +215,7 @@ def first_min_index(values: np.ndarray, axis: int | None = None):
     """The tie rule of every grid minimum: the index of the first entry
     within 1e-14 of the minimum along ``axis`` (of the flattened array
     when axis is None)."""
-    return np.argmax(values <= values.min(axis=axis, keepdims=True) + _TIE_TOL, axis=axis)
+    return (values <= values.min(axis=axis, keepdims=axis is not None) + _TIE_TOL).argmax(axis=axis)
 
 
 _NEWTON_STEPS = 30
@@ -234,16 +240,18 @@ _GRID_HARM = np.stack([np.cos(_GRID_ANGLES), np.sin(_GRID_ANGLES), np.cos(2.0 * 
 # second harmonics).  A coefficient row is (p, q, r, w, k00, k01, k10, k11).
 
 def _harmonics(mom1, mom2, cross_mat, e1, e2) -> np.ndarray:
-    """Coefficient rows (N, 8) from stacked second moments (N, 3, 3) and
-    transverse bases e = [a, b] (N, 2, 3)."""
-    g1 = e1 @ mom1 @ e1.transpose(0, 2, 1)
-    g2 = e2 @ mom2 @ e2.transpose(0, 2, 1)
-    out = np.empty((len(e1), 8))
-    out[:, 0] = g1[:, 0, 0] - g1[:, 1, 1]
-    out[:, 1] = 2.0 * g1[:, 0, 1]
-    out[:, 2] = g2[:, 0, 0] - g2[:, 1, 1]
-    out[:, 3] = 2.0 * g2[:, 0, 1]
-    out[:, 4:] = 4.0 * (e1 @ cross_mat @ e2.transpose(0, 2, 1)).reshape(-1, 4)
+    """Coefficient rows (..., 8) from second moments (..., 3, 3) and
+    transverse bases e = [a, b] (..., 2, 3): stacks, or one state's 2-D
+    arrays (the products per state are the same)."""
+    g1 = e1 @ mom1 @ e1.swapaxes(-1, -2)
+    g2 = e2 @ mom2 @ e2.swapaxes(-1, -2)
+    k = e1 @ cross_mat @ e2.swapaxes(-1, -2)
+    out = np.empty(k.shape[:-2] + (8,))
+    out[..., 0] = g1[..., 0, 0] - g1[..., 1, 1]
+    out[..., 1] = 2.0 * g1[..., 0, 1]
+    out[..., 2] = g2[..., 0, 0] - g2[..., 1, 1]
+    out[..., 3] = 2.0 * g2[..., 0, 1]
+    out[..., 4:] = 4.0 * k.reshape(k.shape[:-2] + (4,))
     return out
 
 
@@ -251,17 +259,20 @@ def _grid_argmin(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per coefficient row, the angles (s, t) of the first _GRID x _GRID
     grid point (row-major) within 1e-14 of the grid minimum."""
     n = _GRID
-    idx = np.empty(len(coef), dtype=np.intp)
-    vals = np.empty((min(len(coef), _GRID_CHUNK), n, n))
-    for lo in range(0, len(coef), _GRID_CHUNK):
-        c = coef[lo:lo + _GRID_CHUNK]
-        # value[i, j] = harm[i] . M . harm[j] with the row's 5x5 matrix M
-        m = np.zeros((len(c), 5, 5))
-        m[:, :2, :2] = c[:, 4:].reshape(-1, 2, 2)
-        m[:, 2:4, 4] = c[:, 0:2]
-        m[:, 4, 2:4] = c[:, 2:4]
-        flat = np.matmul(_GRID_HARM, m @ _GRID_HARM.T, out=vals[:len(c)]).reshape(len(c), n * n)
-        idx[lo:lo + len(c)] = first_min_index(flat, axis=1)
+    # value[i, j] = harm[i] . M . harm[j] with the row's 5x5 matrix M
+    m = np.zeros((len(coef), 5, 5))
+    m[:, :2, :2] = coef[:, 4:].reshape(-1, 2, 2)
+    m[:, 2:4, 4] = coef[:, 0:2]
+    m[:, 4, 2:4] = coef[:, 2:4]
+    if len(coef) == 1:  # the same two products on 2-D arrays
+        idx = first_min_index(_GRID_HARM @ (m[0] @ _GRID_HARM.T))[None]
+    else:
+        idx = np.empty(len(coef), dtype=np.intp)
+        vals = np.empty((min(len(coef), _GRID_CHUNK), n, n))
+        for lo in range(0, len(coef), _GRID_CHUNK):
+            mc = m[lo:lo + _GRID_CHUNK]
+            flat = np.matmul(_GRID_HARM, mc @ _GRID_HARM.T, out=vals[:len(mc)])
+            idx[lo:lo + len(mc)] = first_min_index(flat.reshape(len(mc), n * n), axis=1)
     i, j = np.divmod(idx, n)
     return _GRID_ANGLES[i], _GRID_ANGLES[j]
 
@@ -534,7 +545,7 @@ def _sphere_circle(mom: Moments, d: int) -> tuple[np.ndarray, np.ndarray]:
     sides = ((mom.mean1, mom.mom1), (mom.mean2, mom.mom2))
     (mean_d, mom_d), (mean_o, mom_o) = sides if d == 1 else sides[::-1]
     cross = mom.cross_mat if d == 1 else mom.cross_mat.T
-    base = build_frame(mean_o / np.linalg.norm(mean_o))
+    base = build_frame(mean_o / _length(mean_o))
     e = np.array([base.n_perp, base.n_perp2])
     alpha, q = np.linalg.eigh(2.0 * (mom_d - np.outer(mean_d, mean_d)))
     gamma = alpha - alpha[0]
@@ -578,19 +589,19 @@ def _frame_from_transverse(n_dir: np.ndarray | None, t: np.ndarray) -> Frame:
     triad is completed right-handed; for a degenerate subsystem an arbitrary
     completion around t is used.
     """
-    t = t / np.linalg.norm(t)
+    t = t / _length(t)
     if n_dir is None:
         h = build_frame(t).n_perp
-        return Frame(cross3(t, h), t, h)
-    n = n_dir / np.linalg.norm(n_dir)
+        return Frame._trusted(cross3(t.tolist(), h.tolist()), t, h)
+    n = n_dir / _length(n_dir)
     # remove any rounding component of t along n so the triad is exact
     t = t - float(t @ n) * n
-    t = t / np.linalg.norm(t)
-    return Frame(n, t, cross3(n, t))
+    t = t / _length(t)
+    return Frame._trusted(n, t, cross3(n.tolist(), t.tolist()))
 
 
 def _aligned_frame(direction: np.ndarray, gauge: str) -> Frame:
-    if gauge == "xz" or (gauge == "auto" and in_xz_half_plane(direction)):
+    if gauge == "xz" or (gauge == "auto" and _in_xz(*direction.tolist()[1:])):
         return build_frame_xz(direction)
     return build_frame(direction)
 
@@ -645,26 +656,29 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
         frame1, frame2 = frames
         u, v = frame1.n_perp, frame2.n_perp
     elif isinstance(policy, Optimized):
+        d1 = None if 1 in degenerate else mom.mean1 / mom.mag1
+        d2 = None if 2 in degenerate else mom.mean2 / mom.mag2
         if not degenerate:
-            base1 = build_frame(mom.mean1 / mom.mag1)
-            base2 = build_frame(mom.mean2 / mom.mag2)
+            base1, base2 = build_frame(d1), build_frame(d2)
             a1, b1, a2, b2 = base1.n_perp, base1.n_perp2, base2.n_perp, base2.n_perp2
-            coef = _harmonics(mom.mom1[None], mom.mom2[None], mom.cross_mat[None],
-                              np.array([[a1, b1]]), np.array([[a2, b2]]))
-            ((cs, ss, ct, st),) = _plane_plane_min(coef).tolist()
-            u = cs * a1 + ss * b1
-            v = ct * a2 + st * b2
+            coef = _harmonics(mom.mom1, mom.mom2, mom.cross_mat, np.array([a1, b1]),
+                              np.array([a2, b2]))
+            ((cs, ss, ct, st),) = _plane_plane_min(coef[None]).tolist()
+            # cs * a1 + ss * b1 on floats: the same products and sums
+            u = np.array([cs * x + ss * y for x, y in zip(a1.tolist(), b1.tolist())])
+            v = np.array([ct * x + st * y for x, y in zip(a2.tolist(), b2.tolist())])
         elif 1 in degenerate:
             u, v = _sphere_circle(mom, 1)
         else:
             v, u = _sphere_circle(mom, 2)
-        frame1 = _frame_from_transverse(None if 1 in degenerate else mom.mean1 / mom.mag1, u)
-        frame2 = _frame_from_transverse(None if 2 in degenerate else mom.mean2 / mom.mag2, v)
+        frame1, frame2 = _frame_from_transverse(d1, u), _frame_from_transverse(d2, v)
         u, v = frame1.n_perp, frame2.n_perp
     else:
         raise TypeError(f"unknown frame policy {policy!r}")
 
     xi, var1, var2, cross = mom.xi_parts(u, v)
+    if not math.isfinite(xi):  # the engine's frames are not checked, so a nan shows here
+        raise ValueError(f"non-finite xi {xi} under {policy!r}")
     return SqueezingReport(
         xi=xi,
         frame1=frame1,
@@ -844,8 +858,7 @@ def _min_transverse_variance(s: Spin1State) -> tuple[float, float]:
     subsystem 1 in s (x) |m=+1>.
     """
     moments = Moments(product(s, Spin1State.basis(1)))
-    mean, mom = moments.mean1, moments.mom1
-    mag = float(np.linalg.norm(mean))
+    mean, mom, mag = moments.mean1, moments.mom1, moments.mag1
     if mag < DEGENERATE_MEAN_SPIN:
         return float(np.linalg.eigvalsh(mom).min()), mag
     frame = build_frame(mean / mag)

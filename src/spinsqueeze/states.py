@@ -528,9 +528,16 @@ def load_state(path) -> CoupledState:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise StateFormatError(f"amplitude {k} must be a [re, im] pair of numbers")
-        vec[k] = complex(pair[0], pair[1])
+        try:
+            vec[k] = complex(pair[0], pair[1])
+        except OverflowError:  # an integer beyond the float range
+            raise StateFormatError(f"amplitude {k} is too large for a float") from None
     if not np.all(np.isfinite(vec)):
         raise StateFormatError("state file contains non-finite amplitudes")
-    if float(np.linalg.norm(vec)) < NORM_TOL:
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if norm < NORM_TOL:
         raise StateFormatError("state file amplitudes have zero norm")
+    if norm == math.inf:
+        raise StateFormatError("state file amplitudes' norm overflows a float")
     return CoupledState.normalized(vec)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -101,6 +103,68 @@ def test_xi_rejects_boolean_amplitudes(tmp_path, capsys):
     p.write_text(json.dumps({"basis_order": "m=+1,0,-1", "amps": amps}))
     assert main(["xi", "--state", str(p)]) == EXIT_BAD_STATE
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("amps", [
+    # finite amplitudes whose norm overflows a float
+    [[1e308, 1e308]] + [[0, 0]] * 8,
+    # a JSON integer beyond the float range
+    [[10 ** 400, 0]] + [[0, 0]] * 8,
+])
+def test_xi_rejects_amplitudes_beyond_the_float_range(tmp_path, capsys, amps):
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"basis_order": "m=+1,0,-1", "amps": amps}))
+    assert main(["xi", "--state", str(p)]) == EXIT_BAD_STATE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+_AMP = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _malformed_amps(draw):
+    """The amplitude list of a valid state file after one mutation that
+    load_state rejects."""
+    amps = [[draw(_AMP), draw(_AMP)] for _ in range(9)]
+    amps[0] = [1.0, 0.0]
+    k, j = draw(st.integers(0, 8)), draw(st.integers(0, 1))
+    kind = draw(st.sampled_from(["length", "pair", "nested", "non-finite", "boolean", "zero",
+                                 "overflow", "huge-int"]))
+    if kind == "length":
+        return amps[:draw(st.sampled_from([0, 1, 8]))] + [[0.0, 0.0]] * draw(st.integers(0, 2))
+    if kind == "pair":
+        amps[k] = draw(st.sampled_from([[], [0.5], [0.5, 0.5, 0.5], 0.5, "0.5", None]))
+    elif kind == "nested":
+        amps[k][j] = [amps[k][j]]
+    elif kind == "non-finite":
+        amps[k][j] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "boolean":
+        amps[k][j] = draw(st.booleans())
+    elif kind == "zero":
+        amps = [[draw(st.sampled_from([0, 0.0, -0.0])) for _ in range(2)] for _ in range(9)]
+    elif kind == "overflow":
+        amps[k][j] = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1e155, 1.7e308))
+    else:
+        amps[k][j] = draw(st.sampled_from([1, -1])) * 10 ** draw(st.integers(309, 500))
+    return amps
+
+
+@given(amps=_malformed_amps())
+def test_malformed_state_files_exit_2_and_write_nothing(amps):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        # json writes nan and inf as NaN and Infinity, which load_state's parser reads back
+        path.write_text(json.dumps({"basis_order": "m=+1,0,-1", "amps": amps}))
+        out = Path(tmp) / "x.csv"
+        for argv in (["xi", "--state", str(path)],
+                     ["evolve", "--initial", str(path), "--grid", "0:1:3", "--out", str(out)]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                assert main(argv) == EXIT_BAD_STATE
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().startswith("error: ")
+            assert os.listdir(tmp) == ["state.json"]
 
 
 def test_bad_flags_exit_usage(capsys, coherent_file):

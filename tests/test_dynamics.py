@@ -22,7 +22,7 @@ from spinsqueeze import (
     two_stage_minimum,
 )
 from spinsqueeze.spin import S_MINUS, S_PLUS, build_frame
-from spinsqueeze.squeezing import optimized_xi
+from spinsqueeze.squeezing import xi_batch
 
 from conftest import random_coupled, two_stage_amplitudes
 
@@ -187,7 +187,7 @@ def test_two_stage_scan_cells_equal_reports_under_every_policy(policy):
 def test_optimized_xi_routes_degenerate_rows_through_the_report(rng):
     states = [random_coupled(rng) for _ in range(5)]
     states += [CoupledState.basis(1, 0), CoupledState.basis(0, 0)]
-    xi = optimized_xi(np.array([s.c for s in states]))
+    xi = xi_batch(np.array([s.c for s in states]), Optimized())
     for got, state in zip(xi, states):
         rep = squeezing_report(state, Optimized())
         if rep.valid:

@@ -39,8 +39,9 @@ from spinsqueeze import (
     xi_oracle,
     xi_product_pair,
 )
+from spinsqueeze import squeezing
 from spinsqueeze.spin import Frame, cross3, frame_bases
-from spinsqueeze.states import load_state, save_state
+from spinsqueeze.states import Spinor, load_state, save_state, schwinger
 from spinsqueeze.squeezing import (_BATCH_ROWS, _PLANE_M, _POW2, DEGENERATE_MEAN_SPIN, FAMILIES,
                                    _certified, _dual_min, _grid_argmin, _harmonics,
                                    _min_transverse_variance, _newton, _newton_rows, _PyComplex,
@@ -561,6 +562,65 @@ def _swapped(state: CoupledState) -> CoupledState:
     return CoupledState.normalized(state.c.T)
 
 
+def _near_pole_states() -> list[CoupledState]:
+    """Products with spin-1 coherent states whose mean spins lie within 1e-9
+    of +z or -z (build_frame's pole branch); phi = 0 keeps the +z ones in
+    the x-z half-plane."""
+    states = []
+    for theta in (1e-5, 3e-5, math.pi - 1e-5, math.pi - 3e-5):
+        for phi in (0.0, 0.7):
+            near = schwinger(Spinor(theta, phi), Spinor(theta, phi))
+            states += [product(near, near), product(near, canonical_squeezed(1.2)),
+                       product(canonical_squeezed(0.4), near)]
+    return states
+
+
+def test_engine_frames_pass_frame_validation():
+    """Report frames are built without Frame's checks; every one of them
+    passes those checks."""
+    rng = np.random.default_rng(1111)
+    states = [random_coupled(rng) for _ in range(10)]
+    states += [product(_random_spin1(rng), _random_spin1(rng)) for _ in range(4)]
+    states += [product(canonical_squeezed(a), canonical_squeezed(b))
+               for a, b in ((0.3, 2.9), (1.0, 1.0))]
+    states += [product(_polar(rng), _random_spin1(rng)), product(_random_spin1(rng), _polar(rng))]
+    states += [_zero_mean1(rng), _swapped(_zero_mean1(rng))]
+    states += _near_pole_states()
+    policies = [Fixed(random_frame(rng), random_frame(rng)), MeanSpinAligned("default"),
+                MeanSpinAligned("xz"), MeanSpinAligned("auto"), Optimized()]
+    xz = 0
+    for state in states:
+        for policy in policies:
+            try:
+                rep = squeezing_report(state, policy)
+            except ValueError as exc:  # a mean spin outside the x-z half-plane
+                assert policy == MeanSpinAligned("xz") and "half-plane" in str(exc)
+                continue
+            xz += policy == MeanSpinAligned("xz")
+            assert rep.valid and math.isfinite(rep.xi)
+            for f in (rep.frame1, rep.frame2):
+                Frame(f.n, f.n_perp, f.n_perp2)
+    assert xz == 8
+
+
+def test_a_nan_from_the_plane_search_raises(monkeypatch, rng):
+    monkeypatch.setattr(squeezing, "_plane_plane_min", lambda coef: np.full((len(coef), 4), np.nan))
+    with pytest.raises(ValueError, match="non-finite xi"):
+        squeezing_report(random_coupled(rng), Optimized())
+
+
+@pytest.mark.parametrize("sphere_side", [np.full(3, np.nan), np.array([0.0, 0.0, 1.0])])
+def test_a_nan_from_the_sphere_search_raises(monkeypatch, rng, sphere_side):
+    """A nan on the sphere side fails build_frame; one on the circle side
+    alone reaches the report's check."""
+    nan3 = np.full(3, np.nan)
+    monkeypatch.setattr(squeezing, "_sphere_circle", lambda mom, d: (sphere_side, nan3))
+    for state in (product(_polar(rng), _random_spin1(rng)),
+                  product(_random_spin1(rng), _polar(rng))):
+        with pytest.raises(ValueError, match="non-finite xi" if sphere_side[0] == 0.0 else None):
+            squeezing_report(state, Optimized())
+
+
 def _sphere_circle_scan(state: CoupledState, d: int) -> float:
     """min xi over a dense (theta, phi) grid on subsystem d's sphere times a
     dense angle grid on the other subsystem's transverse circle."""
@@ -600,20 +660,6 @@ def test_sphere_branch_is_certified():
         min_other, mag_other = _min_transverse_variance(other)
         xi = squeezing_report(state, Optimized()).xi
         assert abs(xi - (2.0 * min_polar + 2.0 * min_other) / mag_other) <= 1e-12
-
-
-def test_optimized_xi_is_invariant_under_subsystem_swap():
-    rng = np.random.default_rng(505)
-    states = [random_coupled(rng) for _ in range(6)]
-    states += [product(_random_spin1(rng), _random_spin1(rng)) for _ in range(2)]
-    states += [product(_polar(rng), _random_spin1(rng)), product(_random_spin1(rng), _polar(rng))]
-    states += [_zero_mean1(rng) for _ in range(3)]
-    states += [_swapped(_zero_mean1(rng)) for _ in range(3)]
-    for state in states:
-        rep = squeezing_report(state, Optimized())
-        swapped = squeezing_report(_swapped(state), Optimized())
-        assert swapped.degenerate_subsystems == frozenset(3 - d for d in rep.degenerate_subsystems)
-        assert abs(swapped.xi - rep.xi) <= 1e-12 * max(1.0, abs(rep.xi))
 
 
 def test_sphere_search_contains_plane_search_across_the_switch():
@@ -887,6 +933,37 @@ def _polar_state(draw):
 
 
 _STATE = st.one_of(_dense_state(), _product_state(), _polar_state()).filter(lambda s: s is not None)
+
+
+@st.composite
+def _zero_mean_state(draw):
+    """_zero_mean1's entangled state with <S1> = 0 from drawn numbers, or its
+    swap with <S2> = 0."""
+    a = np.array(draw(st.lists(_FLOAT, min_size=9, max_size=9))).reshape(3, 3)
+    parts = np.array(draw(st.lists(_FLOAT, min_size=18, max_size=18)))
+    g = (parts[:9] + 1j * parts[9:]).reshape(3, 3)
+    if np.linalg.norm(a) <= 0.1 or abs(np.linalg.det(g)) <= 1e-3:
+        return None
+    state = CoupledState.normalized(_CARTESIAN @ a @ np.linalg.qr(g)[0])
+    return _swapped(state) if draw(st.booleans()) else state
+
+
+_SWAP_FRAMES = (random_frame(np.random.default_rng(71)), random_frame(np.random.default_rng(72)))
+
+
+@given(state=st.one_of(_STATE, _zero_mean_state().filter(lambda s: s is not None)))
+def test_xi_is_invariant_under_subsystem_swap(state):
+    """c -> c^T exchanges the subsystems: xi stays, under every policy, with
+    the Fixed frames exchanged too."""
+    f1, f2 = _SWAP_FRAMES
+    swapped = _swapped(state)
+    for policy, mirror in ((Fixed(f1, f2), Fixed(f2, f1)), (MeanSpinAligned(), MeanSpinAligned()),
+                           (Optimized(), Optimized())):
+        rep, other = squeezing_report(state, policy), squeezing_report(swapped, mirror)
+        assert other.degenerate_subsystems == frozenset(3 - d for d in rep.degenerate_subsystems)
+        assert other.valid == rep.valid
+        if rep.valid:
+            assert abs(other.xi - rep.xi) <= 1e-12 * max(1.0, abs(rep.xi))
 
 
 @given(state=_STATE)
