@@ -59,6 +59,7 @@ _CROSS_FLAT = np.stack(
 )
 
 _ZHAT = np.array([0.0, 0.0, 1.0])
+_LAB_N_PERP = build_frame(_ZHAT).n_perp
 
 
 def _length(v: np.ndarray) -> float:
@@ -108,15 +109,17 @@ class Optimized:
     The numerator is z.M.z in z = (u, v) on |u| = |v| = 1, u and v in the
     transverse planes (u on the whole sphere for a subsystem whose mean
     spin vanishes), and the Lagrangian dual bound, max over delta of
-    delta + 2 lambda_min(M - delta diag(I_u, 0)), equals its minimum.  The
-    first minimum of a 64-point grid per angle (ties within 1e-14 go to the
-    lowest angles) is polished by Newton.  A plane-plane point stands when
-    a closed-form test puts it within 1e-12 of M's scale of the bound; any
-    other plane-plane row, and every sphere-circle point, goes to one
-    batched dual solve started there, which returns that point if it is
-    within the tolerance, else the lowest eigenvector at the optimal delta
-    with u and v normalized separately or, if that eigenvalue is repeated,
-    the mixture of its eigenvectors with |u| = |v|.
+    delta + 2 lambda_min(M - delta diag(I_u, 0)), equals its minimum.  A
+    plane-plane row starts at the first minimum of a 64-point grid per
+    angle (ties within 1e-14 go to the lowest angles), polished by Newton,
+    and stands when a closed-form test puts it within 1e-12 of M's scale of
+    the bound.  Every other plane-plane row, and every sphere-circle row
+    from the separable point of each side's least-variance direction, goes
+    to one batched dual solve, which returns its start if that is within
+    the tolerance, else the lowest eigenvector at the optimal delta with u
+    and v normalized separately or, if that eigenvalue is repeated, the
+    mixture of its eigenvectors with |u| = |v|; a sphere-circle point the
+    solve moved is then closed by Newton steps on its KKT system.
     """
 
 
@@ -377,8 +380,9 @@ def _dual_min(m: np.ndarray, nu: int, z: np.ndarray) -> tuple[np.ndarray, np.nda
     bound is the minimum: n >= 3 makes the joint range of z.M.z, |u|^2 and
     |v|^2 convex (B. T. Polyak, JOTA 99, 1998).  delta starts at the start
     point's l1 - l2 (l1 = u.(Mz)_u, l2 = v.(Mz)_v), where one eigh of all
-    rows settles those whose start point is within the tolerance; the rest
-    iterate (_dual_step), one eigh of all of them per iteration.
+    rows settles those whose start point is within the tolerance, the
+    certificate of every sphere-circle start; the rest iterate
+    (_dual_step), one eigh of all of them per iteration.
     """
     dd = np.diag(np.arange(m.shape[-1]) < nu)
     scale = np.abs(m).sum(axis=(1, 2))
@@ -492,94 +496,81 @@ def _plane_plane_min(coef: np.ndarray) -> np.ndarray:
 
 
 # One degenerate subsystem d: its direction u runs over the whole sphere and
-# the other's v(t) = cos(t) a + sin(t) b over its transverse circle.  The
-# numerator is P(t) + u^T A u + 2 b(t)^T u with A = 2 (mom_d - mean_d mean_d^T),
-# b(t) = 2 C v(t), C the cross matrix oriented (d, other) and P(t) twice the
-# other's variance along v(t).  For fixed t the minimum over unit u is a
-# trust-region subproblem, solved exactly in the eigenbasis of A.
-
-_TINY = np.finfo(float).tiny
-_ONES3 = np.ones(3)  # "@ _ONES3" sums rows, faster than .sum(axis=1) on (n, 3)
-# t offsets of one Newton evaluation: the point, then a central difference
-_FD = np.array([0.0, -1e-5, 1e-5])
+# the other's v = w0 a + w1 b over its transverse circle.  In z = (y, w), y
+# the coordinates of u in the eigenbasis q of A = 2 (mom_d - mean_d mean_d^T),
+# the numerator is z.M.z with M = [[diag(alpha), B^T], [B, 2 G]]: alpha the
+# eigenvalues of A, B = 2 [a, b] C^T q with C the cross matrix oriented
+# (d, other), G the other's covariance on [a, b].
 
 
-def _sphere_min(gamma: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minima (n,) and minimizers (n, 3) of sum_i gamma_i y_i^2 + 2 beta_i y_i
-    over unit y, for the rows of beta (n, 3); gamma are the eigenvalue gaps
-    of A above its lowest (gamma[0] = 0), beta the linear terms, both in
-    A's eigenbasis.
+def _sphere_circle(tables, second: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) (N, 3) minimizing the numerator, for the moment tables (mean1,
+    mean2, mom1, mom2, cross_mat) of rows with one vanishing mean spin,
+    subsystem 2's where ``second`` (N,) is True, and the other subsystem's
+    transverse bases e = [a, b] (N, 2, 3) of build_frame.
 
-    y = -beta / (gamma + delta) with delta >= 0 the root of |y| = 1.  Newton
-    on 1 - 1/|y(delta)|, convex and decreasing, climbs monotonically to the
-    root from a start where |y| >= 1.  If |y(0)| < 1 there is no root (the
-    hard case, beta_0 = 0): delta = 0 and y is completed along the lowest
-    eigenvector.
-    """
-    delta = np.maximum((np.abs(beta) - gamma).max(axis=1), _TINY)
-    for _ in range(_NEWTON_STEPS):
-        den = gamma + delta[:, None]
-        y = -beta / den
-        y2 = y * y
-        s = y2 @ _ONES3
-        step = s * (np.sqrt(s) - 1.0) / ((y2 / den) @ _ONES3 + _TINY)
-        if (step <= 1e-14 * delta).all():
-            break
-        delta += np.maximum(step, 0.0)
-    hard = delta == _TINY
-    if hard.any():
-        y[hard, 0] += np.sqrt(np.maximum(1.0 - s[hard], 0.0))
-    y /= np.sqrt((y * y) @ _ONES3)[:, None]
-    return (y * y) @ gamma + 2.0 * (beta * y) @ _ONES3, y
+    _dual_min alone solves the rows, started at the separable point of the
+    lowest eigenvectors of A and G; its first eigh certifies that point
+    where it is within tolerance, as it is whenever C vanishes (a product
+    with a polar factor).  A row the dual solve moved is closed by Newton
+    steps on its KKT system (_kkt_newton).  Signs: w lies on the half-circle
+    of angles [0, pi), with (y, w) flipped jointly, and where B vanishes (to
+    _TIE_TOL of sum|M|) u's largest-magnitude component is positive."""
+    mean1, mean2, mom1, mom2, cross_mat = tables
+    s2, s3 = second[:, None], second[:, None, None]
+    mean_d, mean_o = np.where(s2, mean2, mean1), np.where(s2, mean1, mean2)
+    mom_d, mom_o = np.where(s3, mom2, mom1), np.where(s3, mom1, mom2)
+    cross = np.where(s3, cross_mat.swapaxes(1, 2), cross_mat)
+    alpha, q = np.linalg.eigh(2.0 * (mom_d - mean_d[:, :, None] * mean_d[:, None]))
+    g = e @ (mom_o - mean_o[:, :, None] * mean_o[:, None]) @ e.swapaxes(1, 2)
+    b = 2.0 * e @ cross.swapaxes(1, 2) @ q
+    m = np.zeros((len(e), 5, 5))
+    m[:, [0, 1, 2], [0, 1, 2]] = alpha
+    m[:, 3:, :3], m[:, :3, 3:], m[:, 3:, 3:] = b, b.swapaxes(1, 2), 2.0 * g
+    # G's lowest eigenvector is w = (cos t, sin t) at 2t = atan2(-2 g01, g11 - g00)
+    t = 0.5 * np.arctan2(-2.0 * g[:, 0, 1], g[:, 1, 1] - g[:, 0, 0])
+    start = np.zeros((len(e), 5))
+    start[:, 0], start[:, 3], start[:, 4] = 1.0, np.cos(t), np.sin(t)
+    z = _dual_min(m, 3, start)[0]
+    moved = np.flatnonzero((z != start).any(axis=1))
+    if moved.size:
+        z[moved] = _kkt_newton(m[moved], z[moved])
+    z[(z[:, 4] < 0.0) | ((z[:, 4] == 0.0) & (z[:, 3] < 0.0))] *= -1.0
+    u = (q @ z[:, :3, None])[:, :, 0]
+    v = z[:, 3:4] * e[:, 0] + z[:, 4:] * e[:, 1]
+    lead = u[np.arange(len(u)), np.abs(u).argmax(axis=1)]
+    decoupled = np.abs(b).max(axis=(1, 2)) <= _TIE_TOL * np.abs(m).sum(axis=(1, 2))
+    u[decoupled & (lead < 0.0)] *= -1.0
+    return np.where(s2, v, u), np.where(s2, u, v)
 
 
-def _sphere_circle(mom: Moments, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) minimizing the numerator when subsystem d's mean spin vanishes:
-    with the sphere side minimized exactly (_sphere_min), the first minimum
-    over t on the _GRID grid is polished by Newton on the envelope-theorem
-    slope with a central-difference curvature (a step is rejected when the
-    curvature is not positive or the step exceeds a grid cell).  In z = (y,
-    cos t, sin t), y in A's eigenbasis, the numerator is z.M.z, and
-    _dual_min started at the polished point returns it when its first eigh
-    puts it within tolerance of the dual bound, else the minimum."""
-    sides = ((mom.mean1, mom.mom1), (mom.mean2, mom.mom2))
-    (mean_d, mom_d), (mean_o, mom_o) = sides if d == 1 else sides[::-1]
-    cross = mom.cross_mat if d == 1 else mom.cross_mat.T
-    base = build_frame(mean_o / _length(mean_o))
-    e = np.array([base.n_perp, base.n_perp2])
-    alpha, q = np.linalg.eigh(2.0 * (mom_d - np.outer(mean_d, mean_d)))
-    gamma = alpha - alpha[0]
-    g = e @ (mom_o - np.outer(mean_o, mean_o)) @ e.T
-    # P(t) + alpha_0 = p0 + p cos 2t + r sin 2t; beta(t) = [cos t, sin t] @ b
-    p0, p, r = g[0, 0] + g[1, 1] + alpha[0], g[0, 0] - g[1, 1], 2.0 * g[0, 1]
-    b = 2.0 * e @ cross.T @ q
-
-    def numerator(t):
-        """(value, slope, y) at the angles t (n,)."""
-        c, s = np.cos(t), np.sin(t)
-        c2, s2 = c * c - s * s, 2.0 * s * c
-        val, y = _sphere_min(gamma, np.outer(c, b[0]) + np.outer(s, b[1]))
-        dbeta = np.outer(c, b[1]) - np.outer(s, b[0])
-        return p0 + p * c2 + r * s2 + val, 2.0 * (r * c2 - p * s2) + 2.0 * (y * dbeta) @ _ONES3, y
-
-    def polish(t):
-        """The last evaluated point (t, value, y) of the Newton iteration."""
-        step = 0.0
-        for _ in range(_NEWTON_STEPS):
-            t += step
-            f, slope, y = numerator(t + _FD)
-            curv = (slope[2] - slope[1]) / (2.0 * _FD[2])
-            step = -slope[0] / curv if curv > 0.0 else math.inf
-            if not 1e-13 < abs(step) <= _CELL:
-                break
-        return t, f[0], y[0]
-
-    t, _, y = polish(_GRID_ANGLES[first_min_index(numerator(_GRID_ANGLES)[0])])
-    z = np.array([*y, math.cos(t), math.sin(t)])
-    m = np.zeros((5, 5))
-    m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:] = np.diag(alpha), b.T, b, 2.0 * g
-    z = _dual_min(m[None], 3, z[None])[0][0]
-    return q @ z[:3], z[3] * e[0] + z[4] * e[1]
+def _kkt_newton(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Two Newton steps on the KKT system (M - L) z = 0, |y| = |w| = 1 in
+    (z, l1, l2), L = diag(l1, l1, l1, l2, l2), from feasible points z (N, 5)
+    of 5x5 rows M (y the first three coordinates, l1 = y.(Mz)_y and l2 =
+    w.(Mz)_w), solved by the eigenpairs of its symmetric 7x7 matrix.  A
+    dual solve's point is within 1e-12 of sum|M| in value, so about 1e-6 in
+    position, and each step squares that error.  A row keeps a step, with y
+    and w normalized, where it is finite and raises z.M.z by no more than
+    _TIE_TOL of sum|M|."""
+    tie = _TIE_TOL * np.abs(m).sum(axis=(1, 2))
+    k = np.zeros((len(z), 7, 7))
+    k[:, :5, :5] = m
+    for _ in range(2):
+        mz = (m @ z[:, :, None])[:, :, 0]
+        lag = np.repeat(np.add.reduceat(z * mz, [0, 3], axis=1), [3, 2], axis=1)
+        k[:, range(5), range(5)] = m[:, range(5), range(5)] - lag
+        k[:, :3, 5] = k[:, 5, :3] = -z[:, :3]
+        k[:, 3:5, 6] = k[:, 6, 3:5] = -z[:, 3:]
+        lam, vec = np.linalg.eigh(k)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            coef = ((lag * z - mz)[:, None] @ vec[:, :5])[:, 0] / lam
+            step = z + (vec[:, :5] @ coef[:, :, None])[:, :, 0]
+            new = np.concatenate([step[:, :3] / np.linalg.norm(step[:, :3], axis=1)[:, None],
+                                  step[:, 3:] / np.linalg.norm(step[:, 3:], axis=1)[:, None]], axis=1)
+            keep = np.einsum("ni,nij,nj->n", new, m, new) <= (z * mz).sum(axis=1) + tie
+        z = np.where((keep & np.isfinite(new).all(axis=1))[:, None], new, z)
+    return z
 
 
 def _frame_from_transverse(n_dir: np.ndarray | None, t: np.ndarray) -> Frame:
@@ -667,10 +658,11 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
             # cs * a1 + ss * b1 on floats: the same products and sums
             u = np.array([cs * x + ss * y for x, y in zip(a1.tolist(), b1.tolist())])
             v = np.array([ct * x + st * y for x, y in zip(a2.tolist(), b2.tolist())])
-        elif 1 in degenerate:
-            u, v = _sphere_circle(mom, 1)
         else:
-            v, u = _sphere_circle(mom, 2)
+            base = build_frame(d1 if d2 is None else d2)
+            tables = (mom.mean1, mom.mean2, mom.mom1, mom.mom2, mom.cross_mat)
+            u, v = (x[0] for x in _sphere_circle([t[None] for t in tables], np.array([d2 is None]),
+                                                 np.array([[base.n_perp, base.n_perp2]])))
         frame1, frame2 = _frame_from_transverse(d1, u), _frame_from_transverse(d2, v)
         u, v = frame1.n_perp, frame2.n_perp
     else:
@@ -695,16 +687,17 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
     )
 
 
-def _aligned_n_perp(d: np.ndarray, gauge: str) -> np.ndarray:
-    """MeanSpinAligned's n_perp (N, 3) for unit mean directions (N, 3), as
-    _aligned_frame builds it; the "xz" gauge raises build_frame_xz's
-    ValueError for a row outside the x-z half-plane."""
-    if gauge == "default":
-        return frame_bases(d)[:, 0]
-    xz = in_xz_half_plane(d) if gauge == "auto" else np.ones(len(d), dtype=bool)
-    out = np.empty_like(d)
+def _aligned_n_perp(mean: np.ndarray, mag: np.ndarray, gauge: str) -> np.ndarray:
+    """MeanSpinAligned's n_perp (N, 3) for mean spins (N, 3) of lengths mag,
+    as _aligned_frame builds it, and the lab frame's where the mean spin
+    vanishes; the "xz" gauge raises build_frame_xz's ValueError for a row
+    outside the x-z half-plane."""
+    live = mag >= DEGENERATE_MEAN_SPIN
+    d = mean / np.where(live, mag, 1.0)[:, None]
+    xz = live & (in_xz_half_plane(d) if gauge == "auto" else gauge == "xz")
+    out = np.tile(_LAB_N_PERP, (len(d), 1))
     out[xz] = frame_bases_xz(d[xz])[:, 0]
-    out[~xz] = frame_bases(d[~xz])[:, 0]
+    out[live & ~xz] = frame_bases(d[live & ~xz])[:, 0]
     return out
 
 
@@ -728,7 +721,9 @@ def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
     once, along the Fixed frames' n_perp, MeanSpinAligned's vectorized gauge
     (an "xz" row outside the half-plane raises build_frame_xz's ValueError)
     or the directions of _plane_plane_min, whose open rows share one dual
-    solve.  Rows with a degenerate subsystem go through squeezing_report.
+    solve.  Rows with one vanishing mean spin take MeanSpinAligned's lab
+    n_perp on that side, or share one _sphere_circle call under Optimized;
+    rows with two are nan.  No row goes through squeezing_report.
     Memory is linear in N, about 1.5 KB per state under Optimized plus a
     fixed 0.4 MB, so every grid caller (Family.xi_grid, trajectory and
     two_stage_minimum) passes blocks of at most _BLOCK_CELLS = 512 states,
@@ -741,39 +736,40 @@ def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
     c = np.asarray(c, dtype=complex).reshape(-1, 3, 3)
     if not np.all(np.abs(np.linalg.norm(c.reshape(-1, 9), axis=1) - 1.0) <= NORM_TOL):
         raise ValueError("xi_batch requires normalized amplitudes")
-    mean1, mean2, mom1, mom2, cross_mat = moment_tables(c)
-    mag1 = np.linalg.norm(mean1, axis=1)
-    mag2 = np.linalg.norm(mean2, axis=1)
-    plane = (mag1 >= DEGENERATE_MEAN_SPIN) & (mag2 >= DEGENERATE_MEAN_SPIN)
-    xi = np.empty(len(c))
-    for k in np.flatnonzero(~plane):
-        rep = squeezing_report(CoupledState(c[k]), policy)
-        xi[k] = rep.xi if rep.valid else float("nan")
-    rows = np.flatnonzero(plane)
-    if not rows.size:
-        return xi
-    mean1, mean2, mag1, mag2 = mean1[rows], mean2[rows], mag1[rows], mag2[rows]
-    m1, m2, cm = mom1[rows], mom2[rows], cross_mat[rows]
-    d1, d2 = mean1 / mag1[:, None], mean2 / mag2[:, None]
-    if isinstance(policy, Fixed):
-        u = np.broadcast_to(policy.frame1.n_perp, d1.shape)
-        v = np.broadcast_to(policy.frame2.n_perp, d2.shape)
-    elif isinstance(policy, MeanSpinAligned):
-        u, v = _aligned_n_perp(d1, policy.gauge), _aligned_n_perp(d2, policy.gauge)
-    else:
-        e1, e2 = frame_bases(d1), frame_bases(d2)
-        z = _plane_plane_min(_harmonics(m1, m2, cm, e1, e2))
-        u = z[:, :1] * e1[:, 0] + z[:, 1:2] * e1[:, 1]
-        v = z[:, 2:3] * e2[:, 0] + z[:, 3:] * e2[:, 1]
+    tables = moment_tables(c)
+    mags = np.linalg.norm(tables[0], axis=1), np.linalg.norm(tables[1], axis=1)
+    deg1, deg2 = (mag < DEGENERATE_MEAN_SPIN for mag in mags)
 
     def variance(mom, mean, d):
         # as Moments.variance, including its clamp of roundoff below 0
         var = np.einsum("ni,nij,nj->n", d, mom, d) - np.einsum("ni,ni->n", mean, d) ** 2
         return np.where((var < 0.0) & (var >= -1e-12), 0.0, var)
 
-    numer = (2.0 * variance(m1, mean1, u) + 2.0 * variance(m2, mean2, v)
-             + 4.0 * np.einsum("ni,nij,nj->n", u, cm, v))
-    xi[rows] = numer / (mag1 + mag2)
+    xi = np.full(len(c), np.nan)
+    # the plane-plane rows, then those with one degenerate subsystem
+    for rows in (np.flatnonzero(~(deg1 | deg2)), np.flatnonzero(deg1 != deg2)):
+        if not rows.size:
+            continue
+        mean1, mean2, m1, m2, cm = (t[rows] for t in tables)
+        mag1, mag2 = (mag[rows] for mag in mags)
+        if isinstance(policy, Fixed):
+            u = np.broadcast_to(policy.frame1.n_perp, mean1.shape)
+            v = np.broadcast_to(policy.frame2.n_perp, mean2.shape)
+        elif isinstance(policy, MeanSpinAligned):
+            u, v = (_aligned_n_perp(mean, mag, policy.gauge)
+                    for mean, mag in ((mean1, mag1), (mean2, mag2)))
+        elif deg1[rows[0]] or deg2[rows[0]]:
+            second = deg2[rows]
+            e = frame_bases(np.where(second[:, None], mean1, mean2))
+            u, v = _sphere_circle((mean1, mean2, m1, m2, cm), second, e)
+        else:
+            e1, e2 = frame_bases(mean1 / mag1[:, None]), frame_bases(mean2 / mag2[:, None])
+            z = _plane_plane_min(_harmonics(m1, m2, cm, e1, e2))
+            u = z[:, :1] * e1[:, 0] + z[:, 1:2] * e1[:, 1]
+            v = z[:, 2:3] * e2[:, 0] + z[:, 3:] * e2[:, 1]
+        numer = (2.0 * variance(m1, mean1, u) + 2.0 * variance(m2, mean2, v)
+                 + 4.0 * np.einsum("ni,nij,nj->n", u, cm, v))
+        xi[rows] = numer / (mag1 + mag2)
     return xi
 
 

@@ -49,7 +49,11 @@ def _normalized(raw, shape, what: str) -> np.ndarray:
     a = np.asarray(raw, dtype=complex).reshape(shape)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} contains non-finite amplitudes")
-    norm = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):  # finite amplitudes whose squares overflow
+        a = a / np.abs(a).max()
+        norm = float(np.linalg.norm(a))
     if norm < NORM_TOL:
         raise ValueError(f"{what} has zero norm")
     return a / norm

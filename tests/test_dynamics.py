@@ -184,7 +184,7 @@ def test_two_stage_scan_cells_equal_reports_under_every_policy(policy):
         assert abs(xi - rep.xi) <= 1e-12 * abs(rep.xi)
 
 
-def test_optimized_xi_routes_degenerate_rows_through_the_report(rng):
+def test_optimized_xi_batch_equals_reports_on_degenerate_rows(rng):
     states = [random_coupled(rng) for _ in range(5)]
     states += [CoupledState.basis(1, 0), CoupledState.basis(0, 0)]
     xi = xi_batch(np.array([s.c for s in states]), Optimized())

@@ -4,6 +4,7 @@ import math
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -470,7 +471,7 @@ _RANDOM_FRAMES = tuple(random_frame(np.random.default_rng(5)) for _ in range(2))
 _LAB = build_frame(np.array([0.0, 0.0, 1.0]))
 
 
-@pytest.mark.parametrize("policy", [
+_SIX_POLICIES = pytest.mark.parametrize("policy", [
     Fixed(_LAB, _LAB),
     Fixed(*_RANDOM_FRAMES),
     MeanSpinAligned("default"),
@@ -478,6 +479,9 @@ _LAB = build_frame(np.array([0.0, 0.0, 1.0]))
     MeanSpinAligned("auto"),
     Optimized(),
 ], ids=["fixed-lab", "fixed-random", "aligned-default", "aligned-xz", "aligned-auto", "optimized"])
+
+
+@_SIX_POLICIES
 def test_xi_batch_equals_reports(policy):
     states = _batch_population()
     accepted, rejected = [], []
@@ -503,6 +507,29 @@ def test_xi_batch_equals_reports(policy):
             assert math.isnan(got)
     assert sum(not rep.valid for _, rep in accepted) == 1
     assert sum(len(rep.degenerate_subsystems) == 1 for _, rep in accepted) == 2
+
+
+def _no_report(*args):
+    raise AssertionError("xi_batch called squeezing_report")
+
+
+@_SIX_POLICIES
+def test_xi_batch_makes_no_report(policy, monkeypatch):
+    """Rows with a degenerate subsystem stay in the batch: one vanishing
+    mean spin takes the array path, two give nan directly."""
+    monkeypatch.setattr(squeezing, "squeezing_report", _no_report)
+    states = []
+    for state in _batch_population():
+        try:
+            xi_batch(state.c[None], policy)
+            states.append(state)
+        except ValueError as exc:  # the xz gauge, off the half-plane
+            assert "half-plane" in str(exc)
+    xi = xi_batch(np.array([s.c for s in states]), policy)
+    degenerate = [sum(mag < DEGENERATE_MEAN_SPIN for mag in (m.mag1, m.mag2))
+                  for m in map(Moments, states)]
+    assert sorted(degenerate)[-3:] == [1, 1, 2]
+    assert [k for k, x in enumerate(xi) if math.isnan(x)] == [degenerate.index(2)]
 
 
 def test_xi_batch_rejects_unnormalized_and_unknown_policy():
@@ -614,11 +641,56 @@ def test_a_nan_from_the_sphere_search_raises(monkeypatch, rng, sphere_side):
     """A nan on the sphere side fails build_frame; one on the circle side
     alone reaches the report's check."""
     nan3 = np.full(3, np.nan)
-    monkeypatch.setattr(squeezing, "_sphere_circle", lambda mom, d: (sphere_side, nan3))
+    monkeypatch.setattr(squeezing, "_sphere_circle", lambda tables, second, e: tuple(
+        x[None] for x in ((nan3, sphere_side) if second[0] else (sphere_side, nan3))))
     for state in (product(_polar(rng), _random_spin1(rng)),
                   product(_random_spin1(rng), _polar(rng))):
         with pytest.raises(ValueError, match="non-finite xi" if sphere_side[0] == 0.0 else None):
             squeezing_report(state, Optimized())
+
+
+def _sign_convention_population() -> tuple[list[CoupledState], list[bool]]:
+    """One-degenerate states, and whether each is a product: entangled ones
+    with <S1> = 0 or <S2> = 0, polar products either way round, and polar
+    times coherent (an isotropic circle side)."""
+    rng = np.random.default_rng(1212)
+    entangled = [_zero_mean1(rng) for _ in range(6)]
+    entangled += [_swapped(s) for s in entangled]
+    products = [product(_polar(rng), _random_spin1(rng)) for _ in range(4)]
+    products += [product(_random_spin1(rng), _polar(rng)) for _ in range(4)]
+    products += [CoupledState.basis(0, 1), CoupledState.basis(-1, 0), CoupledState.basis(1, 0)]
+    return entangled + products, [False] * len(entangled) + [True] * len(products)
+
+
+def _assert_sign_convention(state: CoupledState, is_product: bool, u, v):
+    """The circle side's direction at an angle in [0, pi) from build_frame's
+    n_perp towards its n_perp2; on a product, the sphere side's
+    largest-magnitude component positive."""
+    mom = Moments(state)
+    sphere, circle, mean_o = (u, v, mom.mean2) if mom.mag1 < mom.mag2 else (v, u, mom.mean1)
+    base = build_frame(mean_o / np.linalg.norm(mean_o))
+    w0, w1 = float(circle @ base.n_perp), float(circle @ base.n_perp2)
+    assert w1 > 1e-12 or (abs(w1) <= 1e-12 and w0 > 0.0), (w0, w1)
+    if is_product:
+        assert sphere[np.argmax(np.abs(sphere))] > 0.0, sphere
+
+
+def test_sphere_circle_sign_convention(monkeypatch):
+    """Both callers of _sphere_circle return directions of one sign
+    convention: the reports' n_perp, and xi_batch's directions for all the
+    rows at once, which are the same vectors."""
+    states, products = _sign_convention_population()
+    reports = [squeezing_report(s, Optimized()) for s in states]
+    for state, is_product, rep in zip(states, products, reports):
+        _assert_sign_convention(state, is_product, rep.frame1.n_perp, rep.frame2.n_perp)
+    solve, calls = squeezing._sphere_circle, []
+    monkeypatch.setattr(squeezing, "_sphere_circle", lambda *args: calls.append(solve(*args)) or calls[-1])
+    xi_batch(np.array([s.c for s in states]), Optimized())
+    ((u, v),) = calls
+    for k, (state, is_product, rep) in enumerate(zip(states, products, reports)):
+        _assert_sign_convention(state, is_product, u[k], v[k])
+        npt.assert_allclose(u[k], rep.frame1.n_perp, rtol=0.0, atol=1e-9)
+        npt.assert_allclose(v[k], rep.frame2.n_perp, rtol=0.0, atol=1e-9)
 
 
 def _sphere_circle_scan(state: CoupledState, d: int) -> float:
@@ -737,11 +809,19 @@ def _transverse_basis(mean: np.ndarray) -> np.ndarray:
     return np.stack([a, np.cross(n, a)], axis=2)
 
 
+def _swap_rows(c: np.ndarray, swap: np.ndarray) -> np.ndarray:
+    """c with the subsystems of the rows where swap exchanged (c -> c^T)."""
+    return np.where(swap[:, None, None], c.transpose(0, 2, 1), c)
+
+
 def _dual_problem(c: np.ndarray):
     """(M (N, n, n), nu, mag1 + mag2): min z.M.z over |u| = |v| = 1,
     z = (u, v) with u the first nu coordinates, is the xi numerator's
     minimum.  v runs over subsystem 2's transverse circle; u over subsystem
-    1's, or over the sphere when every row's <S1> vanishes."""
+    1's, or over the sphere when every row's <S1> vanishes.  A row whose
+    <S2> vanishes is swapped first (c -> c^T, which keeps xi)."""
+    mag2 = np.linalg.norm(_numerator_forms(c)[1], axis=1)
+    c = _swap_rows(c, mag2 < DEGENERATE_MEAN_SPIN)
     mean1, mean2, a1, a2, cross = _numerator_forms(c)
     mag1, mag2 = np.linalg.norm(mean1, axis=1), np.linalg.norm(mean2, axis=1)
     sphere = bool(np.all(mag1 < DEGENERATE_MEAN_SPIN))
@@ -805,7 +885,8 @@ def test_optimized_attains_the_dual_bound():
         "sweep config2": np.array([config(2, a, b).c for a in g for b in g]),
         "sweep config3": np.array([config(3, a, b).c for a in g for b in g]),
         "evolve --stages 2": two_stage_amplitudes(np.linspace(0.0, 3.0, 60)),
-        "one degenerate": _degenerate_population(200),
+        # <S1> = 0 and, on every other pair of rows, <S2> = 0: 520 rows
+        "one degenerate": _swap_rows(_degenerate_population(520), np.arange(520) % 4 >= 2),
     }
     for name, c in populations.items():
         xi = xi_batch(c, Optimized())
@@ -946,6 +1027,40 @@ def _zero_mean_state(draw):
         return None
     state = CoupledState.normalized(_CARTESIAN @ a @ np.linalg.qr(g)[0])
     return _swapped(state) if draw(st.booleans()) else state
+
+
+@st.composite
+def _near_switch_state(draw):
+    """_zero_mean_state moved along drawn amplitudes until its vanishing mean
+    spin has the length 10^x, x drawn from [-11, -7]: on either side of
+    DEGENERATE_MEAN_SPIN."""
+    state = draw(_zero_mean_state())
+    parts = np.array(draw(st.lists(_FLOAT, min_size=18, max_size=18)))
+    if state is None or np.linalg.norm(parts) <= 0.1:
+        return None
+    kick = (parts[:9] + 1j * parts[9:]).reshape(3, 3)
+    side = 0 if Moments(state).mag1 < DEGENERATE_MEAN_SPIN else 1
+
+    def length(eps):
+        mom = Moments(CoupledState.normalized(state.c + eps * kick))
+        return (mom.mag1, mom.mag2)[side]
+
+    slope = length(1e-6) / 1e-6
+    if slope <= 1e-3:
+        return None
+    return CoupledState.normalized(state.c + 10.0 ** draw(st.floats(-11.0, -7.0)) / slope * kick)
+
+
+@given(state=_near_switch_state().filter(lambda s: s is not None))
+def test_plane_search_is_never_below_the_sphere_search(state):
+    """Near the switch, the same state through both Optimized paths (the
+    switch moved below and above its mean spins): the sphere search over u
+    contains the plane search, so its minimum is the lower one."""
+    xi = {}
+    for path, switch in (("plane", 0.0), ("sphere", 1e-6)):
+        with mock.patch.object(squeezing, "DEGENERATE_MEAN_SPIN", switch):
+            xi[path] = xi_batch(state.c[None], Optimized())[0]
+    assert xi["plane"] >= xi["sphere"] - 1e-12 * max(1.0, abs(xi["sphere"]))
 
 
 _SWAP_FRAMES = (random_frame(np.random.default_rng(71)), random_frame(np.random.default_rng(72)))

@@ -270,6 +270,18 @@ def test_normalized_accepts_non_contiguous_amplitudes(rng):
         Spin1State.normalized(x[::2])
 
 
+@pytest.mark.filterwarnings("error")
+def test_normalized_scales_amplitudes_whose_norm_overflows():
+    """Finite amplitudes whose sum of squares overflows are normalized, with
+    no overflow warning."""
+    npt.assert_allclose(CoupledState.normalized(np.full(9, 1e200)).c, np.full((3, 3), 1.0 / 3.0),
+                        rtol=1e-15)
+    npt.assert_allclose(Spin1State.normalized(np.full(3, 1e300)).amps,
+                        np.full(3, 1.0 / math.sqrt(3.0)), rtol=1e-15)
+    amps = np.array([1e300j, -2e300, 0.0])
+    npt.assert_allclose(Spin1State.normalized(amps).amps, amps / 1e300 / math.sqrt(5.0), rtol=1e-15)
+
+
 # ------------------------------------------------------------ file io
 
 
