@@ -95,7 +95,7 @@ def _policy_from_name(name: str):
     if name == "fixed":
         return Fixed(_LAB_FRAME, _LAB_FRAME)
     if name == "aligned":
-        return MeanSpinAligned(gauge="auto")
+        return MeanSpinAligned()
     if name == "optimized":
         return Optimized()
     raise ValueError(f"unknown policy {name!r}")

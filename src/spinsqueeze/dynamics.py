@@ -132,10 +132,15 @@ def evolve(state: CoupledState, g: Generator, tau: float) -> CoupledState:
 @dataclass(frozen=True)
 class Trajectory:
     tau_grid: np.ndarray
-    states: list[CoupledState]
+    amplitudes: np.ndarray  # (N, 3, 3), per tau
     xi: np.ndarray  # per state, nan where undefined
     policy: FramePolicy
     stage_labels: list[str] = field(default_factory=list)
+
+    @property
+    def states(self) -> list[CoupledState]:
+        """The state at each tau, built on each access."""
+        return [CoupledState(a) for a in self.amplitudes]
 
     def min_point(self) -> tuple[float, float]:
         """(tau, xi) at the first grid minimum of xi (nan entries skipped)."""
@@ -168,32 +173,30 @@ def trajectory(
     Each stage is (generator, tau grid); stage n+1 starts from the last state
     of stage n and its grid counts time from that point.  The recorded
     tau_grid is cumulative; a stage whose grid starts at 0 contributes no
-    duplicate sample for the boundary state.  xi_batch evaluates the states
-    in the blocks of block_cells, 512 at a time.
+    duplicate sample for the boundary state.  xi_batch evaluates the
+    propagated amplitudes in the blocks of block_cells, 512 at a time.
     """
     if policy is None:
         policy = Optimized()
     if not stages:
         raise ValueError("at least one evolution stage is required")
     taus: list[float] = []
-    states: list[CoupledState] = []
+    blocks: list[np.ndarray] = []
     labels: list[str] = []
-    origin = 0.0
-    current = state0
+    origin, current = 0.0, state0.vec
     for stage_index, (gen, grid) in enumerate(stages):
         g = _check_grid(grid)
-        prop = Propagator(gen)
         if stage_index > 0 and g[0] == 0.0:
             g = g[1:]
-        states.extend(prop.apply_grid(current, g))
-        taus.extend(origin + t for t in g)
-        labels.extend(gen.label for _ in g)
         if len(g):
-            current = states[-1]
+            blocks.append(Propagator(gen).propagate(current, g))
+            current = blocks[-1][-1]
+            taus.extend(origin + t for t in g)
+            labels.extend(gen.label for _ in g)
             origin = taus[-1]
-    amps = np.array([s.c for s in states])
+    amps = np.concatenate(blocks).reshape(-1, 3, 3)
     xi = np.concatenate([xi_batch(amps[b], policy) for b in block_cells(len(amps), 1)])
-    return Trajectory(np.array(taus), states, xi, policy, labels)
+    return Trajectory(np.array(taus), amps, xi, policy, labels)
 
 
 @dataclass(frozen=True)

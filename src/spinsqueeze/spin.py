@@ -1,4 +1,4 @@
-"""Spin-1 operators, two-subsystem embeddings, mean spins, and frames.
+"""Spin-1 operators, two-subsystem embeddings, spin moments, and frames.
 
 Basis convention used throughout the package: the three levels of each
 spin-1 subsystem are ordered by magnetic quantum number m = +1, 0, -1, so
@@ -53,8 +53,8 @@ def _dot3(a, b) -> float:
 
 
 def _sumsq(v) -> float:
-    # spelled out rather than a dot product so that frame_bases, summing
-    # the same products column-wise, rounds identically
+    # spelled out rather than a dot product so that Python floats and
+    # arrays of rows round alike
     x, y, z = v
     return x * x + y * y + z * z
 
@@ -86,29 +86,54 @@ def embed(op, subsystem: int) -> np.ndarray:
     raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
 
 
-def _amplitude_matrix(state) -> np.ndarray:
-    c = getattr(state, "c", state)
-    c = np.asarray(c, dtype=complex)
-    if c.shape == (9,):
-        c = c.reshape(3, 3)
-    if c.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 amplitude matrix or 9-vector, got shape {c.shape}")
-    return c
+_AXES = (SX, SY, SZ)
+# Flattened-trace forms: Tr(rho A) = A.T.ravel() . rho.ravel(), so stacking
+# the transposed operators turns all moment traces into single matvecs.  The
+# second moments are those of the symmetrized products (Sk Sl + Sl Sk)/2.
+_MEAN_FLAT = np.stack([s.T.reshape(9) for s in _AXES])
+_SYM_FLAT = np.stack([((a @ b + b @ a) / 2.0).T.reshape(9) for a in _AXES for b in _AXES])
+_CROSS_FLAT = np.stack([np.kron(a, b).T.reshape(81) for a in _AXES for b in _AXES])
+
+# rows per BLAS product: OpenBLAS splits larger ones over its threads
+_BLAS_ROWS = 64
+
+
+def moment_tables(c: np.ndarray):
+    """The first and second spin moments of a stack of amplitude matrices
+    (N, 3, 3): the mean spins (mean1, mean2) of shape (N, 3), and of shape
+    (N, 3, 3) each subsystem's Re<(Sk Sl + Sl Sk)/2> (mom1, mom2) and the
+    cross matrix <Sk (x) Sl> (cross_mat), from stacked matrix products in
+    equal blocks of at most _BLAS_ROWS rows (a one-row block would be a
+    matrix-vector product, whose rounding differs)."""
+    if len(c) > _BLAS_ROWS:
+        blocks = [moment_tables(b) for b in np.array_split(c, -(-len(c) // _BLAS_ROWS))]
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    ch = c.conj()
+    r1 = (c @ ch.transpose(0, 2, 1)).reshape(-1, 9)
+    r2 = (c.transpose(0, 2, 1) @ ch).reshape(-1, 9)
+    psi = c.reshape(-1, 9)
+    big = (psi[:, :, None] * ch.reshape(-1, 1, 9)).reshape(-1, 81)
+    return (
+        (r1 @ _MEAN_FLAT.T).real,
+        (r2 @ _MEAN_FLAT.T).real,
+        (r1 @ _SYM_FLAT.T).real.reshape(-1, 3, 3),
+        (r2 @ _SYM_FLAT.T).real.reshape(-1, 3, 3),
+        (big @ _CROSS_FLAT.T).real.reshape(-1, 3, 3),
+    )
 
 
 def mean_spin(state, subsystem: int) -> tuple[np.ndarray, float]:
-    """Mean-spin vector (<Sx>, <Sy>, <Sz>) of one subsystem and its length.
+    """Mean-spin vector (<Sx>, <Sy>, <Sz>) of one subsystem and its length,
+    from moment_tables.
 
     ``state`` may be a CoupledState, a 3x3 amplitude matrix, or a 9-vector.
     """
-    c = _amplitude_matrix(state)
-    if subsystem == 1:
-        rho = c @ c.conj().T
-    elif subsystem == 2:
-        rho = c.T @ c.conj()
-    else:
+    if subsystem not in (1, 2):
         raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
-    vec = np.array([np.trace(rho @ s).real for s in (SX, SY, SZ)])
+    c = np.asarray(getattr(state, "c", state), dtype=complex)
+    if c.shape not in ((9,), (3, 3)):
+        raise ValueError(f"expected a 3x3 amplitude matrix or 9-vector, got shape {c.shape}")
+    vec = moment_tables(c.reshape(1, 3, 3))[subsystem - 1][0]
     return vec, float(np.linalg.norm(vec))
 
 
@@ -165,55 +190,55 @@ class Frame:
         return frame
 
 
+def _triad(x, y, z):
+    """build_frame's [n, n_perp, n_perp2] for the unit direction (x, y, z),
+    as lists of components: Python floats, or arrays of rows with the same
+    arithmetic."""
+    if isinstance(x, float):
+        p = [1.0 - x * x, 0.0 - x * y, 0.0 - x * z] if abs(z) > 1.0 - 1e-9 else [-y, x, 0.0]
+        sqrt = math.sqrt
+    else:
+        pole = np.abs(z) > 1.0 - 1e-9
+        p = [np.where(pole, 1.0 - x * x, -y), np.where(pole, 0.0 - x * y, x),
+             np.where(pole, 0.0 - x * z, 0.0)]
+        sqrt = np.sqrt
+    r = sqrt(_sumsq(p))
+    p = [w / r for w in p]
+    q = [y * p[2] - z * p[1], z * p[0] - x * p[2], x * p[1] - y * p[0]]
+    r = sqrt(_sumsq(q))
+    return [x, y, z], p, [w / r for w in q]
+
+
+_XZ_ERROR = "build_frame_xz requires a direction in the x-z half-plane with n_z >= 0"
+
+
+def _in_xz(y, z):
+    """Whether a direction with components y and z (Python floats or arrays)
+    lies in the x-z half-plane: |n_y| <= 1e-9 and n_z >= -1e-12 (False for
+    nan)."""
+    return (abs(y) <= 1e-9) & (z >= -1e-12)
+
+
+def _triad_xz(x, y, z):
+    """build_frame_xz's [n, n_perp, n_perp2] for the unit direction (x, y,
+    z), as _triad's; ValueError outside the x-z half-plane."""
+    one = isinstance(x, float)
+    if not (_in_xz(y, z) if one else np.all(_in_xz(y, z))):
+        raise ValueError(_XZ_ERROR)
+    z = max(z, 0.0) if one else np.maximum(z, 0.0)
+    r = (math.sqrt if one else np.sqrt)(x * x + z * z)
+    x, z = x / r, z / r
+    return [x, 0.0, z], [z, 0.0, -x], [0.0, 1.0, 0.0]
+
+
 def build_frame(n) -> Frame:
     """Deterministic frame for a unit direction n.
 
     Gauge: n_perp = normalize(z x n), except within 1e-9 of the poles where
     n_perp is x-hat orthogonalized against n exactly; n_perp2 = n x n_perp.
     """
-    x, y, z = _unit(n)
-    p = [1.0 - x * x, 0.0 - x * y, 0.0 - x * z] if abs(z) > 1.0 - 1e-9 else [-y, x, 0.0]
-    r = math.sqrt(_sumsq(p))
-    p = [w / r for w in p]
-    q = cross3((x, y, z), p)
-    return Frame._trusted(np.array([x, y, z]), np.array(p), q / math.sqrt(_sumsq(q.tolist())))
-
-
-def _sumsq_rows(v: np.ndarray) -> np.ndarray:
-    return v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
-
-
-def frame_bases(directions) -> np.ndarray:
-    """build_frame's [n_perp, n_perp2], shape (N, 2, 3), for each row of an
-    (N, 3) stack of unit directions, bit for bit, without Frame objects."""
-    d = np.asarray(directions, dtype=float).reshape(-1, 3)
-    nn = d / np.sqrt(_sumsq_rows(d))[:, None]
-    x, y, z = nn[:, 0], nn[:, 1], nn[:, 2]
-    pole = (np.abs(z) > 1.0 - 1e-9)[:, None]
-    p = np.where(pole, np.array([1.0, 0.0, 0.0]) - x[:, None] * nn,
-                 np.stack([-y, x, np.zeros_like(x)], axis=1))
-    p = p / np.sqrt(_sumsq_rows(p))[:, None]
-    q = np.stack([y * p[:, 2] - z * p[:, 1],
-                  z * p[:, 0] - x * p[:, 2],
-                  x * p[:, 1] - y * p[:, 0]], axis=1)
-    q = q / np.sqrt(_sumsq_rows(q))[:, None]
-    return np.stack([p, q], axis=1)
-
-
-_XZ_ERROR = "build_frame_xz requires a direction in the x-z half-plane with n_z >= 0"
-
-
-def in_xz_half_plane(directions) -> np.ndarray:
-    """Whether each direction (..., 3) lies in the x-z half-plane: |n_y| <=
-    1e-9 and n_z >= -1e-12 (False for nan)."""
-    d = np.asarray(directions, dtype=float)
-    return _in_xz(d[..., 1], d[..., 2])
-
-
-def _in_xz(y, z):
-    """in_xz_half_plane's test on the y and z components, arrays or Python
-    floats (one direction without the array overhead)."""
-    return (abs(y) <= 1e-9) & (z >= -1e-12)
+    n, p, q = _triad(*_unit(n))
+    return Frame._trusted(np.array(n), np.array(p), np.array(q))
 
 
 def build_frame_xz(n) -> Frame:
@@ -223,13 +248,31 @@ def build_frame_xz(n) -> Frame:
     n_perp2 = y-hat.  For a mean spin at polar angle t this is the frame
     (sin t, 0, cos t), (cos t, 0, -sin t), (0, 1, 0).
     """
-    x, y, z = _unit(n)
-    if not _in_xz(y, z):
-        raise ValueError(_XZ_ERROR)
-    z = max(z, 0.0)
-    r = math.sqrt(_sumsq((x, 0.0, z)))
-    x, z = x / r, z / r
-    return Frame._trusted(np.array([x, 0.0, z]), np.array([z, 0.0, -x]), np.array([0.0, 1.0, 0.0]))
+    n, p, q = _triad_xz(*_unit(n))
+    return Frame._trusted(np.array(n), np.array(p), np.array(q))
+
+
+def _bases(triad, directions) -> np.ndarray:
+    """triad's [n_perp, n_perp2], shape (N, 2, 3), for each row of an (N, 3)
+    stack of directions divided by its length: on Python floats for one
+    row, where numpy's cost per call is most of the work, else on the rows'
+    component arrays."""
+    d = np.asarray(directions, dtype=float).reshape(-1, 3)
+    if len(d) == 1:
+        n = d[0].tolist()
+        r = math.sqrt(_sumsq(n))
+        return np.array([triad(*(w / r for w in n))[1:]])
+    _, p, q = triad(*(d.T / np.sqrt(_sumsq(d.T))))
+    out = np.empty((len(d), 6))
+    for k, w in enumerate(p + q):
+        out[:, k] = w
+    return out.reshape(-1, 2, 3)
+
+
+def frame_bases(directions) -> np.ndarray:
+    """build_frame's [n_perp, n_perp2], shape (N, 2, 3), for each row of an
+    (N, 3) stack of unit directions, bit for bit, without Frame objects."""
+    return _bases(_triad, directions)
 
 
 def frame_bases_xz(directions) -> np.ndarray:
@@ -237,14 +280,4 @@ def frame_bases_xz(directions) -> np.ndarray:
     an (N, 3) stack of unit directions, bit for bit, without Frame objects.
     Raises build_frame_xz's ValueError when a row is outside the half-plane.
     """
-    d = np.asarray(directions, dtype=float).reshape(-1, 3)
-    nn = d / np.sqrt(_sumsq_rows(d))[:, None]
-    if not np.all(in_xz_half_plane(nn)):
-        raise ValueError(_XZ_ERROR)
-    x, z = nn[:, 0], np.maximum(nn[:, 2], 0.0)
-    r = np.sqrt(x * x + z * z)
-    out = np.zeros((len(d), 2, 3))
-    out[:, 0, 0] = z / r
-    out[:, 0, 2] = -(x / r)
-    out[:, 1, 1] = 1.0
-    return out
+    return _bases(_triad_xz, directions)

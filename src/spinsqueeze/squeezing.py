@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import (SX, SY, SZ, Frame, _in_xz, build_frame, build_frame_xz, cross3, frame_bases,
-                   frame_bases_xz, in_xz_half_plane)
+from .spin import (Frame, _in_xz, build_frame, build_frame_xz, cross3, frame_bases, frame_bases_xz,
+                   moment_tables)
 from .states import (NORM_TOL, CoupledState, Spin1State, canonical_squeezed, config_amplitudes,
                      config_matrices, product)
 
@@ -46,20 +46,7 @@ DEGENERATE_MEAN_SPIN = 1e-9
 MATCH_TOL = 1e-10
 _TIE_TOL = 1e-14
 
-_AXES = (SX, SY, SZ)
-# symmetrized products (Sk Sl + Sl Sk)/2, indexed [k][l]
-_SYM2 = [[(a @ b + b @ a) / 2.0 for b in _AXES] for a in _AXES]
-
-# Flattened-trace forms: Tr(rho A) = A.T.ravel() . rho.ravel(), so stacking
-# the transposed operators turns all moment traces into single matvecs.
-_MEAN_FLAT = np.stack([s.T.reshape(9) for s in _AXES])
-_SYM_FLAT = np.stack([_SYM2[k][l].T.reshape(9) for k in range(3) for l in range(3)])
-_CROSS_FLAT = np.stack(
-    [np.kron(_AXES[k], _AXES[l]).T.reshape(81) for k in range(3) for l in range(3)]
-)
-
 _ZHAT = np.array([0.0, 0.0, 1.0])
-_LAB_N_PERP = build_frame(_ZHAT).n_perp
 
 
 def _length(v: np.ndarray) -> float:
@@ -83,22 +70,19 @@ class Fixed:
     frame1: Frame
     frame2: Frame
 
+    def __post_init__(self):
+        if not (isinstance(self.frame1, Frame) and isinstance(self.frame2, Frame)):
+            raise TypeError("Fixed takes two Frame objects")
+
 
 @dataclass(frozen=True)
 class MeanSpinAligned:
-    """Frames built from the normalized mean-spin directions.
-
-    gauge: "default" uses build_frame; "xz" uses build_frame_xz (requires
-    mean spins in the x-z half-plane); "auto" picks "xz" whenever the mean
-    direction lies in that half-plane and falls back to "default" otherwise.
+    """Frames built from the normalized mean-spin directions: build_frame_xz
+    where the direction lies in the x-z half-plane, build_frame elsewhere.
     A degenerate subsystem (vanishing mean spin) gets the lab frame (n = z).
+    For one fixed gauge, pass its frames to Fixed: Fixed(build_frame_xz(d1),
+    build_frame_xz(d2)).
     """
-
-    gauge: str = "auto"
-
-    def __post_init__(self):
-        if self.gauge not in ("default", "xz", "auto"):
-            raise ValueError(f"unknown gauge {self.gauge!r}")
 
 
 @dataclass(frozen=True)
@@ -158,13 +142,15 @@ class Moments:
     mean1/mean2 are the mean-spin vectors; mom1/mom2 the real symmetric
     matrices Re<(Sk Sl + Sl Sk)/2> per subsystem; cross the real matrix
     <Sk (x) Sl>.  Together they determine xi for any direction pair.
+    ``tables`` holds them as moment_tables returns them, with a leading
+    axis of one row, for the engine's row functions.
     """
 
-    __slots__ = ("mean1", "mag1", "mean2", "mag2", "mom1", "mom2", "cross_mat")
+    __slots__ = ("tables", "mean1", "mag1", "mean2", "mag2", "mom1", "mom2", "cross_mat")
 
     def __init__(self, state: CoupledState):
-        tables = moment_tables(state.c[None])
-        self.mean1, self.mean2, self.mom1, self.mom2, self.cross_mat = (t[0] for t in tables)
+        self.tables = moment_tables(state.c[None])
+        self.mean1, self.mean2, self.mom1, self.mom2, self.cross_mat = (t[0] for t in self.tables)
         self.mag1 = _length(self.mean1)
         self.mag2 = _length(self.mean2)
 
@@ -180,38 +166,15 @@ class Moments:
         return float(u @ self.cross_mat @ v)
 
     def xi_parts(self, u: np.ndarray, v: np.ndarray) -> tuple[float, float, float, float]:
+        """(xi, var1, var2, cross) along u and v; xi is nan when both mean
+        spins vanish, where it is undefined."""
         var1 = self.variance(1, u)
         var2 = self.variance(2, v)
         cross = self.cross_correlation(u, v)
+        if max(self.mag1, self.mag2) < DEGENERATE_MEAN_SPIN:
+            return math.nan, var1, var2, cross
         xi = (2.0 * var1 + 2.0 * var2 + 4.0 * cross) / (self.mag1 + self.mag2)
         return xi, var1, var2, cross
-
-
-# rows per BLAS product: OpenBLAS splits larger ones over its threads
-_BLAS_ROWS = 64
-
-
-def moment_tables(c: np.ndarray):
-    """The Moments tables for a stack of amplitude matrices (N, 3, 3):
-    (mean1, mean2) of shape (N, 3) and (mom1, mom2, cross_mat) of shape
-    (N, 3, 3), from stacked matrix products in equal blocks of at most
-    _BLAS_ROWS rows (a one-row block would be a matrix-vector product, whose
-    rounding differs)."""
-    if len(c) > _BLAS_ROWS:
-        blocks = [moment_tables(b) for b in np.array_split(c, -(-len(c) // _BLAS_ROWS))]
-        return tuple(np.concatenate(parts) for parts in zip(*blocks))
-    ch = c.conj()
-    r1 = (c @ ch.transpose(0, 2, 1)).reshape(-1, 9)
-    r2 = (c.transpose(0, 2, 1) @ ch).reshape(-1, 9)
-    psi = c.reshape(-1, 9)
-    big = (psi[:, :, None] * ch.reshape(-1, 1, 9)).reshape(-1, 81)
-    return (
-        (r1 @ _MEAN_FLAT.T).real,
-        (r2 @ _MEAN_FLAT.T).real,
-        (r1 @ _SYM_FLAT.T).real.reshape(-1, 3, 3),
-        (r2 @ _SYM_FLAT.T).real.reshape(-1, 3, 3),
-        (big @ _CROSS_FLAT.T).real.reshape(-1, 3, 3),
-    )
 
 
 def first_min_index(values: np.ndarray, axis: int | None = None):
@@ -591,29 +554,36 @@ def _frame_from_transverse(n_dir: np.ndarray | None, t: np.ndarray) -> Frame:
     return Frame._trusted(n, t, cross3(n.tolist(), t.tolist()))
 
 
-def _aligned_frame(direction: np.ndarray, gauge: str) -> Frame:
-    if gauge == "xz" or (gauge == "auto" and _in_xz(*direction.tolist()[1:])):
-        return build_frame_xz(direction)
-    return build_frame(direction)
+def _aligned_gauge(mean, mag):
+    """MeanSpinAligned's rule, for one mean spin (a 3-vector and its float
+    length) or for rows of them ((N, 3) and (N,)): the unit direction, or
+    z-hat (where build_frame's gauge is the lab frame) if the mean spin
+    vanishes, and whether build_frame_xz's gauge applies, as it does to a
+    live direction in the x-z half-plane."""
+    live = mag >= DEGENERATE_MEAN_SPIN
+    if isinstance(mag, float):
+        d = mean / mag if live else _ZHAT
+        y, z = d.tolist()[1:]
+    else:
+        d = np.where(live[:, None], mean / np.where(live, mag, 1.0)[:, None], _ZHAT)
+        y, z = d[:, 1], d[:, 2]
+    return d, live & _in_xz(y, z)
 
 
-def _invalid_report(mom: Moments) -> SqueezingReport:
-    lab = build_frame(_ZHAT)
-    u = lab.n_perp
-    return SqueezingReport(
-        xi=float("nan"),
-        frame1=lab,
-        frame2=lab,
-        var1=mom.variance(1, u),
-        var2=mom.variance(2, u),
-        cross=mom.cross_correlation(u, u),
-        ms1=mom.mean1,
-        mag1=mom.mag1,
-        ms2=mom.mean2,
-        mag2=mom.mag2,
-        valid=False,
-        degenerate_subsystems=frozenset({1, 2}),
-    )
+def _optimized_uv(tables, mag1: np.ndarray, mag2: np.ndarray, second: np.ndarray | None):
+    """Optimized's directions (u, v), each (N, 3), for the moment tables
+    (mean1, mean2, mom1, mom2, cross_mat) of N rows: where both mean spins
+    (of lengths mag1, mag2) are nonzero, when ``second`` is None, by
+    _plane_plane_min on build_frame's transverse bases; else where one
+    vanishes, subsystem 2's where ``second`` (N,) is True, by _sphere_circle.
+    squeezing_report passes its one row, xi_batch each class of its rows."""
+    mean1, mean2, mom1, mom2, cross_mat = tables
+    if second is not None:
+        d = np.where(second[:, None], mean1, mean2) / np.where(second, mag1, mag2)[:, None]
+        return _sphere_circle(tables, second, frame_bases(d))
+    e1, e2 = frame_bases(mean1 / mag1[:, None]), frame_bases(mean2 / mag2[:, None])
+    z = _plane_plane_min(_harmonics(mom1, mom2, cross_mat, e1, e2))
+    return z[:, :1] * e1[:, 0] + z[:, 1:2] * e1[:, 1], z[:, 2:3] * e2[:, 0] + z[:, 3:] * e2[:, 1]
 
 
 def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> SqueezingReport:
@@ -631,45 +601,25 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
     degenerate = frozenset(
         i for i, mag in ((1, mom.mag1), (2, mom.mag2)) if mag < DEGENERATE_MEAN_SPIN
     )
-    if len(degenerate) == 2:
-        return _invalid_report(mom)
-
-    if isinstance(policy, Fixed):
+    valid = len(degenerate) < 2
+    if not valid:  # the moments along the lab frame
+        frame1 = frame2 = build_frame(_ZHAT)
+    elif isinstance(policy, Fixed):
         frame1, frame2 = policy.frame1, policy.frame2
-        u, v = frame1.n_perp, frame2.n_perp
     elif isinstance(policy, MeanSpinAligned):
-        frames = []
-        for i, (mean, mag) in enumerate(((mom.mean1, mom.mag1), (mom.mean2, mom.mag2)), start=1):
-            if i in degenerate:
-                frames.append(build_frame(_ZHAT))
-            else:
-                frames.append(_aligned_frame(mean / mag, policy.gauge))
-        frame1, frame2 = frames
-        u, v = frame1.n_perp, frame2.n_perp
+        frame1, frame2 = ((build_frame_xz if xz else build_frame)(d) for d, xz in
+                          (_aligned_gauge(mom.mean1, mom.mag1), _aligned_gauge(mom.mean2, mom.mag2)))
     elif isinstance(policy, Optimized):
-        d1 = None if 1 in degenerate else mom.mean1 / mom.mag1
-        d2 = None if 2 in degenerate else mom.mean2 / mom.mag2
-        if not degenerate:
-            base1, base2 = build_frame(d1), build_frame(d2)
-            a1, b1, a2, b2 = base1.n_perp, base1.n_perp2, base2.n_perp, base2.n_perp2
-            coef = _harmonics(mom.mom1, mom.mom2, mom.cross_mat, np.array([a1, b1]),
-                              np.array([a2, b2]))
-            ((cs, ss, ct, st),) = _plane_plane_min(coef[None]).tolist()
-            # cs * a1 + ss * b1 on floats: the same products and sums
-            u = np.array([cs * x + ss * y for x, y in zip(a1.tolist(), b1.tolist())])
-            v = np.array([ct * x + st * y for x, y in zip(a2.tolist(), b2.tolist())])
-        else:
-            base = build_frame(d1 if d2 is None else d2)
-            tables = (mom.mean1, mom.mean2, mom.mom1, mom.mom2, mom.cross_mat)
-            u, v = (x[0] for x in _sphere_circle([t[None] for t in tables], np.array([d2 is None]),
-                                                 np.array([[base.n_perp, base.n_perp2]])))
-        frame1, frame2 = _frame_from_transverse(d1, u), _frame_from_transverse(d2, v)
-        u, v = frame1.n_perp, frame2.n_perp
+        second = np.array([2 in degenerate]) if degenerate else None
+        (u,), (v,) = _optimized_uv(mom.tables, np.array([mom.mag1]), np.array([mom.mag2]), second)
+        frame1 = _frame_from_transverse(None if 1 in degenerate else mom.mean1 / mom.mag1, u)
+        frame2 = _frame_from_transverse(None if 2 in degenerate else mom.mean2 / mom.mag2, v)
     else:
         raise TypeError(f"unknown frame policy {policy!r}")
 
-    xi, var1, var2, cross = mom.xi_parts(u, v)
-    if not math.isfinite(xi):  # the engine's frames are not checked, so a nan shows here
+    xi, var1, var2, cross = mom.xi_parts(frame1.n_perp, frame2.n_perp)
+    # the engine's frames are not checked, so a nan shows here
+    if valid and not math.isfinite(xi):
         raise ValueError(f"non-finite xi {xi} under {policy!r}")
     return SqueezingReport(
         xi=xi,
@@ -682,23 +632,19 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
         mag1=mom.mag1,
         ms2=mom.mean2,
         mag2=mom.mag2,
-        valid=True,
+        valid=valid,
         degenerate_subsystems=degenerate,
     )
 
 
-def _aligned_n_perp(mean: np.ndarray, mag: np.ndarray, gauge: str) -> np.ndarray:
-    """MeanSpinAligned's n_perp (N, 3) for mean spins (N, 3) of lengths mag,
-    as _aligned_frame builds it, and the lab frame's where the mean spin
-    vanishes; the "xz" gauge raises build_frame_xz's ValueError for a row
-    outside the x-z half-plane."""
-    live = mag >= DEGENERATE_MEAN_SPIN
-    d = mean / np.where(live, mag, 1.0)[:, None]
-    xz = live & (in_xz_half_plane(d) if gauge == "auto" else gauge == "xz")
-    out = np.tile(_LAB_N_PERP, (len(d), 1))
-    out[xz] = frame_bases_xz(d[xz])[:, 0]
-    out[live & ~xz] = frame_bases(d[live & ~xz])[:, 0]
-    return out
+def _aligned_n_perp(mean: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """MeanSpinAligned's n_perp (N, 3) for mean spins (N, 3) of lengths mag."""
+    d, xz = _aligned_gauge(mean, mag)
+    u = np.empty_like(d)
+    for rows, bases in ((xz, frame_bases_xz), (~xz, frame_bases)):
+        if rows.any():  # frame_bases on no rows still takes ~35 us of numpy calls
+            u[rows] = bases(d[rows])[:, 0]
+    return u
 
 
 # cells per xi_batch call of the grid scans: two_stage_minimum and sweep
@@ -718,12 +664,11 @@ def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
     frame policy (default Optimized()), nan where undefined; equal to
     squeezing_report(CoupledState(c[k]), policy).xi to 1e-12 relative (the
     last bits can differ).  Moments and xi are evaluated for all rows at
-    once, along the Fixed frames' n_perp, MeanSpinAligned's vectorized gauge
-    (an "xz" row outside the half-plane raises build_frame_xz's ValueError)
-    or the directions of _plane_plane_min, whose open rows share one dual
-    solve.  Rows with one vanishing mean spin take MeanSpinAligned's lab
-    n_perp on that side, or share one _sphere_circle call under Optimized;
-    rows with two are nan.  No row goes through squeezing_report.
+    once, along the Fixed frames' n_perp, MeanSpinAligned's rule on the
+    rows, or the directions of _optimized_uv, whose open plane-plane rows
+    share one dual solve and whose rows with one vanishing mean spin share
+    one _sphere_circle call; rows with two are nan.  No row goes through
+    squeezing_report.
     Memory is linear in N, about 1.5 KB per state under Optimized plus a
     fixed 0.4 MB, so every grid caller (Family.xi_grid, trajectory and
     two_stage_minimum) passes blocks of at most _BLOCK_CELLS = 512 states,
@@ -747,26 +692,20 @@ def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
 
     xi = np.full(len(c), np.nan)
     # the plane-plane rows, then those with one degenerate subsystem
-    for rows in (np.flatnonzero(~(deg1 | deg2)), np.flatnonzero(deg1 != deg2)):
+    plane, sphere = np.flatnonzero(~(deg1 | deg2)), np.flatnonzero(deg1 != deg2)
+    for rows, second in ((plane, None), (sphere, deg2[sphere])):
         if not rows.size:
             continue
-        mean1, mean2, m1, m2, cm = (t[rows] for t in tables)
+        part = [t[rows] for t in tables]
+        mean1, mean2, m1, m2, cm = part
         mag1, mag2 = (mag[rows] for mag in mags)
         if isinstance(policy, Fixed):
             u = np.broadcast_to(policy.frame1.n_perp, mean1.shape)
             v = np.broadcast_to(policy.frame2.n_perp, mean2.shape)
         elif isinstance(policy, MeanSpinAligned):
-            u, v = (_aligned_n_perp(mean, mag, policy.gauge)
-                    for mean, mag in ((mean1, mag1), (mean2, mag2)))
-        elif deg1[rows[0]] or deg2[rows[0]]:
-            second = deg2[rows]
-            e = frame_bases(np.where(second[:, None], mean1, mean2))
-            u, v = _sphere_circle((mean1, mean2, m1, m2, cm), second, e)
+            u, v = _aligned_n_perp(mean1, mag1), _aligned_n_perp(mean2, mag2)
         else:
-            e1, e2 = frame_bases(mean1 / mag1[:, None]), frame_bases(mean2 / mag2[:, None])
-            z = _plane_plane_min(_harmonics(m1, m2, cm, e1, e2))
-            u = z[:, :1] * e1[:, 0] + z[:, 1:2] * e1[:, 1]
-            v = z[:, 2:3] * e2[:, 0] + z[:, 3:] * e2[:, 1]
+            u, v = _optimized_uv(part, mag1, mag2, second)
         numer = (2.0 * variance(m1, mean1, u) + 2.0 * variance(m2, mean2, v)
                  + 4.0 * np.einsum("ni,nij,nj->n", u, cm, v))
         xi[rows] = numer / (mag1 + mag2)

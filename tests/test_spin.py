@@ -151,10 +151,13 @@ def test_frame_bases_xz_equal_build_frame_xz_exactly():
     bases = frame_bases_xz(np.array(dirs))
     for d, basis in zip(dirs, bases):
         frame = build_frame_xz(d)
-        assert np.array_equal(basis[0], frame.n_perp)
-        assert np.array_equal(basis[1], frame.n_perp2)
+        # one row takes frame_bases_xz's route on Python floats
+        for got in (basis, frame_bases_xz(d[None])[0]):
+            assert np.array_equal(got[0], frame.n_perp)
+            assert np.array_equal(got[1], frame.n_perp2)
     for outside in ([0.0, 1.0, 0.0], [0.6, 0.0, -0.8], [math.sqrt(1.0 - 4e-18), 2e-9, 0.0]):
         with pytest.raises(ValueError, match="half-plane"):
             build_frame_xz(np.array(outside))
-        with pytest.raises(ValueError, match="half-plane"):
-            frame_bases_xz(np.array(dirs + [outside]))
+        for rows in (dirs + [outside], [outside]):
+            with pytest.raises(ValueError, match="half-plane"):
+                frame_bases_xz(np.array(rows))

@@ -117,8 +117,10 @@ def test_frame_bases_equal_build_frame_exactly(rng):
     bases = frame_bases(np.array(dirs))
     for d, basis in zip(dirs, bases):
         frame = build_frame(d)
-        assert np.array_equal(basis[0], frame.n_perp)
-        assert np.array_equal(basis[1], frame.n_perp2)
+        # one row takes frame_bases' route on Python floats
+        for got in (basis, frame_bases(d[None])[0]):
+            assert np.array_equal(got[0], frame.n_perp)
+            assert np.array_equal(got[1], frame.n_perp2)
 
 
 def test_variance_clamp_at_zero():
@@ -211,7 +213,7 @@ def test_aligned_frames_are_transverse(rng):
 def test_aligned_auto_gauge_in_xz_plane():
     state = product(canonical_squeezed(1.2), canonical_squeezed(1.2))
     rep = squeezing_report(state, MeanSpinAligned())
-    # mean spins lie in the x-z plane; the auto gauge pins n_perp2 to y
+    # mean spins lie in the x-z plane, whose gauge pins n_perp2 to y
     npt.assert_allclose(rep.frame1.n_perp2, [0.0, 1.0, 0.0], atol=1e-12)
     npt.assert_allclose(rep.frame2.n_perp2, [0.0, 1.0, 0.0], atol=1e-12)
 
@@ -471,65 +473,55 @@ _RANDOM_FRAMES = tuple(random_frame(np.random.default_rng(5)) for _ in range(2))
 _LAB = build_frame(np.array([0.0, 0.0, 1.0]))
 
 
-_SIX_POLICIES = pytest.mark.parametrize("policy", [
+_POLICIES = pytest.mark.parametrize("policy", [
     Fixed(_LAB, _LAB),
     Fixed(*_RANDOM_FRAMES),
-    MeanSpinAligned("default"),
-    MeanSpinAligned("xz"),
-    MeanSpinAligned("auto"),
+    MeanSpinAligned(),
     Optimized(),
-], ids=["fixed-lab", "fixed-random", "aligned-default", "aligned-xz", "aligned-auto", "optimized"])
+], ids=["fixed-lab", "fixed-random", "aligned-auto", "optimized"])
 
 
-@_SIX_POLICIES
+@_POLICIES
 def test_xi_batch_equals_reports(policy):
     states = _batch_population()
-    accepted, rejected = [], []
-    for state in states:
-        try:
-            accepted.append((state, squeezing_report(state, policy)))
-        except ValueError:
-            rejected.append(state)
-    # only the xz gauge rejects a state: a mean direction off its half-plane
-    assert bool(rejected) == (getattr(policy, "gauge", None) == "xz")
-    if rejected:
-        with pytest.raises(ValueError, match="half-plane"):
-            xi_batch(np.array([s.c for s in states]), policy)
-    for state in rejected:
-        with pytest.raises(ValueError, match="half-plane"):
-            xi_batch(state.c[None], policy)
-    xi = xi_batch(np.array([s.c for s, _ in accepted]), policy)
-    assert xi.shape == (len(accepted),)
-    for got, (state, rep) in zip(xi, accepted):
+    reports = [squeezing_report(state, policy) for state in states]
+    xi = xi_batch(np.array([s.c for s in states]), policy)
+    assert xi.shape == (len(states),)
+    for got, state, rep in zip(xi, states, reports):
         if rep.valid:
             assert abs(got - rep.xi) <= 1e-12 * abs(rep.xi), state
         else:
             assert math.isnan(got)
-    assert sum(not rep.valid for _, rep in accepted) == 1
-    assert sum(len(rep.degenerate_subsystems) == 1 for _, rep in accepted) == 2
+    assert sum(not rep.valid for rep in reports) == 1
+    assert sum(len(rep.degenerate_subsystems) == 1 for rep in reports) == 2
 
 
 def _no_report(*args):
     raise AssertionError("xi_batch called squeezing_report")
 
 
-@_SIX_POLICIES
+@_POLICIES
 def test_xi_batch_makes_no_report(policy, monkeypatch):
     """Rows with a degenerate subsystem stay in the batch: one vanishing
     mean spin takes the array path, two give nan directly."""
     monkeypatch.setattr(squeezing, "squeezing_report", _no_report)
-    states = []
-    for state in _batch_population():
-        try:
-            xi_batch(state.c[None], policy)
-            states.append(state)
-        except ValueError as exc:  # the xz gauge, off the half-plane
-            assert "half-plane" in str(exc)
+    states = _batch_population()
+    for state in states:
+        xi_batch(state.c[None], policy)
     xi = xi_batch(np.array([s.c for s in states]), policy)
     degenerate = [sum(mag < DEGENERATE_MEAN_SPIN for mag in (m.mag1, m.mag2))
                   for m in map(Moments, states)]
     assert sorted(degenerate)[-3:] == [1, 1, 2]
     assert [k for k, x in enumerate(xi) if math.isnan(x)] == [degenerate.index(2)]
+
+
+def test_fixed_takes_only_frames():
+    # without the check, an array in place of a Frame fails only later, in
+    # the engine, with an AttributeError on n_perp
+    lab = build_frame([0.0, 0.0, 1.0])
+    for frames in ((np.eye(3), np.eye(3)), (lab, lab.n_perp), (None, lab)):
+        with pytest.raises(TypeError, match="Frame"):
+            Fixed(*frames)
 
 
 def test_xi_batch_rejects_unnormalized_and_unknown_policy():
@@ -613,21 +605,13 @@ def test_engine_frames_pass_frame_validation():
     states += [product(_polar(rng), _random_spin1(rng)), product(_random_spin1(rng), _polar(rng))]
     states += [_zero_mean1(rng), _swapped(_zero_mean1(rng))]
     states += _near_pole_states()
-    policies = [Fixed(random_frame(rng), random_frame(rng)), MeanSpinAligned("default"),
-                MeanSpinAligned("xz"), MeanSpinAligned("auto"), Optimized()]
-    xz = 0
+    policies = [Fixed(random_frame(rng), random_frame(rng)), MeanSpinAligned(), Optimized()]
     for state in states:
         for policy in policies:
-            try:
-                rep = squeezing_report(state, policy)
-            except ValueError as exc:  # a mean spin outside the x-z half-plane
-                assert policy == MeanSpinAligned("xz") and "half-plane" in str(exc)
-                continue
-            xz += policy == MeanSpinAligned("xz")
+            rep = squeezing_report(state, policy)
             assert rep.valid and math.isfinite(rep.xi)
             for f in (rep.frame1, rep.frame2):
                 Frame(f.n, f.n_perp, f.n_perp2)
-    assert xz == 8
 
 
 def test_a_nan_from_the_plane_search_raises(monkeypatch, rng):
@@ -1086,9 +1070,11 @@ def test_optimized_is_never_above_aligned(state):
     opt = squeezing_report(state, Optimized())
     if not opt.valid:
         return
-    for gauge in ("default", "auto"):
-        aligned = squeezing_report(state, MeanSpinAligned(gauge)).xi
-        assert opt.xi <= aligned + 1e-12 * max(1.0, abs(opt.xi))
+    aligned = squeezing_report(state, MeanSpinAligned())
+    # and along build_frame's gauge, where the x-z half-plane takes build_frame_xz's
+    default = Fixed(build_frame(aligned.frame1.n), build_frame(aligned.frame2.n))
+    for xi in (aligned.xi, squeezing_report(state, default).xi):
+        assert opt.xi <= xi + 1e-12 * max(1.0, abs(opt.xi))
 
 
 @given(states=st.lists(_STATE, min_size=1, max_size=4))
