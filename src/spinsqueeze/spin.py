@@ -254,10 +254,12 @@ def build_frame_xz(n) -> Frame:
 
 def _bases(triad, directions) -> np.ndarray:
     """triad's [n_perp, n_perp2], shape (N, 2, 3), for each row of an (N, 3)
-    stack of directions divided by its length: on Python floats for one
-    row, where numpy's cost per call is most of the work, else on the rows'
-    component arrays."""
+    stack of directions divided by its length: at once for no rows, on
+    Python floats for one row, where numpy's cost per call is most of the
+    work, else on the rows' component arrays."""
     d = np.asarray(directions, dtype=float).reshape(-1, 3)
+    if not len(d):
+        return np.empty((0, 2, 3))
     if len(d) == 1:
         n = d[0].tolist()
         r = math.sqrt(_sumsq(n))

@@ -95,9 +95,10 @@ class Optimized:
     spin vanishes), and the Lagrangian dual bound, max over delta of
     delta + 2 lambda_min(M - delta diag(I_u, 0)), equals its minimum.  A
     plane-plane row starts at the first minimum of a 64-point grid per
-    angle (ties within 1e-14 go to the lowest angles), polished by Newton,
-    and stands when a closed-form test puts it within 1e-12 of M's scale of
-    the bound.  Every other plane-plane row, and every sphere-circle row
+    angle (ties within 1e-14 go to the lowest angles; it has s < pi, as
+    (s, t) -> (s + pi, t + pi) leaves the numerator as it is), polished by
+    Newton, and stands when a closed-form test puts it within 1e-12 of M's
+    scale of the bound.  Every other plane-plane row, and every sphere-circle row
     from the separable point of each side's least-variance direction, goes
     to one batched dual solve, which returns its start if that is within
     the tolerance, else the lowest eigenvector at the optimal delta with u
@@ -185,15 +186,13 @@ def first_min_index(values: np.ndarray, axis: int | None = None):
 
 
 _NEWTON_STEPS = 30
-# grid rows evaluated per chunk: bounds the (rows, _GRID, _GRID) value table
-_GRID_CHUNK = 8
-# the start grid of both Optimized branches: _GRID angles per circle
+# the plane-plane start grid: _GRID angles per circle
 _GRID = 64
 _CELL = 2.0 * math.pi / _GRID
 _GRID_ANGLES = np.arange(_GRID) * _CELL
-# harmonics [cos, sin, cos2, sin2, 1] of the grid angles (_GRID, 5)
-_GRID_HARM = np.stack([np.cos(_GRID_ANGLES), np.sin(_GRID_ANGLES), np.cos(2.0 * _GRID_ANGLES),
-                       np.sin(2.0 * _GRID_ANGLES), np.ones(_GRID)], axis=1)
+# coefficient rows per grid product: a (32, _GRID ** 2 / 2) chunk of values
+# (512 KB), small enough that OpenBLAS runs the product on one thread
+_GRID_CHUNK = 32
 
 
 # The plane-plane numerator.  With u(s) = cos(s) a1 + sin(s) b1 and v(t)
@@ -221,25 +220,22 @@ def _harmonics(mom1, mom2, cross_mat, e1, e2) -> np.ndarray:
     return out
 
 
+# coef @ _GRID_TABLE is the numerator less its constant on the grid's half
+# s < pi, row-major in (s, t), which holds the grid's first minimum: the
+# mirror (s + pi, t + pi) of a point has its value and comes before it
+_GRID_S, _GRID_T = (_GRID_ANGLES[k] for k in np.divmod(np.arange(_GRID * _GRID // 2), _GRID))
+_GRID_TABLE = np.stack([f(2.0 * a) for a in (_GRID_S, _GRID_T) for f in (np.cos, np.sin)]
+                       + [f(_GRID_S) * g(_GRID_T) for f in (np.cos, np.sin) for g in (np.cos, np.sin)])
+
+
 def _grid_argmin(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per coefficient row, the angles (s, t) of the first _GRID x _GRID
-    grid point (row-major) within 1e-14 of the grid minimum."""
-    n = _GRID
-    # value[i, j] = harm[i] . M . harm[j] with the row's 5x5 matrix M
-    m = np.zeros((len(coef), 5, 5))
-    m[:, :2, :2] = coef[:, 4:].reshape(-1, 2, 2)
-    m[:, 2:4, 4] = coef[:, 0:2]
-    m[:, 4, 2:4] = coef[:, 2:4]
-    if len(coef) == 1:  # the same two products on 2-D arrays
-        idx = first_min_index(_GRID_HARM @ (m[0] @ _GRID_HARM.T))[None]
-    else:
-        idx = np.empty(len(coef), dtype=np.intp)
-        vals = np.empty((min(len(coef), _GRID_CHUNK), n, n))
-        for lo in range(0, len(coef), _GRID_CHUNK):
-            mc = m[lo:lo + _GRID_CHUNK]
-            flat = np.matmul(_GRID_HARM, mc @ _GRID_HARM.T, out=vals[:len(mc)])
-            idx[lo:lo + len(mc)] = first_min_index(flat.reshape(len(mc), n * n), axis=1)
-    i, j = np.divmod(idx, n)
+    grid point (row-major) within 1e-14 of the grid minimum, found in the
+    half grid s < pi."""
+    idx = np.empty(len(coef), dtype=np.intp)
+    for lo in range(0, len(coef), _GRID_CHUNK):
+        idx[lo:lo + _GRID_CHUNK] = first_min_index(coef[lo:lo + _GRID_CHUNK] @ _GRID_TABLE, axis=1)
+    i, j = np.divmod(idx, _GRID)
     return _GRID_ANGLES[i], _GRID_ANGLES[j]
 
 
@@ -642,8 +638,7 @@ def _aligned_n_perp(mean: np.ndarray, mag: np.ndarray) -> np.ndarray:
     d, xz = _aligned_gauge(mean, mag)
     u = np.empty_like(d)
     for rows, bases in ((xz, frame_bases_xz), (~xz, frame_bases)):
-        if rows.any():  # frame_bases on no rows still takes ~35 us of numpy calls
-            u[rows] = bases(d[rows])[:, 0]
+        u[rows] = bases(d[rows])[:, 0]
     return u
 
 

@@ -16,7 +16,7 @@ from spinsqueeze import (
     spin1_matrices,
     spin_component,
 )
-from spinsqueeze.spin import IDENTITY3, S_MINUS, S_PLUS, cross3, frame_bases_xz
+from spinsqueeze.spin import IDENTITY3, S_MINUS, S_PLUS, cross3, frame_bases, frame_bases_xz
 
 from conftest import random_unit
 
@@ -140,6 +140,11 @@ def test_nan_frames_are_rejected():
     # so no Fixed policy can carry a nan frame into a "valid" report
     with pytest.raises(ValueError):
         Fixed(Frame([nan] * 3, [nan] * 3, [nan] * 3), build_frame(z))
+
+
+def test_frame_bases_of_no_rows_are_empty():
+    for bases in (frame_bases, frame_bases_xz):
+        assert bases(np.empty((0, 3))).shape == (0, 2, 3)
 
 
 def test_frame_bases_xz_equal_build_frame_xz_exactly():

@@ -43,8 +43,8 @@ from spinsqueeze import (
 from spinsqueeze import squeezing
 from spinsqueeze.spin import Frame, cross3, frame_bases
 from spinsqueeze.states import Spinor, load_state, save_state, schwinger
-from spinsqueeze.squeezing import (_BATCH_ROWS, _PLANE_M, _POW2, DEGENERATE_MEAN_SPIN, FAMILIES,
-                                   _certified, _dual_min, _grid_argmin, _harmonics,
+from spinsqueeze.squeezing import (_BATCH_ROWS, _GRID_TABLE, _PLANE_M, _POW2, DEGENERATE_MEAN_SPIN,
+                                   FAMILIES, _certified, _dual_min, _grid_argmin, _harmonics,
                                    _min_transverse_variance, _newton, _newton_rows, _PyComplex,
                                    family_summary, moment_tables, standard_comparison_grids,
                                    xi_batch)
@@ -404,6 +404,62 @@ def test_certificate_implies_a_positive_semidefinite_dual_matrix():
     # certified, and row 820's dual matrix has a negative direction
     assert np.flatnonzero(converged[:2000] & ~certified[:2000]).tolist() == [820]
     assert low[820] < -1e-6 * scale[820]
+
+
+def _full_grid_argmin(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start grid searched whole, for reference: value[i, j] = h_i.M.h_j
+    over all 64 x 64 angle pairs, with h = (cos, sin, cos2, sin2, 1) of the
+    grid angles and each row's 5x5 matrix M, and the first point
+    (row-major) within 1e-14 of the minimum."""
+    ang = np.arange(64) * (2.0 * math.pi / 64)
+    h = np.stack([np.cos(ang), np.sin(ang), np.cos(2.0 * ang), np.sin(2.0 * ang), np.ones(64)], axis=1)
+    m = np.zeros((len(coef), 5, 5))
+    m[:, :2, :2] = coef[:, 4:].reshape(-1, 2, 2)
+    m[:, 2:4, 4] = coef[:, :2]
+    m[:, 4, 2:4] = coef[:, 2:4]
+    i, j = np.divmod([squeezing.first_min_index(h @ (mk @ h.T)) for mk in m], 64)
+    return ang[i], ang[j]
+
+
+def test_half_grid_argmin_equals_the_full_grid():
+    product_pair = FAMILIES["product_pair"]
+    draws = {
+        "seed-11 dense": _dense_draw(11),
+        "two-stage cells": two_stage_amplitudes(np.linspace(0.0, 3.0, 60)),
+        # K = 0: the minima come in exact fourfold ties
+        "product_pair cells": np.concatenate(list(product_pair.cell_blocks(
+            product_pair.axis_grids(product_pair.sweep_grid)))),
+    }
+    for name, c in draws.items():
+        coef = _plane_plane_coefficients(c)
+        want = _full_grid_argmin(coef)
+        one = np.array([[a[0] for a in _grid_argmin(k[None])] for k in coef]).T
+        assert np.array_equal(one[0], want[0]) and np.array_equal(one[1], want[1]), name
+        # a row's angles do not depend on the chunk it falls in
+        for size in (31, 32, 33, 65):
+            got = [np.concatenate(a) for a in zip(*(_grid_argmin(coef[lo:lo + size])
+                                                    for lo in range(0, len(coef), size)))]
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (name, size)
+    s, t = _grid_argmin(np.empty((0, 8)))
+    assert s.shape == t.shape == (0,)
+
+
+def test_grid_table_rows_are_the_harmonics_of_a_coefficient_row():
+    # coef . table[:, k] + const is the numerator at grid point k = 64 i + j,
+    # (s, t) = (i, j) 2 pi / 64, with const = tr G1 + tr G2
+    for amps in _dense_draw(5, 4):
+        mom = Moments(CoupledState(amps))
+        e1 = frame_bases(mom.mean1 / mom.mag1)[0]
+        e2 = frame_bases(mom.mean2 / mom.mag2)[0]
+        coef = _harmonics(mom.mom1, mom.mom2, mom.cross_mat, e1, e2)
+        const = np.trace(e1 @ mom.mom1 @ e1.T) + np.trace(e2 @ mom.mom2 @ e2.T)
+        for k in (0, 1, 63, 64, 700, 1234, 2047):
+            s, t = (a * (2.0 * math.pi / 64) for a in divmod(k, 64))
+            u = math.cos(s) * e1[0] + math.sin(s) * e1[1]
+            v = math.cos(t) * e2[0] + math.sin(t) * e2[1]
+            numer = (2.0 * mom.variance(1, u) + 2.0 * mom.variance(2, v)
+                     + 4.0 * mom.cross_correlation(u, v))
+            assert coef @ _GRID_TABLE[:, k] + const == pytest.approx(numer, abs=1e-12)
 
 
 @pytest.mark.parametrize("size", [_BATCH_ROWS - 1, _BATCH_ROWS, 2000])
