@@ -91,14 +91,12 @@ def _parse_grid(text: str):
     return np.linspace(start, stop, count)
 
 
-def _policy_from_name(name: str):
-    if name == "fixed":
-        return Fixed(_LAB_FRAME, _LAB_FRAME)
-    if name == "aligned":
-        return MeanSpinAligned()
-    if name == "optimized":
-        return Optimized()
-    raise ValueError(f"unknown policy {name!r}")
+# the --policy names, in --help order, and the frame policy each builds
+_POLICIES = {
+    "fixed": lambda: Fixed(_LAB_FRAME, _LAB_FRAME),
+    "aligned": MeanSpinAligned,
+    "optimized": Optimized,
+}
 
 
 def _load_initial(name_or_path: str):
@@ -140,7 +138,7 @@ def cmd_xi(args) -> int:
     except (OSError, StateFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_STATE
-    report = squeezing_report(state, _policy_from_name(args.policy))
+    report = squeezing_report(state, _POLICIES[args.policy]())
     lines = [
         ("xi", _fmt(report.xi)),
         ("valid", "true" if report.valid else "false"),
@@ -190,7 +188,7 @@ def cmd_sweep(args, parser: _Parser) -> int:
                                              stages=_EVOLVE_SWEEPS[args.kind]), parser)
     family = _SWEEP_FAMILIES[args.kind]
     grids = _resolve_grids(family, args.grid, parser)
-    policy = _policy_from_name(args.policy) if args.policy else family.policy()
+    policy = _POLICIES[args.policy]() if args.policy else family.policy()
     # every value is computed before the output file is opened, so a
     # rejected grid point leaves no partial file behind
     try:
@@ -322,7 +320,7 @@ def cmd_evolve(args, parser: _Parser) -> int:
     except (OSError, StateFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_STATE
-    policy = _policy_from_name(args.policy or "optimized")
+    policy = _POLICIES[args.policy or "optimized"]()
     if args.stages == 1:
         return _write_trajectory(args, parser, state0, pair_exchange_generator(), policy)
     if args.tau1 is None:
@@ -345,14 +343,13 @@ def build_parser() -> _Parser:
 
     p_xi = sub.add_parser("xi", help="squeezing report for a state file")
     p_xi.add_argument("--state", required=True, help="state file (JSON)")
-    p_xi.add_argument("--policy", choices=("fixed", "aligned", "optimized"),
-                      default="optimized")
+    p_xi.add_argument("--policy", choices=_POLICIES, default="optimized")
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
     p_sweep.add_argument("kind", choices=sorted([*_SWEEP_FAMILIES, *_EVOLVE_SWEEPS]))
     p_sweep.add_argument("--grid", action="append", type=_parse_grid,
                          metavar="START:STOP:COUNT")
-    p_sweep.add_argument("--policy", choices=("fixed", "aligned", "optimized"))
+    p_sweep.add_argument("--policy", choices=_POLICIES)
     p_sweep.add_argument("--out", required=True)
 
     p_check = sub.add_parser("check", help="closed-form discrepancy report")
@@ -366,7 +363,7 @@ def build_parser() -> _Parser:
                       help="fixed stage-1 time (two-stage only); omit to search")
     p_ev.add_argument("--grid", action="append", type=_parse_grid,
                       metavar="START:STOP:COUNT")
-    p_ev.add_argument("--policy", choices=("fixed", "aligned", "optimized"))
+    p_ev.add_argument("--policy", choices=_POLICIES)
     p_ev.add_argument("--out", required=True)
     return parser
 

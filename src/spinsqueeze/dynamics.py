@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_hermiticity
+from .linalg import check_hermiticity, hermitian_eigh
 from .spin import raising_lowering, spin1_matrices, embed
 from .states import NORM_TOL, CoupledState
-from .squeezing import FramePolicy, Optimized, block_cells, first_min_index, xi_batch
+from .squeezing import FramePolicy, Optimized, first_min_index, xi_batch
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,7 @@ class Propagator:
 
     def __init__(self, generator: Generator):
         self.generator = generator
-        if generator.kind == "hermitian":
-            herm = generator.matrix
-        else:
-            herm = 1j * generator.matrix
-        w, v = np.linalg.eigh(herm)
-        self._w = w
-        self._v = v
+        self._w, self._v = hermitian_eigh(generator.matrix, generator.kind)
 
     def at(self, tau: float) -> np.ndarray:
         phases = np.exp(-1j * tau * self._w)
@@ -173,8 +167,8 @@ def trajectory(
     Each stage is (generator, tau grid); stage n+1 starts from the last state
     of stage n and its grid counts time from that point.  The recorded
     tau_grid is cumulative; a stage whose grid starts at 0 contributes no
-    duplicate sample for the boundary state.  xi_batch evaluates the
-    propagated amplitudes in the blocks of block_cells, 512 at a time.
+    duplicate sample for the boundary state.  One xi_batch call evaluates
+    all the propagated amplitudes, in its blocks of at most 512 rows.
     """
     if policy is None:
         policy = Optimized()
@@ -195,7 +189,7 @@ def trajectory(
             labels.extend(gen.label for _ in g)
             origin = taus[-1]
     amps = np.concatenate(blocks).reshape(-1, 3, 3)
-    xi = np.concatenate([xi_batch(amps[b], policy) for b in block_cells(len(amps), 1)])
+    xi = xi_batch(amps, policy)
     return Trajectory(np.array(taus), amps, xi, policy, labels)
 
 
@@ -213,27 +207,21 @@ def two_stage_minimum(
     tau1_grid: np.ndarray,
     tau2_grid: np.ndarray,
     policy: FramePolicy | None = None,
-    first: Generator | None = None,
-    second: Generator | None = None,
 ) -> TwoStageScan:
     """Scan xi over pair-exchange time tau1 then cross-quadratic time tau2.
 
     Returns the full xi surface plus the grid minimum; ties within 1e-14
     resolve to the lexicographically lowest (tau1, tau2).  nan entries
     (undefined xi) are ignored by the minimum.  All cell states come from
-    one batched propagation (144 bytes per cell), and xi_batch evaluates
-    them under any policy in the blocks of block_cells: as many whole tau1
-    rows as fit in 512 cells, or 512 cells when a row is longer.
+    one batched propagation (144 bytes per cell), and one xi_batch call
+    evaluates them under any policy (default Optimized()), in its blocks of
+    at most 512 cells.
     """
-    if policy is None:
-        policy = Optimized()
     g1 = _check_grid(tau1_grid)
     g2 = _check_grid(tau2_grid)
-    prop1 = Propagator(first if first is not None else pair_exchange_generator())
-    prop2 = Propagator(second if second is not None else cross_quadratic_generator())
+    prop1, prop2 = Propagator(pair_exchange_generator()), Propagator(cross_quadratic_generator())
     amps = prop2.propagate(prop1.propagate(state0.vec, g1), g2).reshape(-1, 3, 3)
-    xi = np.concatenate([xi_batch(amps[b], policy)
-                         for b in block_cells(len(amps), g2.size)]).reshape(g1.size, g2.size)
+    xi = xi_batch(amps, policy).reshape(g1.size, g2.size)
     i, j = np.unravel_index(_first_min(xi), xi.shape)
     return TwoStageScan(g1, g2, xi, float(xi[i, j]), (float(g1[i]), float(g2[j])))
 

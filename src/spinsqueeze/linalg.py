@@ -67,6 +67,13 @@ def expectation(state, op) -> complex:
     return complex(psi.conj() @ (a @ psi))
 
 
+def hermitian_eigh(m, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the Hermitian matrix associated with a matrix m of hermiticity
+    tag ``kind``: m itself, or i*m for an anti-Hermitian m (whose spectrum
+    is then -i times the real eigenvalues)."""
+    return np.linalg.eigh(m if kind == "hermitian" else 1j * m)
+
+
 def matrix_exponential(m, scale, kind: str | None = None) -> np.ndarray:
     """exp(scale * m) for a Hermitian or anti-Hermitian matrix m.
 
@@ -87,11 +94,6 @@ def matrix_exponential(m, scale, kind: str | None = None) -> np.ndarray:
         if kind is None:
             raise ValueError("matrix is neither Hermitian nor anti-Hermitian within tolerance")
     check_hermiticity(a, kind)
-    if kind == "hermitian":
-        w, v = np.linalg.eigh(a)
-        eigs = w.astype(complex)
-    else:
-        # i*m is Hermitian with real eigenvalues w; m itself has -i*w.
-        w, v = np.linalg.eigh(1j * a)
-        eigs = -1j * w
+    w, v = hermitian_eigh(a, kind)
+    eigs = w.astype(complex) if kind == "hermitian" else -1j * w
     return (v * np.exp(scale * eigs)) @ v.conj().T

@@ -642,38 +642,38 @@ def _aligned_n_perp(mean: np.ndarray, mag: np.ndarray) -> np.ndarray:
     return u
 
 
-# cells per xi_batch call of the grid scans: two_stage_minimum and sweep
+# rows per xi_batch block: about 1 MB of work space under Optimized
 _BLOCK_CELLS = 512
 
 
-def block_cells(cells: int, row: int) -> list[slice]:
-    """The xi_batch blocks of a grid of ``cells`` cells whose first-axis
-    rows hold ``row`` cells: as many whole rows as fit in _BLOCK_CELLS or,
-    when a row is longer, _BLOCK_CELLS cells."""
-    step = _BLOCK_CELLS // row * row or _BLOCK_CELLS
-    return [slice(lo, min(lo + step, cells)) for lo in range(0, cells, step)]
+def _blocks(n: int) -> list[np.ndarray]:
+    """The row indices of n rows in xi_batch's blocks: equal blocks of at
+    most _BLOCK_CELLS rows, cut as np.array_split cuts them, so no block is
+    one row beside others (moment_tables rounds a single row otherwise)."""
+    return np.array_split(np.arange(n), -(-n // _BLOCK_CELLS) or 1)
 
 
 def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
     """xi for a stack of normalized amplitude matrices (N, 3, 3) under any
     frame policy (default Optimized()), nan where undefined; equal to
     squeezing_report(CoupledState(c[k]), policy).xi to 1e-12 relative (the
-    last bits can differ).  Moments and xi are evaluated for all rows at
-    once, along the Fixed frames' n_perp, MeanSpinAligned's rule on the
-    rows, or the directions of _optimized_uv, whose open plane-plane rows
-    share one dual solve and whose rows with one vanishing mean spin share
-    one _sphere_circle call; rows with two are nan.  No row goes through
-    squeezing_report.
-    Memory is linear in N, about 1.5 KB per state under Optimized plus a
-    fixed 0.4 MB, so every grid caller (Family.xi_grid, trajectory and
-    two_stage_minimum) passes blocks of at most _BLOCK_CELLS = 512 states,
-    cut by block_cells: about 1 MB of work space per call.
+    last bits can differ).  Moments and xi are evaluated for all rows of a
+    block at once, along the Fixed frames' n_perp, MeanSpinAligned's rule
+    on the rows, or the directions of _optimized_uv, whose open plane-plane
+    rows share one dual solve and whose rows with one vanishing mean spin
+    share one _sphere_circle call; rows with two are nan.  No row goes
+    through squeezing_report.
+    More than _BLOCK_CELLS = 512 rows go in the equal blocks of _blocks,
+    so memory is about 1.5 KB per row of a block under Optimized plus a
+    fixed 0.4 MB; a row's xi is the same in any block of two or more rows.
     """
     if policy is None:
         policy = Optimized()
     if not isinstance(policy, (Fixed, MeanSpinAligned, Optimized)):
         raise TypeError(f"unknown frame policy {policy!r}")
     c = np.asarray(c, dtype=complex).reshape(-1, 3, 3)
+    if len(c) > _BLOCK_CELLS:
+        return np.concatenate([xi_batch(c[rows], policy) for rows in _blocks(len(c))])
     if not np.all(np.abs(np.linalg.norm(c.reshape(-1, 9), axis=1) - 1.0) <= NORM_TOL):
         raise ValueError("xi_batch requires normalized amplitudes")
     tables = moment_tables(c)
@@ -826,9 +826,10 @@ def puri_parameter(s: Spin1State) -> float:
 # Each closed form takes scalars or arrays of parameters (of one shape, or
 # broadcasting).  At scalars it returns a float and raises
 # ZeroDenominatorError where its denominator vanishes; at arrays it returns
-# an array, nan there.  Array elements equal the scalar results bit for bit:
-# numpy's real arithmetic, cos and sqrt round as Python's and math's do, and
-# the complex arithmetic of xi_config3 is spelled out in _PyComplex.
+# an array, nan there.  Array elements equal the scalar results bit for bit,
+# as both go through numpy's array arithmetic: xi_config3 takes scalars as
+# one-element arrays, because numpy rounds a product of complex scalars (as
+# Python does) otherwise than one of complex arrays.
 
 
 def _denominator(den, tol: float, what: str):
@@ -845,45 +846,6 @@ def _denominator(den, tol: float, what: str):
 def _value(x):
     """A closed form's result: a float at scalar parameters, else the array."""
     return float(x) if np.ndim(x) == 0 else x
-
-
-class _PyComplex:
-    """Complex numbers held as arrays of real and imaginary parts and
-    combined as Python combines complex numbers, so an array of them rounds
-    element by element like the Python scalars.  numpy's own complex
-    product, complex-by-real quotient and abs do not: they differ in the
-    last bit for about a third of random operands."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0.0):
-        self.re, self.im = re, im
-
-    @classmethod
-    def of(cls, z) -> "_PyComplex":
-        z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
-        return cls(z.real, z.imag)
-
-    def __add__(self, w):
-        return _PyComplex(self.re + w.re, self.im + w.im)
-
-    def __sub__(self, w):
-        return _PyComplex(self.re - w.re, self.im - w.im)
-
-    def __mul__(self, w):
-        return _PyComplex(self.re * w.re - self.im * w.im, self.re * w.im + self.im * w.re)
-
-    def __rmul__(self, x: float):
-        # Python promotes the real factor to complex(x, 0.0)
-        return _PyComplex(x) * self
-
-    def __abs__(self):
-        return np.hypot(self.re, self.im)
-
-
-# x ** 2 as Python's float power (the C library's pow) rounds it; numpy's
-# ** 2 is x * x, which differs in the last bit for about 1 value in 1,200
-_POW2 = np.frompyfunc(lambda x: x ** 2, 1, 1)
 
 
 def xi_product_pair(theta1, theta2):
@@ -950,8 +912,9 @@ def xi_config3(c12, c21, c23):
     is evaluated as written and nan is returned when the result has a
     non-negligible imaginary part (recorded as UNDEFINED by the harness).
     """
-    c12, c21, c23 = (_PyComplex.of(c) for c in (c12, c21, c23))
-    den = _denominator(np.asarray(_POW2(abs(c12)), dtype=float) + abs(c21 * c21 - c23 * c23),
+    shape = np.broadcast(c12, c21, c23).shape
+    c12, c21, c23 = (np.atleast_1d(np.asarray(c, dtype=complex)) for c in (c12, c21, c23))
+    den = _denominator((abs(c12) ** 2 + abs(c21 * c21 - c23 * c23)).reshape(shape),
                        1e-12, "mean-spin lengths vanish")
     num = (
         3.0 * c12 * c12
@@ -960,9 +923,9 @@ def xi_config3(c12, c21, c23):
         - 2.0 * c21 * c23
         + 4.0 * c12 * c21
         - 4.0 * c12 * c23
-    )
-    # Python divides a complex by a real part by part
-    re, im = num.re / den, num.im / den
+    ).reshape(shape)
+    # part by part: numpy's complex-by-real quotient multiplies by a reciprocal
+    re, im = num.real / den, num.imag / den
     return _value(np.where(abs(im) > 1e-9 * np.fmax(1.0, abs(re)), np.nan, re))
 
 
@@ -1038,7 +1001,7 @@ class Family:
     def cell_blocks(self, grids):
         """The normalized amplitude stacks (M, 3, 3) of the cells of the
         grid ``grids`` (one array per axis) in row-major order, in the
-        xi_batch blocks of block_cells.  Product states are broadcast outer
+        xi_batch blocks of _blocks.  Product states are broadcast outer
         products of one amplitude table per factor, as states.product forms
         them; configurations are built on each block's axis arrays.  A grid
         point that a builder rejects raises GridPointError."""
@@ -1052,8 +1015,7 @@ class Family:
                     name, grid = next(swept)
                     tables.append(np.array([_built((name,), (t,), f, t).amps for t in grid]))
             left, right = tables
-        for block in block_cells(math.prod(shape), math.prod(shape[1:])):
-            index = np.arange(block.start, block.stop)
+        for index in _blocks(math.prod(shape)):
             if self.config is None:
                 i, j = np.divmod(index, len(right))
                 yield left[i, :, None] * right[j, None, :]

@@ -374,7 +374,7 @@ def test_sweep_cells_equal_per_cell_reports(tmp_path, capsys, kind, policy):
         except ZeroDenominatorError:
             closed = float("nan")
         assert row[-1] == cli._fmt(closed)
-        rep = squeezing_report(state, cli._policy_from_name(policy))
+        rep = squeezing_report(state, cli._POLICIES[policy]())
         got = float(row[-2])
         if rep.valid:
             assert abs(got - rep.xi) <= 1e-12 * abs(rep.xi), (row, rep.xi)
@@ -398,22 +398,23 @@ def _engine_block_sizes(monkeypatch, argv) -> list[int]:
 
 
 @pytest.mark.parametrize("kind, grids, sizes", [
-    # 30-cell rows: 17 whole rows (510 cells) per call
-    ("product", ["0.1:1.0:40", "0.2:2.0:30"], [510, 510, 180]),
+    ("product", ["0.1:1.0:40", "0.2:2.0:30"], [400, 400, 400]),
     ("product", ["0.1:1.0:4", "0.2:2.0:5"], [20]),
-    # one axis: every row is one cell
-    ("mixed", ["0.1:3.0:1100"], [512, 512, 76]),
+    ("mixed", ["0.1:3.0:1100"], [367, 367, 366]),
     ("config2", ["0.2:1.4:3", "0.1:1.0:6"], [18]),
-    ("config3", ["0.3:1.2:30", "0.3:1.2:3", "0:1:2", "0:2:4"], [504, 216]),
-    # rows longer than 512 cells: 512 cells at a time
-    ("product", ["0.1:3.0:3", "0.05:3.1:700"], [512] * 4 + [52]),
-    ("config1", ["0.2:1.4:2", "0.1:1.0:600"], [512, 512, 176]),
+    ("config3", ["0.3:1.2:30", "0.3:1.2:3", "0:1:2", "0:2:4"], [360, 360]),
+    ("product", ["0.1:3.0:3", "0.05:3.1:700"], [420] * 5),
+    ("config1", ["0.2:1.4:2", "0.1:1.0:600"], [400, 400, 400]),
+    # 513 cells: two blocks, not 512 cells and a one-cell block
+    ("mixed", ["0.1:3.0:513"], [257, 256]),
 ], ids=["product-rows", "product-one-block", "mixed", "config2", "config3",
-        "product-long-rows", "config1-long-rows"])
+        "product-long-rows", "config1-long-rows", "mixed-513"])
 def test_sweep_engine_blocks_are_whole_rows_up_to_512_cells(tmp_path, capsys, monkeypatch,
                                                             kind, grids, sizes):
-    """Each xi_batch call of a sweep takes as many whole first-axis rows as
-    fit in 512 cells or, when a row is longer, the next 512 cells."""
+    """Each xi_batch call of a sweep takes one of the equal blocks of at
+    most 512 cells, in row-major order, that np.array_split cuts the grid
+    into (a block may end inside a first-axis row), so no call takes one
+    cell beside others."""
     argv = ["sweep", kind, "--out", str(tmp_path / "s.csv")]
     for g in grids:
         argv += ["--grid", g]
@@ -489,14 +490,14 @@ def test_check_report(tmp_path, capsys):
 
 
 def test_check_is_the_grid_evaluator_on_the_check_grids(tmp_path, capsys, monkeypatch):
-    """`check` makes one xi_batch call per block_cells block of each check
-    grid, and its records equal per-cell compare_closed_forms: the same
-    families, params, closed forms and flags, the engine within
-    1e-12 max(1, |xi|)."""
+    """`check` makes one xi_batch call per block of each check grid (equal
+    blocks of at most 512 cells), and its records equal per-cell
+    compare_closed_forms: the same families, params, closed forms and
+    flags, the engine within 1e-12 max(1, |xi|)."""
     sizes = _engine_block_sizes(monkeypatch, ["check", "--out", str(tmp_path / "r.txt")])
     capsys.readouterr()
-    # product 30x30 rows, mixed 100 one-cell rows, config1/2 15x15, config3 two 12x12 grids
-    assert sizes == [510, 390, 100, 225, 225, 144, 144]
+    # product 30x30, mixed 100, config1/2 15x15, config3 two 12x12 grids
+    assert sizes == [450, 450, 100, 225, 225, 144, 144]
     monkeypatch.undo()
     records = squeezing.run_standard_comparisons()
     assert list(records) == list(squeezing.FAMILIES)

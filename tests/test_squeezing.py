@@ -43,9 +43,9 @@ from spinsqueeze import (
 from spinsqueeze import squeezing
 from spinsqueeze.spin import Frame, cross3, frame_bases
 from spinsqueeze.states import Spinor, load_state, save_state, schwinger
-from spinsqueeze.squeezing import (_BATCH_ROWS, _GRID_TABLE, _PLANE_M, _POW2, DEGENERATE_MEAN_SPIN,
+from spinsqueeze.squeezing import (_BATCH_ROWS, _GRID_TABLE, _PLANE_M, DEGENERATE_MEAN_SPIN,
                                    FAMILIES, _certified, _dual_min, _grid_argmin, _harmonics,
-                                   _min_transverse_variance, _newton, _newton_rows, _PyComplex,
+                                   _min_transverse_variance, _newton, _newton_rows,
                                    family_summary, moment_tables, standard_comparison_grids,
                                    xi_batch)
 
@@ -485,14 +485,32 @@ def test_xi_batch_equals_reports_across_the_batch_threshold(size, monkeypatch):
         counted(name)
     xi = xi_batch(c[rows], Optimized())
     assert bool(calls.get("_newton_rows")) == (size >= _BATCH_ROWS)
-    # one dual solve takes every open row, the four above among them
-    ((m, _, _),) = calls["_dual_min"]
+    # one dual solve per block of at most 512 rows takes its open rows,
+    # the four above among them
+    assert len(calls["_dual_min"]) == -(-size // 512)
+    m = np.concatenate([args[0] for args in calls["_dual_min"]])
     want = (_plane_plane_coefficients(c[first]) @ _PLANE_M).reshape(-1, 4, 4)
     assert all(np.isclose(m, w, rtol=0.0, atol=1e-14).all(axis=(1, 2)).any() for w in want)
     monkeypatch.undo()
     for got, row in zip(xi, c[rows]):
         rep = squeezing_report(CoupledState(row), Optimized())
         assert abs(got - rep.xi) <= 1e-12 * abs(rep.xi)
+
+
+def test_xi_batch_hands_the_optimizer_at_most_512_rows(monkeypatch):
+    """xi_batch cuts 1,100 rows into equal blocks of at most 512: no
+    _optimized_uv call sees more, and every row is evaluated once."""
+    sizes = []
+    optimized_uv = squeezing._optimized_uv
+
+    def recording(tables, *args):
+        sizes.append(len(tables[0]))
+        return optimized_uv(tables, *args)
+
+    monkeypatch.setattr(squeezing, "_optimized_uv", recording)
+    xi = xi_batch(_dense_draw(11)[:1100], Optimized())
+    assert sizes == [367, 367, 366]
+    assert xi.shape == (1100,) and not np.isnan(xi).any()
 
 
 # ------------------------------------------------------ batched engine
@@ -571,6 +589,16 @@ def test_xi_batch_makes_no_report(policy, monkeypatch):
     assert [k for k, x in enumerate(xi) if math.isnan(x)] == [degenerate.index(2)]
 
 
+@_POLICIES
+def test_xi_batch_rows_do_not_depend_on_their_block(policy):
+    """A row's xi is the same bits in xi_batch's blocks of 1,025 rows (342,
+    342 and 341) as in slices of two (and one of three) rows: the blocks
+    that xi_batch cuts do not move a byte."""
+    c = _dense_draw(11, 1025)
+    sliced = np.concatenate([xi_batch(b, policy) for b in np.array_split(c, 512)])
+    assert np.array_equal(xi_batch(c, policy).view(np.int64), sliced.view(np.int64))
+
+
 def test_fixed_takes_only_frames():
     # without the check, an array in place of a Frame fails only later, in
     # the engine, with an AttributeError on n_perp
@@ -583,6 +611,11 @@ def test_fixed_takes_only_frames():
 def test_xi_batch_rejects_unnormalized_and_unknown_policy():
     with pytest.raises(ValueError, match="normalized"):
         xi_batch(2.0 * CoupledState.basis(1, 1).c[None], MeanSpinAligned())
+    # in the last of xi_batch's blocks too
+    c = np.repeat(CoupledState.basis(1, 1).c[None], 600, axis=0)
+    c[-1] *= 2.0
+    with pytest.raises(ValueError, match="normalized"):
+        xi_batch(c, MeanSpinAligned())
     with pytest.raises(TypeError):
         xi_batch(CoupledState.basis(1, 1).c[None], "aligned")
 
@@ -1237,6 +1270,13 @@ def test_config3_closed_form():
     assert xi_config3(0.6, 0.5, 0.3) == pytest.approx(4.384615384615383, abs=1e-12)
     # complex amplitudes make the printed expression non-real: undefined
     assert math.isnan(xi_config3(0.6, 0.5 * np.exp(0.7j), 0.3))
+    # scalars give a float and raise where the denominator vanishes;
+    # arrays give nan there
+    assert type(xi_config3(0.6, 0.5, 0.3)) is float
+    with pytest.raises(ZeroDenominatorError):
+        xi_config3(0.0, 0.5, -0.5)
+    got = xi_config3(np.array([0.0, 0.6]), 0.5, np.array([-0.5, 0.3]))
+    assert math.isnan(got[0]) and got[1] == xi_config3(0.6, 0.5, 0.3)
 
 
 def test_diagonal_family_optimized_form(rng):
@@ -1369,28 +1409,6 @@ def test_closed_forms_on_arrays_equal_the_scalar_forms_bit_for_bit(name):
             assert np.all(np.isnan(got))
         if label == "phases":
             assert np.count_nonzero(~np.isnan(got)) > 100
-
-
-def test_py_complex_rounds_like_python_complex(rng):
-    """_PyComplex arithmetic on arrays and _POW2 equal Python's complex and
-    float operations element for element, where numpy's own differ."""
-    a = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
-    b = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
-    x = rng.uniform(0.0, 3.0, 5000)
-    za, zb = _PyComplex.of(a), _PyComplex.of(b)
-    pairs = list(zip(a.tolist(), b.tolist(), x.tolist()))
-    for got, want in (
-        (za * zb, [p * q for p, q, _ in pairs]),
-        (za + zb, [p + q for p, q, _ in pairs]),
-        (za - zb, [p - q for p, q, _ in pairs]),
-        (3.0 * za, [3.0 * p for p, _, _ in pairs]),
-    ):
-        assert _same_bits(got.re, np.real(want)) and _same_bits(got.im, np.imag(want))
-    assert _same_bits(abs(za), [abs(p) for p, _, _ in pairs])
-    assert _same_bits(np.asarray(_POW2(x), dtype=float), [t ** 2 for _, _, t in pairs])
-    # the reason for both: numpy's complex product and its x ** 2 round otherwise
-    assert not _same_bits((a * b).real, [(p * q).real for p, q, _ in pairs])
-    assert not _same_bits(x ** 2, [t ** 2 for _, _, t in pairs])
 
 
 # ---------------------------------------------- single-subsystem gauges
