@@ -1,5 +1,8 @@
 """Spin-1 operators, two-subsystem embeddings, spin moments, and frames.
 
+Every spin moment of a coupled state is a block of one Gram matrix, that of
+the vectors psi, S1k psi and S2l psi (moment_tables).
+
 Basis convention used throughout the package: the three levels of each
 spin-1 subsystem are ordered by magnetic quantum number m = +1, 0, -1, so
 Sz = diag(1, 0, -1).  In that ordering
@@ -87,39 +90,25 @@ def embed(op, subsystem: int) -> np.ndarray:
 
 
 _AXES = (SX, SY, SZ)
-# Flattened-trace forms: Tr(rho A) = A.T.ravel() . rho.ravel(), so stacking
-# the transposed operators turns all moment traces into single matvecs.  The
-# second moments are those of the symmetrized products (Sk Sl + Sl Sk)/2.
-_MEAN_FLAT = np.stack([s.T.reshape(9) for s in _AXES])
-_SYM_FLAT = np.stack([((a @ b + b @ a) / 2.0).T.reshape(9) for a in _AXES for b in _AXES])
-_CROSS_FLAT = np.stack([np.kron(a, b).T.reshape(81) for a in _AXES for b in _AXES])
-
-# rows per BLAS product: OpenBLAS splits larger ones over its threads
-_BLAS_ROWS = 64
+# psi's float view (18 reals) @ _GRAM_TABLE is the float views of psi, S1x psi,
+# S1y psi, S1z psi, S2x psi, S2y psi and S2z psi side by side: row r holds the
+# operators applied to the complex vector whose float view is unit vector r
+_GRAM_TABLE = np.concatenate([(np.eye(18).view(complex) @ op.T).view(float) for op in (
+    np.eye(9), *(embed(s, 1) for s in _AXES), *(embed(s, 2) for s in _AXES))], axis=1)
 
 
-def moment_tables(c: np.ndarray):
-    """The first and second spin moments of a stack of amplitude matrices
-    (N, 3, 3): the mean spins (mean1, mean2) of shape (N, 3), and of shape
-    (N, 3, 3) each subsystem's Re<(Sk Sl + Sl Sk)/2> (mom1, mom2) and the
-    cross matrix <Sk (x) Sl> (cross_mat), from stacked matrix products in
-    equal blocks of at most _BLAS_ROWS rows (a one-row block would be a
-    matrix-vector product, whose rounding differs)."""
-    if len(c) > _BLAS_ROWS:
-        blocks = [moment_tables(b) for b in np.array_split(c, -(-len(c) // _BLAS_ROWS))]
-        return tuple(np.concatenate(parts) for parts in zip(*blocks))
-    ch = c.conj()
-    r1 = (c @ ch.transpose(0, 2, 1)).reshape(-1, 9)
-    r2 = (c.transpose(0, 2, 1) @ ch).reshape(-1, 9)
-    psi = c.reshape(-1, 9)
-    big = (psi[:, :, None] * ch.reshape(-1, 1, 9)).reshape(-1, 81)
-    return (
-        (r1 @ _MEAN_FLAT.T).real,
-        (r2 @ _MEAN_FLAT.T).real,
-        (r1 @ _SYM_FLAT.T).real.reshape(-1, 3, 3),
-        (r2 @ _SYM_FLAT.T).real.reshape(-1, 3, 3),
-        (big @ _CROSS_FLAT.T).real.reshape(-1, 3, 3),
-    )
+def moment_tables(c: np.ndarray) -> np.ndarray:
+    """The Gram matrices G (N, 7, 7), G_ij = Re<z_i, z_j>, of the 9-vectors
+    z = (psi, S1x psi, S1y psi, S1z psi, S2x psi, S2y psi, S2z psi) of a
+    stack of amplitude matrices c (N, 3, 3).  The operators are Hermitian
+    and the two subsystems' commute, so G holds every spin moment: the mean
+    spins G[:, 0, 1:4] and G[:, 0, 4:], each subsystem's second moments
+    Re<(Sk Sl + Sl Sk)/2> G[:, 1:4, 1:4] and G[:, 4:, 4:], and the cross
+    matrix <Sk (x) Sl> G[:, 1:4, 4:].  Two real products per row, of the
+    same shapes whatever N, so a row's G is the same bits in any stack."""
+    x = np.ascontiguousarray(c, dtype=complex).reshape(-1, 1, 9).view(float)
+    z = (x @ _GRAM_TABLE).reshape(-1, 7, 18)
+    return z @ z.transpose(0, 2, 1)
 
 
 def mean_spin(state, subsystem: int) -> tuple[np.ndarray, float]:
@@ -133,7 +122,7 @@ def mean_spin(state, subsystem: int) -> tuple[np.ndarray, float]:
     c = np.asarray(getattr(state, "c", state), dtype=complex)
     if c.shape not in ((9,), (3, 3)):
         raise ValueError(f"expected a 3x3 amplitude matrix or 9-vector, got shape {c.shape}")
-    vec = moment_tables(c.reshape(1, 3, 3))[subsystem - 1][0]
+    vec = moment_tables(c)[0, 0, 1:].reshape(2, 3)[subsystem - 1]
     return vec, float(np.linalg.norm(vec))
 
 
@@ -273,7 +262,8 @@ def _bases(triad, directions) -> np.ndarray:
 
 def frame_bases(directions) -> np.ndarray:
     """build_frame's [n_perp, n_perp2], shape (N, 2, 3), for each row of an
-    (N, 3) stack of unit directions, bit for bit, without Frame objects."""
+    (N, 3) stack of directions (bit for bit where they are unit vectors:
+    _bases divides each by its length), without Frame objects."""
     return _bases(_triad, directions)
 
 

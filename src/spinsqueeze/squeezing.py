@@ -137,34 +137,51 @@ class SqueezingReport:
 # engine
 # --------------------------------------------------------------------------
 
+# 1 on the two diagonal 3x3 blocks of a 6x6 matrix, 0 on the cross blocks
+_DIAGONAL_BLOCKS = np.kron(np.eye(2), np.ones((3, 3)))
+
+
+def _covariance(g: np.ndarray) -> np.ndarray:
+    """The numerator matrices Sigma (N, 6, 6) of Gram matrices G (N, 7, 7):
+    G[:, 1:, 1:] less m m^T (m = G[:, 0, 1:], the mean spins) on each
+    diagonal block, the cross block raw, so that the numerator of xi at unit
+    directions z = (u, v) is 2 z.Sigma.z."""
+    m = g[:, 0, 1:]
+    return g[:, 1:, 1:] - _DIAGONAL_BLOCKS * (m[:, :, None] * m[:, None])
+
+
 class Moments:
     """First and second spin moments of a coupled state.
 
-    mean1/mean2 are the mean-spin vectors; mom1/mom2 the real symmetric
-    matrices Re<(Sk Sl + Sl Sk)/2> per subsystem; cross the real matrix
-    <Sk (x) Sl>.  Together they determine xi for any direction pair.
-    ``tables`` holds them as moment_tables returns them, with a leading
-    axis of one row, for the engine's row functions.
+    mean1/mean2 (the mean-spin vectors), mom1/mom2 (the real symmetric
+    matrices Re<(Sk Sl + Sl Sk)/2> per subsystem) and cross_mat (the real
+    matrix <Sk (x) Sl>) are blocks of ``gram``, moment_tables' G.  variance
+    and cross_correlation read blocks of ``sigma``, _covariance's Sigma,
+    which the engine's row functions take whole (both with a leading axis
+    of one row).  Together they determine xi for any direction pair.
     """
 
-    __slots__ = ("tables", "mean1", "mag1", "mean2", "mag2", "mom1", "mom2", "cross_mat")
+    __slots__ = ("gram", "sigma", "mean1", "mag1", "mean2", "mag2", "mom1", "mom2", "cross_mat")
 
     def __init__(self, state: CoupledState):
-        self.tables = moment_tables(state.c[None])
-        self.mean1, self.mean2, self.mom1, self.mom2, self.cross_mat = (t[0] for t in self.tables)
+        self.gram = moment_tables(state.c[None])
+        self.sigma = _covariance(self.gram)
+        g = self.gram[0]
+        # copied, so that the mean spins a report keeps do not hold all of G
+        self.mean1, self.mean2 = g[0, 1:].reshape(2, 3).copy()
+        self.mom1, self.mom2, self.cross_mat = g[1:4, 1:4], g[4:, 4:], g[1:4, 4:]
         self.mag1 = _length(self.mean1)
         self.mag2 = _length(self.mean2)
 
     def variance(self, subsystem: int, direction: np.ndarray) -> float:
-        m = self.mean1 if subsystem == 1 else self.mean2
-        mom = self.mom1 if subsystem == 1 else self.mom2
-        var = float(direction @ mom @ direction) - float(m @ direction) ** 2
+        cov = self.sigma[0, :3, :3] if subsystem == 1 else self.sigma[0, 3:, 3:]
+        var = float(direction @ cov @ direction)
         if -1e-12 <= var < 0.0:
             var = 0.0
         return var
 
     def cross_correlation(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(u @ self.cross_mat @ v)
+        return float(u @ self.sigma[0, :3, 3:] @ v)
 
     def xi_parts(self, u: np.ndarray, v: np.ndarray) -> tuple[float, float, float, float]:
         """(xi, var1, var2, cross) along u and v; xi is nan when both mean
@@ -195,29 +212,48 @@ _GRID_ANGLES = np.arange(_GRID) * _CELL
 _GRID_CHUNK = 32
 
 
+def _project(sigma: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """2 F Sigma F^T, F = diag(f1, f2), for numerator matrices Sigma (N, 6,
+    6) and bases f1 (N, k1, 3), f2 (N, k2, 3) as rows: the numerator's
+    matrix in the coordinates (y1, y2) of u = y1.f1 and v = y2.f2, exactly
+    symmetric (P + P^T for P = F Sigma F^T)."""
+    k1 = f1.shape[1]
+    f = np.zeros((len(sigma), k1 + f2.shape[1], 6))
+    f[:, :k1, :3], f[:, k1:, 3:] = f1, f2
+    p = f @ sigma @ f.swapaxes(1, 2)
+    return p + p.swapaxes(1, 2)
+
+
 # The plane-plane numerator.  With u(s) = cos(s) a1 + sin(s) b1 and v(t)
-# likewise, 2 Var(S1.u) + 2 Var(S2.v) + 4 <(S1.u)(x)(S2.v)> equals
+# likewise, z = (cos s, sin s, cos t, sin t), the numerator is const + z.M.z
+# for M the projection on the bases [a1, b1], [a2, b2] less half of each
+# block's trace on its diagonal (_plane_matrix), which is
 #
 #     const + p cos2s + q sin2s + r cos2t + w sin2t
 #           + [cos s, sin s] K [cos t, sin t]^T
 #
-# (means vanish transverse to the mean spin, so the variances are pure
-# second harmonics).  A coefficient row is (p, q, r, w, k00, k01, k10, k11).
+# with (p, q) = (M00, M01), (r, w) = (M22, M23) and K = 2 M[:2, 2:].  A
+# coefficient row is (p, q, r, w, k00, k01, k10, k11).
 
-def _harmonics(mom1, mom2, cross_mat, e1, e2) -> np.ndarray:
-    """Coefficient rows (..., 8) from second moments (..., 3, 3) and
-    transverse bases e = [a, b] (..., 2, 3): stacks, or one state's 2-D
-    arrays (the products per state are the same)."""
-    g1 = e1 @ mom1 @ e1.swapaxes(-1, -2)
-    g2 = e2 @ mom2 @ e2.swapaxes(-1, -2)
-    k = e1 @ cross_mat @ e2.swapaxes(-1, -2)
-    out = np.empty(k.shape[:-2] + (8,))
-    out[..., 0] = g1[..., 0, 0] - g1[..., 1, 1]
-    out[..., 1] = 2.0 * g1[..., 0, 1]
-    out[..., 2] = g2[..., 0, 0] - g2[..., 1, 1]
-    out[..., 3] = 2.0 * g2[..., 0, 1]
-    out[..., 4:] = 4.0 * k.reshape(k.shape[:-2] + (4,))
-    return out
+def _plane_matrix(sigma: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """The plane-plane M (N, 4, 4) of numerator matrices Sigma (N, 6, 6) and
+    transverse bases e = [a, b] (N, 2, 3)."""
+    m = _project(sigma, e1, e2)
+    # a block's diagonal (a, b) less half its trace is ((a - b)/2, (b - a)/2)
+    d = m.reshape(-1, 16)[:, ::5]
+    half = (d[:, ::2] - d[:, 1::2]) / 2.0
+    d[:, ::2], d[:, 1::2] = half, -half
+    return m
+
+
+# the entries of a flattened M in a coefficient row, and their factors
+_COEF_ENTRIES = np.array([0, 1, 10, 11, 2, 3, 6, 7])
+_COEF_FACTORS = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
+
+
+def _coefficients(m: np.ndarray) -> np.ndarray:
+    """The coefficient rows (N, 8) of plane-plane matrices M (N, 4, 4)."""
+    return m.reshape(-1, 16)[:, _COEF_ENTRIES] * _COEF_FACTORS
 
 
 # coef @ _GRID_TABLE is the numerator less its constant on the grid's half
@@ -418,25 +454,19 @@ def _dual_step(row: list, lam: list, x: list, nu: int):
     return phi, None
 
 
-# coef @ _PLANE_M is M of a coefficient row, flattened: z.M.z is the
-# numerator less its constant at z = (cos s, sin s, cos t, sin t)
-_PLANE_M = np.zeros((8, 4, 4))      # rows p, q, r, w, then K / 2
-_PLANE_M[[0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 0, 1, 2, 3, 2, 3], [0, 1, 1, 0, 2, 3, 3, 2]] = \
-    [1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0]
-_PLANE_M[[4, 4, 5, 5, 6, 6, 7, 7], [0, 2, 0, 3, 1, 2, 1, 3], [2, 0, 3, 0, 2, 1, 3, 1]] = 0.5
-_PLANE_M = _PLANE_M.reshape(8, 16)
-
 # plane-plane rows from which Newton and the certificate run on arrays
 _BATCH_ROWS = 64
 
 
-def _plane_plane_min(coef: np.ndarray) -> np.ndarray:
+def _plane_plane_min(m: np.ndarray) -> np.ndarray:
     """The numerator's global minimizers z = (cos s, sin s, cos t, sin t)
-    (N, 4) for coefficient rows (N, 8): grid argmin, joint Newton, and the
-    point if _certified proves it global; every other row (a rejected step
-    or an unproven point) goes into one _dual_min call started there.
-    Newton and the certificate run per row on floats below _BATCH_ROWS
-    rows, on arrays from there on, with the same arithmetic."""
+    (N, 4) for plane-plane matrices M (N, 4, 4): on their coefficient rows
+    grid argmin, joint Newton, and the point if _certified proves it
+    global; every other row (a rejected step or an unproven point) goes
+    into one _dual_min call on M started there.  Newton and the certificate
+    run per row on floats below _BATCH_ROWS rows, on arrays from there on,
+    with the same arithmetic."""
+    coef = _coefficients(m)
     s, t = _grid_argmin(coef)
     if len(coef) < _BATCH_ROWS:
         rows = coef.tolist()
@@ -450,23 +480,24 @@ def _plane_plane_min(coef: np.ndarray) -> np.ndarray:
         z = np.stack([np.cos(s), np.sin(s), np.cos(t), np.sin(t)], axis=1)
         rest = np.flatnonzero(~(converged & _certified(table, s, t)))
     if len(rest):
-        z[rest] = _dual_min((coef[rest] @ _PLANE_M).reshape(-1, 4, 4), 2, z[rest])[0]
+        z[rest] = _dual_min(m[rest], 2, z[rest])[0]
     return z
 
 
 # One degenerate subsystem d: its direction u runs over the whole sphere and
-# the other's v = w0 a + w1 b over its transverse circle.  In z = (y, w), y
-# the coordinates of u in the eigenbasis q of A = 2 (mom_d - mean_d mean_d^T),
-# the numerator is z.M.z with M = [[diag(alpha), B^T], [B, 2 G]]: alpha the
-# eigenvalues of A, B = 2 [a, b] C^T q with C the cross matrix oriented
-# (d, other), G the other's covariance on [a, b].
+# the other's v = w0 a + w1 b over its transverse circle.  With Sigma's
+# blocks ordered (d, other) and y the coordinates of u in the eigenbasis q of
+# A = 2 Sigma_dd, the numerator is z.M.z in z = (y, w) for the projection M
+# on q and [a, b], which is [[diag(alpha), B^T], [B, 2 G]]: alpha the
+# eigenvalues of A, B = 2 [a, b] C^T q with C the cross block, G the other's
+# covariance on [a, b].
 
 
-def _sphere_circle(tables, second: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) (N, 3) minimizing the numerator, for the moment tables (mean1,
-    mean2, mom1, mom2, cross_mat) of rows with one vanishing mean spin,
-    subsystem 2's where ``second`` (N,) is True, and the other subsystem's
-    transverse bases e = [a, b] (N, 2, 3) of build_frame.
+def _sphere_circle(sigma, second: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) (N, 3) minimizing the numerator, for the numerator matrices
+    Sigma (N, 6, 6) of rows with one vanishing mean spin, subsystem 2's
+    where ``second`` (N,) is True, and the other subsystem's transverse
+    bases e = [a, b] (N, 2, 3) of build_frame.
 
     _dual_min alone solves the rows, started at the separable point of the
     lowest eigenvectors of A and G; its first eigh certifies that point
@@ -475,18 +506,13 @@ def _sphere_circle(tables, second: np.ndarray, e: np.ndarray) -> tuple[np.ndarra
     steps on its KKT system (_kkt_newton).  Signs: w lies on the half-circle
     of angles [0, pi), with (y, w) flipped jointly, and where B vanishes (to
     _TIE_TOL of sum|M|) u's largest-magnitude component is positive."""
-    mean1, mean2, mom1, mom2, cross_mat = tables
-    s2, s3 = second[:, None], second[:, None, None]
-    mean_d, mean_o = np.where(s2, mean2, mean1), np.where(s2, mean1, mean2)
-    mom_d, mom_o = np.where(s3, mom2, mom1), np.where(s3, mom1, mom2)
-    cross = np.where(s3, cross_mat.swapaxes(1, 2), cross_mat)
-    alpha, q = np.linalg.eigh(2.0 * (mom_d - mean_d[:, :, None] * mean_d[:, None]))
-    g = e @ (mom_o - mean_o[:, :, None] * mean_o[:, None]) @ e.swapaxes(1, 2)
-    b = 2.0 * e @ cross.swapaxes(1, 2) @ q
-    m = np.zeros((len(e), 5, 5))
-    m[:, [0, 1, 2], [0, 1, 2]] = alpha
-    m[:, 3:, :3], m[:, :3, 3:], m[:, 3:, 3:] = b, b.swapaxes(1, 2), 2.0 * g
+    # each row's blocks in the order (d, other)
+    order = np.where(second[:, None], np.r_[3:6, 0:3], np.arange(6))
+    sigma = sigma[np.arange(len(sigma))[:, None, None], order[:, :, None], order[:, None]]
+    q = np.linalg.eigh(sigma[:, :3, :3])[1]
+    m = _project(sigma, q.swapaxes(1, 2), e)
     # G's lowest eigenvector is w = (cos t, sin t) at 2t = atan2(-2 g01, g11 - g00)
+    g = m[:, 3:, 3:]
     t = 0.5 * np.arctan2(-2.0 * g[:, 0, 1], g[:, 1, 1] - g[:, 0, 0])
     start = np.zeros((len(e), 5))
     start[:, 0], start[:, 3], start[:, 4] = 1.0, np.cos(t), np.sin(t)
@@ -498,9 +524,9 @@ def _sphere_circle(tables, second: np.ndarray, e: np.ndarray) -> tuple[np.ndarra
     u = (q @ z[:, :3, None])[:, :, 0]
     v = z[:, 3:4] * e[:, 0] + z[:, 4:] * e[:, 1]
     lead = u[np.arange(len(u)), np.abs(u).argmax(axis=1)]
-    decoupled = np.abs(b).max(axis=(1, 2)) <= _TIE_TOL * np.abs(m).sum(axis=(1, 2))
+    decoupled = np.abs(m[:, 3:, :3]).max(axis=(1, 2)) <= _TIE_TOL * np.abs(m).sum(axis=(1, 2))
     u[decoupled & (lead < 0.0)] *= -1.0
-    return np.where(s2, v, u), np.where(s2, u, v)
+    return np.where(second[:, None], v, u), np.where(second[:, None], u, v)
 
 
 def _kkt_newton(m: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -532,18 +558,18 @@ def _kkt_newton(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _frame_from_transverse(n_dir: np.ndarray | None, t: np.ndarray) -> Frame:
+def _frame_from_transverse(mean: np.ndarray | None, t: np.ndarray) -> Frame:
     """Frame whose n_perp is the transverse direction t.
 
-    When the mean direction n_dir is known it becomes the frame's n and the
-    triad is completed right-handed; for a degenerate subsystem an arbitrary
-    completion around t is used.
+    When the mean spin is known its direction becomes the frame's n and the
+    triad is completed right-handed; for a degenerate subsystem (mean None)
+    an arbitrary completion around t is used.
     """
     t = t / _length(t)
-    if n_dir is None:
+    if mean is None:
         h = build_frame(t).n_perp
         return Frame._trusted(cross3(t.tolist(), h.tolist()), t, h)
-    n = n_dir / _length(n_dir)
+    n = mean / _length(mean)
     # remove any rounding component of t along n so the triad is exact
     t = t - float(t @ n) * n
     t = t / _length(t)
@@ -566,19 +592,18 @@ def _aligned_gauge(mean, mag):
     return d, live & _in_xz(y, z)
 
 
-def _optimized_uv(tables, mag1: np.ndarray, mag2: np.ndarray, second: np.ndarray | None):
-    """Optimized's directions (u, v), each (N, 3), for the moment tables
-    (mean1, mean2, mom1, mom2, cross_mat) of N rows: where both mean spins
-    (of lengths mag1, mag2) are nonzero, when ``second`` is None, by
+def _optimized_uv(mean: np.ndarray, sigma: np.ndarray, second: np.ndarray | None):
+    """Optimized's directions (u, v), each (N, 3), for the mean spins (N, 6)
+    (mean1, mean2 side by side) and numerator matrices Sigma (N, 6, 6) of N
+    rows: where both mean spins are nonzero, when ``second`` is None, by
     _plane_plane_min on build_frame's transverse bases; else where one
     vanishes, subsystem 2's where ``second`` (N,) is True, by _sphere_circle.
     squeezing_report passes its one row, xi_batch each class of its rows."""
-    mean1, mean2, mom1, mom2, cross_mat = tables
+    mean1, mean2 = mean[:, :3], mean[:, 3:]
     if second is not None:
-        d = np.where(second[:, None], mean1, mean2) / np.where(second, mag1, mag2)[:, None]
-        return _sphere_circle(tables, second, frame_bases(d))
-    e1, e2 = frame_bases(mean1 / mag1[:, None]), frame_bases(mean2 / mag2[:, None])
-    z = _plane_plane_min(_harmonics(mom1, mom2, cross_mat, e1, e2))
+        return _sphere_circle(sigma, second, frame_bases(np.where(second[:, None], mean1, mean2)))
+    e1, e2 = frame_bases(mean1), frame_bases(mean2)
+    z = _plane_plane_min(_plane_matrix(sigma, e1, e2))
     return z[:, :1] * e1[:, 0] + z[:, 1:2] * e1[:, 1], z[:, 2:3] * e2[:, 0] + z[:, 3:] * e2[:, 1]
 
 
@@ -607,9 +632,9 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
                           (_aligned_gauge(mom.mean1, mom.mag1), _aligned_gauge(mom.mean2, mom.mag2)))
     elif isinstance(policy, Optimized):
         second = np.array([2 in degenerate]) if degenerate else None
-        (u,), (v,) = _optimized_uv(mom.tables, np.array([mom.mag1]), np.array([mom.mag2]), second)
-        frame1 = _frame_from_transverse(None if 1 in degenerate else mom.mean1 / mom.mag1, u)
-        frame2 = _frame_from_transverse(None if 2 in degenerate else mom.mean2 / mom.mag2, v)
+        (u,), (v,) = _optimized_uv(mom.gram[:, 0, 1:], mom.sigma, second)
+        frame1 = _frame_from_transverse(None if 1 in degenerate else mom.mean1, u)
+        frame2 = _frame_from_transverse(None if 2 in degenerate else mom.mean2, v)
     else:
         raise TypeError(f"unknown frame policy {policy!r}")
 
@@ -648,8 +673,8 @@ _BLOCK_CELLS = 512
 
 def _blocks(n: int) -> list[np.ndarray]:
     """The row indices of n rows in xi_batch's blocks: equal blocks of at
-    most _BLOCK_CELLS rows, cut as np.array_split cuts them, so no block is
-    one row beside others (moment_tables rounds a single row otherwise)."""
+    most _BLOCK_CELLS rows, cut as np.array_split cuts them.  The cut bounds
+    memory only: a row's xi is the same bits in any block."""
     return np.array_split(np.arange(n), -(-n // _BLOCK_CELLS) or 1)
 
 
@@ -662,10 +687,10 @@ def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
     on the rows, or the directions of _optimized_uv, whose open plane-plane
     rows share one dual solve and whose rows with one vanishing mean spin
     share one _sphere_circle call; rows with two are nan.  No row goes
-    through squeezing_report.
+    through squeezing_report; each numerator is 2 z.Sigma.z at z = (u, v).
     More than _BLOCK_CELLS = 512 rows go in the equal blocks of _blocks,
     so memory is about 1.5 KB per row of a block under Optimized plus a
-    fixed 0.4 MB; a row's xi is the same in any block of two or more rows.
+    fixed 0.4 MB; a row's xi is the same bits in any block, alone too.
     """
     if policy is None:
         policy = Optimized()
@@ -676,34 +701,24 @@ def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
         return np.concatenate([xi_batch(c[rows], policy) for rows in _blocks(len(c))])
     if not np.all(np.abs(np.linalg.norm(c.reshape(-1, 9), axis=1) - 1.0) <= NORM_TOL):
         raise ValueError("xi_batch requires normalized amplitudes")
-    tables = moment_tables(c)
-    mags = np.linalg.norm(tables[0], axis=1), np.linalg.norm(tables[1], axis=1)
-    deg1, deg2 = (mag < DEGENERATE_MEAN_SPIN for mag in mags)
-
-    def variance(mom, mean, d):
-        # as Moments.variance, including its clamp of roundoff below 0
-        var = np.einsum("ni,nij,nj->n", d, mom, d) - np.einsum("ni,ni->n", mean, d) ** 2
-        return np.where((var < 0.0) & (var >= -1e-12), 0.0, var)
-
+    g = moment_tables(c)
+    mean, sigma = g[:, 0, 1:], _covariance(g)
+    mag1, mag2 = np.linalg.norm(mean[:, :3], axis=1), np.linalg.norm(mean[:, 3:], axis=1)
+    deg1, deg2 = mag1 < DEGENERATE_MEAN_SPIN, mag2 < DEGENERATE_MEAN_SPIN
     xi = np.full(len(c), np.nan)
     # the plane-plane rows, then those with one degenerate subsystem
     plane, sphere = np.flatnonzero(~(deg1 | deg2)), np.flatnonzero(deg1 != deg2)
     for rows, second in ((plane, None), (sphere, deg2[sphere])):
         if not rows.size:
             continue
-        part = [t[rows] for t in tables]
-        mean1, mean2, m1, m2, cm = part
-        mag1, mag2 = (mag[rows] for mag in mags)
         if isinstance(policy, Fixed):
-            u = np.broadcast_to(policy.frame1.n_perp, mean1.shape)
-            v = np.broadcast_to(policy.frame2.n_perp, mean2.shape)
+            z = np.tile(np.concatenate([policy.frame1.n_perp, policy.frame2.n_perp]), (len(rows), 1))
         elif isinstance(policy, MeanSpinAligned):
-            u, v = _aligned_n_perp(mean1, mag1), _aligned_n_perp(mean2, mag2)
+            z = np.concatenate([_aligned_n_perp(mean[rows, :3], mag1[rows]),
+                                _aligned_n_perp(mean[rows, 3:], mag2[rows])], axis=1)
         else:
-            u, v = _optimized_uv(part, mag1, mag2, second)
-        numer = (2.0 * variance(m1, mean1, u) + 2.0 * variance(m2, mean2, v)
-                 + 4.0 * np.einsum("ni,nij,nj->n", u, cm, v))
-        xi[rows] = numer / (mag1 + mag2)
+            z = np.concatenate(_optimized_uv(mean[rows], sigma[rows], second), axis=1)
+        xi[rows] = 2.0 * np.einsum("ni,nij,nj->n", z, sigma[rows], z) / (mag1[rows] + mag2[rows])
     return xi
 
 
@@ -783,22 +798,16 @@ def xi_oracle(state: CoupledState, frame1: Frame, frame2: Frame) -> float:
 def _min_transverse_variance(s: Spin1State) -> tuple[float, float]:
     """(min in-plane variance, mean-spin length) for one spin-1 state.
 
-    For zero mean spin the minimum runs over the whole sphere (smallest
-    eigenvalue of the second-moment matrix).  The moments of s are those of
+    The least eigenvalue of the covariance on the transverse plane, or on
+    the whole sphere for zero mean spin.  The moments of s are those of
     subsystem 1 in s (x) |m=+1>.
     """
     moments = Moments(product(s, Spin1State.basis(1)))
-    mean, mom, mag = moments.mean1, moments.mom1, moments.mag1
-    if mag < DEGENERATE_MEAN_SPIN:
-        return float(np.linalg.eigvalsh(mom).min()), mag
-    frame = build_frame(mean / mag)
-    a, b = frame.n_perp, frame.n_perp2
-    pa = float(a @ mom @ a) - float(mean @ a) ** 2
-    qb = float(b @ mom @ b) - float(mean @ b) ** 2
-    rab = float(a @ mom @ b) - float(mean @ a) * float(mean @ b)
-    mid = (pa + qb) / 2.0
-    rad = math.hypot((pa - qb) / 2.0, rab)
-    return mid - rad, mag
+    mag = moments.mag1
+    # twice the covariance on the whole sphere or on build_frame's plane
+    f = np.eye(3) if mag < DEGENERATE_MEAN_SPIN else frame_bases(moments.mean1[None])[0]
+    m = _project(moments.sigma, f[None], np.zeros((1, 0, 3)))
+    return float(np.linalg.eigvalsh(m[0])[0]) / 2.0, mag
 
 
 def ku_parameter(s: Spin1State) -> float:

@@ -330,8 +330,8 @@ def config(kind: int, alpha: float, beta: float, phi1: float = 0.0, phi2: float 
 def transverse_expectations(state: CoupledState) -> np.ndarray:
     """(<Sx x 1>, <1 x Sx>, <Sy x 1>, <1 x Sy>) -- all four vanish exactly
     when both mean spins point along z."""
-    mean1, mean2 = (m[0] for m in moment_tables(state.c[None])[:2])
-    return np.array([mean1[0], mean2[0], mean1[1], mean2[1]])
+    # the mean spins are G[0, 1:4] and G[0, 4:] of the Gram matrix
+    return moment_tables(state.c)[0, 0, [1, 4, 2, 5]]
 
 
 def solve_z_alignment(*, c11, c12, c13, c22, c31, c32, c33) -> tuple[complex, complex]:

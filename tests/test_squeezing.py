@@ -43,9 +43,9 @@ from spinsqueeze import (
 from spinsqueeze import squeezing
 from spinsqueeze.spin import Frame, cross3, frame_bases
 from spinsqueeze.states import Spinor, load_state, save_state, schwinger
-from spinsqueeze.squeezing import (_BATCH_ROWS, _GRID_TABLE, _PLANE_M, DEGENERATE_MEAN_SPIN,
-                                   FAMILIES, _certified, _dual_min, _grid_argmin, _harmonics,
-                                   _min_transverse_variance, _newton, _newton_rows,
+from spinsqueeze.squeezing import (_BATCH_ROWS, _GRID_TABLE, DEGENERATE_MEAN_SPIN, FAMILIES,
+                                   _certified, _coefficients, _covariance, _dual_min, _grid_argmin,
+                                   _min_transverse_variance, _newton, _newton_rows, _plane_matrix,
                                    family_summary, moment_tables, standard_comparison_grids,
                                    xi_batch)
 
@@ -99,12 +99,23 @@ def test_moments_match_dense_operators(rng):
 def test_moment_tables_match_moments(rng):
     states = [random_coupled(rng) for _ in range(40)] + [
         CoupledState(c) for c in two_stage_amplitudes(np.linspace(0.0, 3.0, 6))]
-    tables = moment_tables(np.array([s.c for s in states]))
+    c = np.array([s.c for s in states])
+    g = moment_tables(c)
+    # a stacked row is its one-row call, bit for bit, and Moments reads it
     for k, state in enumerate(states):
         mom = Moments(state)
-        want = (mom.mean1, mom.mean2, mom.mom1, mom.mom2, mom.cross_mat)
-        for table, ref in zip(tables, want):
-            npt.assert_allclose(table[k], ref, rtol=0, atol=1e-15)
+        assert np.array_equal(g[k].view(np.int64), moment_tables(c[k:k + 1])[0].view(np.int64))
+        assert np.array_equal(g[k].view(np.int64), mom.gram[0].view(np.int64))
+        blocks = (g[k, 0, 1:4], g[k, 0, 4:], g[k, 1:4, 1:4], g[k, 4:, 4:], g[k, 1:4, 4:])
+        for block, ref in zip(blocks, (mom.mean1, mom.mean2, mom.mom1, mom.mom2, mom.cross_mat)):
+            assert np.array_equal(block, ref)
+    # the blocks against the spin matrices' own traces: the mean spins, and
+    # 2 Sigma = [[A1, C], [C^T, A2]] of the numerator u.A1.u + v.A2.v + 2 u.C.v
+    mean1, mean2, a1, a2, cross = _numerator_forms(c)
+    npt.assert_allclose(g[:, 0, 1:], np.concatenate([mean1, mean2], axis=1), rtol=0, atol=1e-15)
+    npt.assert_allclose(g[:, 0, 0], 1.0, rtol=0, atol=1e-15)
+    want = np.block([[a1, cross], [cross.transpose(0, 2, 1), a2]])
+    npt.assert_allclose(2.0 * _covariance(g), want, rtol=0, atol=4e-15)
 
 
 def test_frame_bases_equal_build_frame_exactly(rng):
@@ -151,6 +162,19 @@ def test_report_parts_recombine(rng):
     rep = squeezing_report(state, Fixed(random_frame(rng), random_frame(rng)))
     recombined = (2 * rep.var1 + 2 * rep.var2 + 4 * rep.cross) / (rep.mag1 + rep.mag2)
     assert rep.xi == pytest.approx(recombined, abs=1e-12)
+    # every policy's xi is the one quadratic form 2 z.Sigma.z at its frames
+    # z = (n_perp1, n_perp2), on dense states and on polar (x) random ones
+    # with one degenerate subsystem either way round
+    states = [random_coupled(rng) for _ in range(20)]
+    states += [product(_polar(rng), _random_spin1(rng)) for _ in range(5)]
+    states += [product(_random_spin1(rng), _polar(rng)) for _ in range(5)]
+    for policy in (Fixed(random_frame(rng), random_frame(rng)), MeanSpinAligned(), Optimized()):
+        for state in states:
+            rep = squeezing_report(state, policy)
+            z = np.concatenate([rep.frame1.n_perp, rep.frame2.n_perp])
+            numer = 2.0 * z @ Moments(state).sigma[0] @ z
+            assert abs(numer - rep.xi * (rep.mag1 + rep.mag2)) <= 1e-14 * abs(numer), policy
+    assert sum(len(squeezing_report(s).degenerate_subsystems) == 1 for s in states) == 10
 
 
 def test_oracle_agrees_under_aligned_and_optimized_frames(rng):
@@ -289,12 +313,16 @@ def _dense_draw(seed: int, n: int = 2000) -> np.ndarray:
     return c / np.linalg.norm(c.reshape(-1, 9), axis=1)[:, None, None]
 
 
+def _plane_plane_matrices(c: np.ndarray) -> np.ndarray:
+    """Optimized's plane-plane matrices M (N, 4, 4) for plane-plane states:
+    the numerator matrices projected on build_frame's transverse bases."""
+    g = moment_tables(c)
+    return _plane_matrix(_covariance(g), frame_bases(g[:, 0, 1:4]), frame_bases(g[:, 0, 4:]))
+
+
 def _plane_plane_coefficients(c: np.ndarray) -> np.ndarray:
     """Optimized's harmonic coefficient rows (N, 8) for plane-plane states."""
-    mean1, mean2, mom1, mom2, cross = moment_tables(c)
-    d1 = mean1 / np.linalg.norm(mean1, axis=1)[:, None]
-    d2 = mean2 / np.linalg.norm(mean2, axis=1)[:, None]
-    return _harmonics(mom1, mom2, cross, frame_bases(d1), frame_bases(d2))
+    return _coefficients(_plane_plane_matrices(c))
 
 
 @functools.lru_cache(maxsize=None)
@@ -446,13 +474,17 @@ def test_half_grid_argmin_equals_the_full_grid():
 
 def test_grid_table_rows_are_the_harmonics_of_a_coefficient_row():
     # coef . table[:, k] + const is the numerator at grid point k = 64 i + j,
-    # (s, t) = (i, j) 2 pi / 64, with const = tr G1 + tr G2
+    # (s, t) = (i, j) 2 pi / 64, with const = tr G1 + tr G2 for G the
+    # covariances on the transverse bases; so is z.M.z + const of the plane
+    # matrix M that the dual solve gets, z = (cos s, sin s, cos t, sin t)
     for amps in _dense_draw(5, 4):
         mom = Moments(CoupledState(amps))
-        e1 = frame_bases(mom.mean1 / mom.mag1)[0]
-        e2 = frame_bases(mom.mean2 / mom.mag2)[0]
-        coef = _harmonics(mom.mom1, mom.mom2, mom.cross_mat, e1, e2)
-        const = np.trace(e1 @ mom.mom1 @ e1.T) + np.trace(e2 @ mom.mom2 @ e2.T)
+        e1 = frame_bases(mom.mean1[None])[0]
+        e2 = frame_bases(mom.mean2[None])[0]
+        m = _plane_matrix(mom.sigma, e1[None], e2[None])
+        coef = _coefficients(m)[0]
+        cov1, cov2 = mom.sigma[0, :3, :3], mom.sigma[0, 3:, 3:]
+        const = np.trace(e1 @ cov1 @ e1.T) + np.trace(e2 @ cov2 @ e2.T)
         for k in (0, 1, 63, 64, 700, 1234, 2047):
             s, t = (a * (2.0 * math.pi / 64) for a in divmod(k, 64))
             u = math.cos(s) * e1[0] + math.sin(s) * e1[1]
@@ -460,6 +492,8 @@ def test_grid_table_rows_are_the_harmonics_of_a_coefficient_row():
             numer = (2.0 * mom.variance(1, u) + 2.0 * mom.variance(2, v)
                      + 4.0 * mom.cross_correlation(u, v))
             assert coef @ _GRID_TABLE[:, k] + const == pytest.approx(numer, abs=1e-12)
+            z = np.array([math.cos(s), math.sin(s), math.cos(t), math.sin(t)])
+            assert z @ m[0] @ z + const == pytest.approx(numer, abs=1e-12)
 
 
 @pytest.mark.parametrize("size", [_BATCH_ROWS - 1, _BATCH_ROWS, 2000])
@@ -489,7 +523,7 @@ def test_xi_batch_equals_reports_across_the_batch_threshold(size, monkeypatch):
     # the four above among them
     assert len(calls["_dual_min"]) == -(-size // 512)
     m = np.concatenate([args[0] for args in calls["_dual_min"]])
-    want = (_plane_plane_coefficients(c[first]) @ _PLANE_M).reshape(-1, 4, 4)
+    want = _plane_plane_matrices(c[first])
     assert all(np.isclose(m, w, rtol=0.0, atol=1e-14).all(axis=(1, 2)).any() for w in want)
     monkeypatch.undo()
     for got, row in zip(xi, c[rows]):
@@ -503,9 +537,9 @@ def test_xi_batch_hands_the_optimizer_at_most_512_rows(monkeypatch):
     sizes = []
     optimized_uv = squeezing._optimized_uv
 
-    def recording(tables, *args):
-        sizes.append(len(tables[0]))
-        return optimized_uv(tables, *args)
+    def recording(mean, *args):
+        sizes.append(len(mean))
+        return optimized_uv(mean, *args)
 
     monkeypatch.setattr(squeezing, "_optimized_uv", recording)
     xi = xi_batch(_dense_draw(11)[:1100], Optimized())
@@ -592,11 +626,14 @@ def test_xi_batch_makes_no_report(policy, monkeypatch):
 @_POLICIES
 def test_xi_batch_rows_do_not_depend_on_their_block(policy):
     """A row's xi is the same bits in xi_batch's blocks of 1,025 rows (342,
-    342 and 341) as in slices of two (and one of three) rows: the blocks
-    that xi_batch cuts do not move a byte."""
+    342 and 341) as in slices of two (and one of three) rows, and as in
+    one-row calls: the blocks that xi_batch cuts do not move a byte."""
     c = _dense_draw(11, 1025)
+    whole = xi_batch(c, policy).view(np.int64)
     sliced = np.concatenate([xi_batch(b, policy) for b in np.array_split(c, 512)])
-    assert np.array_equal(xi_batch(c, policy).view(np.int64), sliced.view(np.int64))
+    assert np.array_equal(whole, sliced.view(np.int64))
+    alone = np.concatenate([xi_batch(row[None], policy) for row in c[:300]])
+    assert np.array_equal(whole[:300], alone.view(np.int64))
 
 
 def test_fixed_takes_only_frames():
@@ -714,7 +751,7 @@ def test_a_nan_from_the_sphere_search_raises(monkeypatch, rng, sphere_side):
     """A nan on the sphere side fails build_frame; one on the circle side
     alone reaches the report's check."""
     nan3 = np.full(3, np.nan)
-    monkeypatch.setattr(squeezing, "_sphere_circle", lambda tables, second, e: tuple(
+    monkeypatch.setattr(squeezing, "_sphere_circle", lambda sigma, second, e: tuple(
         x[None] for x in ((nan3, sphere_side) if second[0] else (sphere_side, nan3))))
     for state in (product(_polar(rng), _random_spin1(rng)),
                   product(_random_spin1(rng), _polar(rng))):
@@ -979,9 +1016,8 @@ def test_dual_solve_recovers_the_hard_case():
     g = np.linspace(0.05, 3.1, 50)
     cells = [(16, 21), (17, 2), (17, 27), (17, 47), (31, 22), (32, 2), (32, 27), (32, 47)]
     c = np.array([config(3, g[i], g[j]).c for i, j in cells])
-    coef = _plane_plane_coefficients(c)
     products = [product(Spin1State.basis(1), canonical_squeezed(t)).c for t in g[::7]]
-    m = np.concatenate([(coef @ _PLANE_M).reshape(-1, 4, 4), _dual_problem(np.array(products))[0]])
+    m = np.concatenate([_plane_plane_matrices(c), _dual_problem(np.array(products))[0]])
     scale = np.abs(m).sum(axis=(1, 2))
     for start in ([1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]):
         z, bound = _dual_min(m, 2, np.tile(start, (len(m), 1)))
