@@ -27,7 +27,7 @@ import numpy as np
 
 from .linalg import check_hermiticity, hermitian_eigh
 from .spin import raising_lowering, spin1_matrices, embed
-from .states import NORM_TOL, CoupledState
+from .states import NORM_TOL, CoupledState, _norms
 from .squeezing import FramePolicy, Optimized, first_min_index, xi_batch
 
 
@@ -65,13 +65,6 @@ def cross_quadratic_generator() -> Generator:
     return Generator(h, "hermitian", "cross-quadratic")
 
 
-def _norms(amps: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis of a complex array, in place of
-    np.linalg.norm, which makes full-size temporaries."""
-    flat = amps.view(float)
-    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
-
-
 class Propagator:
     """Evolution operator family U(tau) for one generator.
 
@@ -96,9 +89,11 @@ class Propagator:
         """U(tau) psi for every 9-vector psi in vecs (shape (..., 9)) and
         every tau, renormalized: shape (..., len(taus), 9).
 
-        Raises ValueError when a tau makes a phase non-finite, or when a
-        result is not normalized to NORM_TOL (a non-finite input).
+        Raises ValueError unless every input and result is normalized to
+        NORM_TOL (a non-finite row fails), and when a tau makes a phase non-finite.
         """
+        if not np.all(np.abs(_norms(vecs) - 1.0) <= NORM_TOL):
+            raise ValueError("propagate requires normalized amplitudes")
         coeffs = np.asarray(vecs, dtype=complex) @ self._v.conj()
         with np.errstate(over="ignore", invalid="ignore"):
             phases = np.exp(-1j * np.multiply.outer(np.asarray(taus, dtype=float), self._w))

@@ -52,21 +52,23 @@ def raising_lowering() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dot3(a, b) -> float:
+    """a.b of 3-vectors, spelled out so that Python floats and arrays of rows
+    round alike; every spin-vector length is the square root of _dot3(v, v)."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _sumsq(v) -> float:
-    # spelled out rather than a dot product so that Python floats and
-    # arrays of rows round alike
-    x, y, z = v
-    return x * x + y * y + z * z
+def _direction(v: np.ndarray) -> list[float]:
+    """A real 3-vector divided by its length, as Python floats."""
+    a = v.tolist()
+    r = math.sqrt(_dot3(a, a))
+    return [w / r for w in a]
 
 
 def _unit(v, name: str = "direction") -> list[float]:
     """v as a unit 3-vector of Python floats, as numpy divides the array by
     its length."""
     a = np.asarray(v, dtype=float).reshape(3).tolist()
-    n2 = _sumsq(a)
+    n2 = _dot3(a, a)
     # written so that a nan length fails too
     if not abs(n2 - 1.0) <= _UNIT_TOL:
         raise ValueError(f"{name} must be a unit 3-vector, got |v|^2 = {n2}")
@@ -115,15 +117,17 @@ def mean_spin(state, subsystem: int) -> tuple[np.ndarray, float]:
     """Mean-spin vector (<Sx>, <Sy>, <Sz>) of one subsystem and its length,
     from moment_tables.
 
-    ``state`` may be a CoupledState, a 3x3 amplitude matrix, or a 9-vector.
+    ``state`` may be a CoupledState, a 3x3 amplitude matrix, or a 9-vector;
+    an array must pass CoupledState's check (shape, finite, norm 1).
     """
+    from .states import CoupledState  # states imports this module
+
     if subsystem not in (1, 2):
         raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
-    c = np.asarray(getattr(state, "c", state), dtype=complex)
-    if c.shape not in ((9,), (3, 3)):
-        raise ValueError(f"expected a 3x3 amplitude matrix or 9-vector, got shape {c.shape}")
-    vec = moment_tables(c)[0, 0, 1:].reshape(2, 3)[subsystem - 1]
-    return vec, float(np.linalg.norm(vec))
+    state = state if isinstance(state, CoupledState) else CoupledState(state)
+    vec = moment_tables(state.c)[0, 0, 1:].reshape(2, 3)[subsystem - 1]
+    v = vec.tolist()
+    return vec, math.sqrt(_dot3(v, v))
 
 
 def cross3(a, b) -> np.ndarray:
@@ -191,10 +195,10 @@ def _triad(x, y, z):
         p = [np.where(pole, 1.0 - x * x, -y), np.where(pole, 0.0 - x * y, x),
              np.where(pole, 0.0 - x * z, 0.0)]
         sqrt = np.sqrt
-    r = sqrt(_sumsq(p))
+    r = sqrt(_dot3(p, p))
     p = [w / r for w in p]
     q = [y * p[2] - z * p[1], z * p[0] - x * p[2], x * p[1] - y * p[0]]
-    r = sqrt(_sumsq(q))
+    r = sqrt(_dot3(q, q))
     return [x, y, z], p, [w / r for w in q]
 
 
@@ -215,7 +219,7 @@ def _triad_xz(x, y, z):
     if not (_in_xz(y, z) if one else np.all(_in_xz(y, z))):
         raise ValueError(_XZ_ERROR)
     z = max(z, 0.0) if one else np.maximum(z, 0.0)
-    r = (math.sqrt if one else np.sqrt)(x * x + z * z)
+    r = (math.sqrt if one else np.sqrt)(_dot3((x, 0.0, z), (x, 0.0, z)))
     x, z = x / r, z / r
     return [x, 0.0, z], [z, 0.0, -x], [0.0, 1.0, 0.0]
 
@@ -250,10 +254,8 @@ def _bases(triad, directions) -> np.ndarray:
     if not len(d):
         return np.empty((0, 2, 3))
     if len(d) == 1:
-        n = d[0].tolist()
-        r = math.sqrt(_sumsq(n))
-        return np.array([triad(*(w / r for w in n))[1:]])
-    _, p, q = triad(*(d.T / np.sqrt(_sumsq(d.T))))
+        return np.array([triad(*_direction(d[0]))[1:]])
+    _, p, q = triad(*(d.T / np.sqrt(_dot3(d.T, d.T))))
     out = np.empty((len(d), 6))
     for k, w in enumerate(p + q):
         out[:, k] = w

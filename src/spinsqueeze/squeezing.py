@@ -37,22 +37,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import (Frame, _in_xz, build_frame, build_frame_xz, cross3, frame_bases, frame_bases_xz,
-                   moment_tables)
-from .states import (NORM_TOL, CoupledState, Spin1State, canonical_squeezed, config_amplitudes,
-                     config_matrices, product)
+from .spin import (Frame, _direction, _dot3, _in_xz, build_frame, build_frame_xz, cross3,
+                   frame_bases, frame_bases_xz, moment_tables)
+from .states import (NORM_TOL, CoupledState, Spin1State, _norms, canonical_squeezed,
+                     config_amplitudes, config_matrices, product)
 
 DEGENERATE_MEAN_SPIN = 1e-9
 MATCH_TOL = 1e-10
 _TIE_TOL = 1e-14
 
 _ZHAT = np.array([0.0, 0.0, 1.0])
-
-
-def _length(v: np.ndarray) -> float:
-    """np.linalg.norm of a real 3-vector, by its own arithmetic (the square
-    root of v.dot(v)), without its overhead."""
-    return math.sqrt(float(v.dot(v)))
 
 
 class ZeroDenominatorError(ValueError):
@@ -170,8 +164,7 @@ class Moments:
         # copied, so that the mean spins a report keeps do not hold all of G
         self.mean1, self.mean2 = g[0, 1:].reshape(2, 3).copy()
         self.mom1, self.mom2, self.cross_mat = g[1:4, 1:4], g[4:, 4:], g[1:4, 4:]
-        self.mag1 = _length(self.mean1)
-        self.mag2 = _length(self.mean2)
+        self.mag1, self.mag2 = (math.sqrt(_dot3(m, m)) for m in g[0, 1:].reshape(2, 3).tolist())
 
     def variance(self, subsystem: int, direction: np.ndarray) -> float:
         cov = self.sigma[0, :3, :3] if subsystem == 1 else self.sigma[0, 3:, 3:]
@@ -565,14 +558,13 @@ def _frame_from_transverse(mean: np.ndarray | None, t: np.ndarray) -> Frame:
     triad is completed right-handed; for a degenerate subsystem (mean None)
     an arbitrary completion around t is used.
     """
-    t = t / _length(t)
+    t = np.array(_direction(t))
     if mean is None:
         h = build_frame(t).n_perp
         return Frame._trusted(cross3(t.tolist(), h.tolist()), t, h)
-    n = mean / _length(mean)
+    n = np.array(_direction(mean))
     # remove any rounding component of t along n so the triad is exact
-    t = t - float(t @ n) * n
-    t = t / _length(t)
+    t = np.array(_direction(t - float(t @ n) * n))
     return Frame._trusted(n, t, cross3(n.tolist(), t.tolist()))
 
 
@@ -699,11 +691,11 @@ def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
     c = np.asarray(c, dtype=complex).reshape(-1, 3, 3)
     if len(c) > _BLOCK_CELLS:
         return np.concatenate([xi_batch(c[rows], policy) for rows in _blocks(len(c))])
-    if not np.all(np.abs(np.linalg.norm(c.reshape(-1, 9), axis=1) - 1.0) <= NORM_TOL):
+    if not np.all(np.abs(_norms(c.reshape(-1, 9)) - 1.0) <= NORM_TOL):
         raise ValueError("xi_batch requires normalized amplitudes")
     g = moment_tables(c)
     mean, sigma = g[:, 0, 1:], _covariance(g)
-    mag1, mag2 = np.linalg.norm(mean[:, :3], axis=1), np.linalg.norm(mean[:, 3:], axis=1)
+    mag1, mag2 = (np.sqrt(_dot3(m, m)) for m in (mean[:, :3].T, mean[:, 3:].T))
     deg1, deg2 = mag1 < DEGENERATE_MEAN_SPIN, mag2 < DEGENERATE_MEAN_SPIN
     xi = np.full(len(c), np.nan)
     # the plane-plane rows, then those with one degenerate subsystem
@@ -1031,9 +1023,7 @@ class Family:
                 continue
             cell = [g[k] for g, k in zip(grids, np.unravel_index(index, shape))]
             c = config_matrices(self.config, config_amplitudes(self.config, *cell))
-            # CoupledState.normalized's norm, bit for bit: np.linalg.norm per
-            # row (its axis form and a sum of squares round differently)
-            norms = np.array([np.linalg.norm(a) for a in c])
+            norms = _norms(c.reshape(-1, 9))
             bad = np.flatnonzero(norms < NORM_TOL)
             if bad.size:  # the scalar builder raises its error for the first
                 _built(self.axes, [g[bad[0]] for g in cell], CoupledState.normalized, c[bad[0]])

@@ -45,15 +45,23 @@ class StateFormatError(ValueError):
     """A state file failed to parse or violated the state invariants."""
 
 
+def _norms(amps: np.ndarray) -> np.ndarray:
+    """The amplitude norm: Euclidean norms over the last axis of a complex
+    array, one einsum over its float view.  A row's norm is the same bits
+    alone or in any stack, and no full-size temporary is made."""
+    flat = np.ascontiguousarray(amps, dtype=complex).view(float)
+    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
+
+
 def _normalized(raw, shape, what: str) -> np.ndarray:
     a = np.asarray(raw, dtype=complex).reshape(shape)
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} contains non-finite amplitudes")
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if not math.isfinite(norm):  # finite amplitudes whose squares overflow
-        a = a / np.abs(a).max()
-        norm = float(np.linalg.norm(a))
+        norm = float(_norms(a.reshape(-1)))
+    if not math.isfinite(norm):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{what} contains non-finite amplitudes")
+        a = a / np.abs(a).max()  # finite amplitudes whose squares overflow
+        norm = float(_norms(a.reshape(-1)))
     if norm < NORM_TOL:
         raise ValueError(f"{what} has zero norm")
     return a / norm
@@ -67,8 +75,8 @@ class Spinor:
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi + 1e-12:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        if not (0.0 <= self.theta <= math.pi + 1e-12 and math.isfinite(self.phi)):
+            raise ValueError(f"need theta in [0, pi], finite phi; got {self.theta}, {self.phi}")
         object.__setattr__(self, "theta", float(min(self.theta, math.pi)))
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
@@ -91,7 +99,7 @@ class Spin1State:
     def __init__(self, amps):
         a = np.asarray(amps, dtype=complex).reshape(3)
         # written so that a nan norm fails too
-        if not abs(float(np.linalg.norm(a)) - 1.0) <= NORM_TOL:
+        if not abs(float(_norms(a)) - 1.0) <= NORM_TOL:
             raise ValueError("Spin1State requires normalized amplitudes")
         self.amps = a
 
@@ -120,16 +128,13 @@ class CoupledState:
             a = a.reshape(3, 3)
         if a.shape != (3, 3):
             raise ValueError(f"expected a 3x3 amplitude matrix, got shape {a.shape}")
-        if not abs(float(np.linalg.norm(a)) - 1.0) <= NORM_TOL:
+        if not abs(float(_norms(a.reshape(9))) - 1.0) <= NORM_TOL:
             raise ValueError("CoupledState requires normalized amplitudes")
         self.c = a
 
     @classmethod
     def normalized(cls, raw) -> "CoupledState":
-        a = np.asarray(raw, dtype=complex)
-        if a.shape == (9,):
-            a = a.reshape(3, 3)
-        return cls(_normalized(a, (3, 3), "coupled state"))
+        return cls(_normalized(raw, (3, 3), "coupled state"))
 
     @classmethod
     def basis(cls, m1: int, m2: int) -> "CoupledState":
@@ -261,8 +266,7 @@ def is_oriented(state: CoupledState, q1, q2, tol: float = 1e-10) -> bool:
         m = round(lam)
         if m not in (-1, 0, 1) or abs(lam - m) > tol:
             return False
-        residual = float(np.linalg.norm(op @ psi - m * psi))
-        if residual > tol:
+        if float(_norms(op @ psi - m * psi)) > tol:  # the eigen-residual
             return False
     return True
 
@@ -334,6 +338,14 @@ def transverse_expectations(state: CoupledState) -> np.ndarray:
     return moment_tables(state.c)[0, 0, [1, 4, 2, 5]]
 
 
+def _knowns(*values) -> list[complex]:
+    """Known amplitudes as complex numbers; ValueError if one is not finite."""
+    knowns = [complex(v) for v in values]
+    if not all(map(cmath.isfinite, knowns)):
+        raise ValueError("z-alignment amplitudes must be finite")
+    return knowns
+
+
 def solve_z_alignment(*, c11, c12, c13, c22, c31, c32, c33) -> tuple[complex, complex]:
     """Closed-form (c23, c21) completing a partial amplitude matrix so that
     both mean-spin vectors point along z.
@@ -345,13 +357,13 @@ def solve_z_alignment(*, c11, c12, c13, c22, c31, c32, c33) -> tuple[complex, co
               / (c11 + c31* - c13 - c33*)
         c21 = [ -(c13* + c33*) c23 - (c12* + c32) c22 ] / (c11 + c31)
 
-    Raises DegenerateDenominatorError when either denominator is below 1e-12.
+    Raises ValueError on a non-finite amplitude, and
+    DegenerateDenominatorError when either denominator is below 1e-12.
     Whether the completed state actually satisfies the transverse-expectation
     conditions is checked independently (see ``z_alignment_audit``); the
     transcription is kept verbatim either way.
     """
-    c11, c12, c13, c22 = complex(c11), complex(c12), complex(c13), complex(c22)
-    c31, c32, c33 = complex(c31), complex(c32), complex(c33)
+    c11, c12, c13, c22, c31, c32, c33 = _knowns(c11, c12, c13, c22, c31, c32, c33)
     den1 = c11 + c31.conjugate() - c13 - c33.conjugate()
     if abs(den1) <= 1e-12:
         raise DegenerateDenominatorError("c11 + c31* - c13 - c33* vanishes")
@@ -377,9 +389,9 @@ def complete_z_alignment_numeric(*, c11, c12, c13, c22, c31, c32, c33) -> tuple[
 
     These are real-linear in (c21, c23), giving a 4x4 real system solved
     exactly; used as the oracle against the closed-form completion.
+    ValueError on a non-finite amplitude.
     """
-    c11, c12, c13, c22 = complex(c11), complex(c12), complex(c13), complex(c22)
-    c31, c32, c33 = complex(c31), complex(c32), complex(c33)
+    c11, c12, c13, c22, c31, c32, c33 = _knowns(c11, c12, c13, c22, c31, c32, c33)
 
     def residual(z: complex, w: complex) -> np.ndarray:
         # z = c21, w = c23
@@ -510,7 +522,7 @@ def load_state(path) -> CoupledState:
     if not np.all(np.isfinite(vec)):
         raise StateFormatError("state file contains non-finite amplitudes")
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(vec))
+        norm = float(_norms(vec))
     if norm < NORM_TOL:
         raise StateFormatError("state file amplitudes have zero norm")
     if norm == math.inf:

@@ -31,6 +31,7 @@ from spinsqueeze import (
 from spinsqueeze import cli, squeezing
 from spinsqueeze.cli import EXIT_BAD_STATE, EXIT_OK, EXIT_UNDEFINED, EXIT_USAGE
 from spinsqueeze.cli import main as cli_main
+from spinsqueeze.states import _norms
 
 
 def main(argv):
@@ -639,13 +640,20 @@ def test_sweep_evolve_kinds_are_the_default_evolve_runs(tmp_path, capsys, sweep,
 
 
 @pytest.mark.parametrize("kind, grids", [*((k, g) for k, g in sorted(_SWEEP_GRIDS.items())),
-                                         ("config1", None)],
-                         ids=[*sorted(_SWEEP_GRIDS), "config1-default"])
-def test_sweep_block_states_equal_the_family_states(kind, grids):
+                                         ("config1", None), ("dense", None)],
+                         ids=[*sorted(_SWEEP_GRIDS), "config1-default", "dense"])
+def test_sweep_block_states_equal_the_family_states(kind, grids, rng):
     """Per cell, the state the sweep evaluates, the scalar builders' state
     and family_state at the cell's closed-form parameters agree bit for
-    bit; the full default config1 grid is where a vectorized norm of the
-    rows differs (168 of its 2,500 cells)."""
+    bit.  Random dense stacks over many scales, divided by their rows' norms
+    as cell_blocks divides a block, are CoupledState.normalized's states."""
+    if kind == "dense":
+        shape = (2500, 3, 3)
+        c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+            * 10.0 ** rng.integers(-8, 8, (2500, 1, 1))
+        for block, raw in zip(c / _norms(c.reshape(-1, 9))[:, None, None], c):
+            npt.assert_array_equal(block, CoupledState.normalized(raw).c)
+        return
     family = cli._SWEEP_FAMILIES[kind]
     grids = cli._resolve_grids(family, grids and [cli._parse_grid(g) for g in grids], None)
     blocks = np.concatenate(list(family.cell_blocks(grids)))

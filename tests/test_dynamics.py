@@ -206,6 +206,11 @@ def test_propagate_matches_single_state_evolution(rng):
     for state, row in zip(states, amps):
         for tau, a in zip(taus, row):
             npt.assert_allclose(a, prop.at(tau) @ state.vec, atol=1e-14)
+    # a row that is not normalized is rejected before propagation: norm 2,
+    # a zero vector (with no 0/0 warning) and non-finite rows
+    for bad in (2.0 * states[0].vec, np.zeros(9), np.full(9, np.nan), np.full(9, np.inf)):
+        with pytest.raises(ValueError, match="requires normalized"):
+            prop.propagate(np.array([states[1].vec, bad]), taus)
 
 
 def test_builtin_initial():

@@ -76,8 +76,16 @@ def test_mean_spin_matches_embedded_operators(rng):
         v, mag = mean_spin(st, sub)
         npt.assert_allclose(v, direct, atol=1e-13)
         assert mag == pytest.approx(np.linalg.norm(direct))
+        for amps in (st.c, st.vec):
+            got = mean_spin(amps, sub)
+            npt.assert_array_equal(got[0], v)
+            assert got[1] == mag
     with pytest.raises(ValueError):
         mean_spin(st, 3)
+    # an array must pass CoupledState's check: shape, finite and normalized
+    for bad in (np.full(9, np.nan), 2.0 * st.c, np.ones(4)):
+        with pytest.raises(ValueError):
+            mean_spin(bad, 1)
 
 
 def test_cross3_matches_numpy(rng):

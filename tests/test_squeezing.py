@@ -41,7 +41,7 @@ from spinsqueeze import (
     xi_product_pair,
 )
 from spinsqueeze import squeezing
-from spinsqueeze.spin import Frame, cross3, frame_bases
+from spinsqueeze.spin import Frame, _dot3, cross3, frame_bases
 from spinsqueeze.states import Spinor, load_state, save_state, schwinger
 from spinsqueeze.squeezing import (_BATCH_ROWS, _GRID_TABLE, DEGENERATE_MEAN_SPIN, FAMILIES,
                                    _certified, _coefficients, _covariance, _dual_min, _grid_argmin,
@@ -101,9 +101,14 @@ def test_moment_tables_match_moments(rng):
         CoupledState(c) for c in two_stage_amplitudes(np.linspace(0.0, 3.0, 6))]
     c = np.array([s.c for s in states])
     g = moment_tables(c)
-    # a stacked row is its one-row call, bit for bit, and Moments reads it
+    # xi_batch's mean-spin lengths of the rows
+    m1, m2 = g[:, 0, 1:4].T, g[:, 0, 4:].T
+    mag1, mag2 = np.sqrt(_dot3(m1, m1)), np.sqrt(_dot3(m2, m2))
+    # a stacked row is its one-row call, bit for bit, and Moments reads it,
+    # with the batch's lengths
     for k, state in enumerate(states):
         mom = Moments(state)
+        assert mom.mag1 == mag1[k] and mom.mag2 == mag2[k]
         assert np.array_equal(g[k].view(np.int64), moment_tables(c[k:k + 1])[0].view(np.int64))
         assert np.array_equal(g[k].view(np.int64), mom.gram[0].view(np.int64))
         blocks = (g[k, 0, 1:4], g[k, 0, 4:], g[k, 1:4, 1:4], g[k, 4:, 4:], g[k, 1:4, 4:])

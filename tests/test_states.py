@@ -64,6 +64,9 @@ def test_spinor_rejects_out_of_range():
         Spinor(-0.1, 0.0)
     with pytest.raises(ValueError):
         Spinor(math.pi + 0.2, 0.0)
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="phi"):
+            Spinor(0.5, phi)
 
 
 # ------------------------------------------------- schwinger / majorana
@@ -211,6 +214,12 @@ def test_solve_z_alignment_transcription():
 def test_solve_z_alignment_degenerate_denominator():
     with pytest.raises(DegenerateDenominatorError):
         solve_z_alignment(c11=0.3, c12=0.1, c13=0.3, c22=0.5, c31=0.2, c32=0.4, c33=0.2)
+    # a non-finite amplitude is rejected, not completed with nan
+    knowns = dict(c11=0.4, c12=0.1, c13=-0.3, c22=0.5, c31=0.2, c32=-0.6, c33=0.7)
+    for name, bad in (("c11", math.nan), ("c11", math.inf), ("c32", complex(0.1, -math.inf))):
+        for complete in (solve_z_alignment, complete_z_alignment_numeric):
+            with pytest.raises(ValueError, match="finite"):
+                complete(**{**knowns, name: bad})
 
 
 def test_numeric_completion_zeroes_transverse_means(rng):
