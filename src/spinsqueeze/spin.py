@@ -139,7 +139,7 @@ def cross3(a, b) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     """Right-handed orthonormal triad attached to a mean-spin direction.
 
@@ -179,7 +179,9 @@ class Frame:
         """A frame of float 3-vectors that its builder made orthonormal,
         without __post_init__'s checks."""
         frame = object.__new__(cls)
-        frame.__dict__.update(n=n, n_perp=n_perp, n_perp2=n_perp2)
+        object.__setattr__(frame, "n", n)
+        object.__setattr__(frame, "n_perp", n_perp)
+        object.__setattr__(frame, "n_perp2", n_perp2)
         return frame
 
 

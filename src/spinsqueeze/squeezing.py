@@ -17,9 +17,11 @@ actually used; three frame policies are provided:
                          (over the full direction sphere for a subsystem
                          whose mean spin vanishes)
 
-``xi_oracle`` evaluates the same quantity by explicit summation over
-amplitude indices with its own inline operator entries; it shares no linear
-algebra with the engine and exists to cross-check it.
+``xi_oracle`` evaluates the same quantity another way: mean spins from
+reduced density matrices, and the numerator as the squared norm of one
+transformed amplitude matrix, with its own inline spin entries in plain
+Python complex arithmetic.  It shares no linear algebra with the engine and
+exists to cross-check it.
 
 The module also carries literal transcriptions of closed-form xi expressions
 for five special state families, plus a comparison harness that measures
@@ -47,6 +49,8 @@ MATCH_TOL = 1e-10
 _TIE_TOL = 1e-14
 
 _ZHAT = np.array([0.0, 0.0, 1.0])
+# degenerate_subsystems at [<S1> vanishes] + 2 [<S2> vanishes], shared by all reports
+_DEGENERATE = (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}))
 
 
 class ZeroDenominatorError(ValueError):
@@ -105,7 +109,8 @@ class Optimized:
 FramePolicy = Fixed | MeanSpinAligned | Optimized
 
 
-@dataclass(frozen=True)
+# slots, as Frame: callers may keep thousands of reports
+@dataclass(frozen=True, slots=True)
 class SqueezingReport:
     xi: float
     frame1: Frame
@@ -611,9 +616,7 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
     if policy is None:
         policy = Optimized()
     mom = Moments(state)
-    degenerate = frozenset(
-        i for i, mag in ((1, mom.mag1), (2, mom.mag2)) if mag < DEGENERATE_MEAN_SPIN
-    )
+    degenerate = _DEGENERATE[(mom.mag1 < DEGENERATE_MEAN_SPIN) + 2 * (mom.mag2 < DEGENERATE_MEAN_SPIN)]
     valid = len(degenerate) < 2
     if not valid:  # the moments along the lab frame
         frame1 = frame2 = build_frame(_ZHAT)
@@ -722,65 +725,59 @@ optimized_xi = xi_batch
 # --------------------------------------------------------------------------
 
 def xi_oracle(state: CoupledState, frame1: Frame, frame2: Frame) -> float:
-    """The squeezing parameter by explicit summation over amplitude indices.
+    """The squeezing parameter from reduced density matrices and one
+    transformed amplitude matrix, in plain Python complex arithmetic.
 
-    Spin matrix entries are written out inline and all sums run over the 9
-    amplitudes (81 index pairs for the quadratic terms) in plain Python
-    complex arithmetic; no linear-algebra code is shared with the engine.
+    With A = u.S1 and B = v.S2 for the frames' n_perp directions u and v,
+    and C the 3x3 amplitude matrix,
+
+        numerator = 2 |(A (x) 1 + 1 (x) B) psi|^2 - 2 <A>^2 - 2 <B>^2
+
+    which equals 2 Var(A) + 2 Var(B) + 4 <A (x) B> (the cross term raw);
+    (A (x) 1 + 1 (x) B) psi is the matrix A C + C B^T.  The mean spins come
+    from the entries of rho1 = C C^dagger and rho2 = C^T C^*.  Spin entries
+    are written out inline: u.S = ((z, p, 0), (m, 0, p), (0, m, -z)) with
+    p, m = (x -/+ i y)/sqrt 2.  No linear-algebra code is shared with the
+    engine, whose numerator is a quadratic form in the spin covariance.
+
+    xi is nan where both mean spins are shorter than DEGENERATE_MEAN_SPIN,
+    the engine's rule.  A state that is not a CoupledState, or frames that
+    are not Frames, raise TypeError.
     """
-    c = [[complex(state.c[i, j]) for j in range(3)] for i in range(3)]
-    r = 1.0 / math.sqrt(2.0)
-    sx = ((0.0, r, 0.0), (r, 0.0, r), (0.0, r, 0.0))
-    sy = ((0.0, -1j * r, 0.0), (1j * r, 0.0, -1j * r), (0.0, 1j * r, 0.0))
-    sz = ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, -1.0))
+    if not isinstance(state, CoupledState):
+        raise TypeError("xi_oracle takes a CoupledState")
+    if not (isinstance(frame1, Frame) and isinstance(frame2, Frame)):
+        raise TypeError("xi_oracle takes two Frame objects")
+    rows = state.c.tolist()
+    cols = list(zip(*rows))
+    r = math.sqrt(0.5)
 
-    def dir_matrix(d):
-        return [
-            [d[0] * sx[i][j] + d[1] * sy[i][j] + d[2] * sz[i][j] for j in range(3)]
-            for i in range(3)
-        ]
+    def mean_spin(c0, c1, c2):
+        # <S> from the diagonal of rho and w = <S+>/sqrt 2 off it, the
+        # subsystem's index running over c0, c1, c2 (rows of C or of C^T)
+        w = sum(a.conjugate() * b + b.conjugate() * c for a, b, c in zip(c0, c1, c2))
+        z = sum((a * a.conjugate() - c * c.conjugate()).real for a, c in zip(c0, c2))
+        return (2.0 * r * w.real, 2.0 * r * w.imag, z)
 
-    def square(m):
-        return [
-            [sum(m[i][k] * m[k][j] for k in range(3)) for j in range(3)] for i in range(3)
-        ]
+    mean1, mean2 = mean_spin(*rows), mean_spin(*cols)
+    mag1, mag2 = math.hypot(*mean1), math.hypot(*mean2)
+    if max(mag1, mag2) < DEGENERATE_MEAN_SPIN:
+        return math.nan
 
-    def exp_sub1(m):
-        total = 0j
-        for i in range(3):
-            for ip in range(3):
-                for j in range(3):
-                    total += c[i][j].conjugate() * m[i][ip] * c[ip][j]
-        return total
+    def spin_along(d, vecs):
+        # (d.S) applied to each 3-vector of vecs
+        x, y, z = d
+        p = complex(r * x, -r * y)
+        m = p.conjugate()
+        return [(z * a + p * b, m * a + p * c, m * b - z * c) for a, b, c in vecs]
 
-    def exp_sub2(m):
-        total = 0j
-        for j in range(3):
-            for jp in range(3):
-                for i in range(3):
-                    total += c[i][j].conjugate() * m[j][jp] * c[i][jp]
-        return total
-
-    def exp_cross(m1, m2):
-        total = 0j
-        for i in range(3):
-            for j in range(3):
-                for ip in range(3):
-                    for jp in range(3):
-                        total += c[i][j].conjugate() * m1[i][ip] * m2[j][jp] * c[ip][jp]
-        return total
-
-    mean1 = [exp_sub1(m).real for m in (sx, sy, sz)]
-    mean2 = [exp_sub2(m).real for m in (sx, sy, sz)]
-    mag1 = math.sqrt(sum(x * x for x in mean1))
-    mag2 = math.sqrt(sum(x * x for x in mean2))
-
-    a = dir_matrix([float(x) for x in frame1.n_perp])
-    b = dir_matrix([float(x) for x in frame2.n_perp])
-    var1 = exp_sub1(square(a)).real - exp_sub1(a).real ** 2
-    var2 = exp_sub2(square(b)).real - exp_sub2(b).real ** 2
-    cross = exp_cross(a, b).real
-    return (2.0 * var1 + 2.0 * var2 + 4.0 * cross) / (mag1 + mag2)
+    u, v = frame1.n_perp.tolist(), frame2.n_perp.tolist()
+    ac = spin_along(u, cols)  # ac[j][i] = (A C)[i][j]
+    cb = spin_along(v, rows)  # cb[i][j] = (C B^T)[i][j]
+    norm = sum(abs(ac[j][i] + cb[i][j]) ** 2 for i in range(3) for j in range(3))
+    mean_a = u[0] * mean1[0] + u[1] * mean1[1] + u[2] * mean1[2]
+    mean_b = v[0] * mean2[0] + v[1] * mean2[1] + v[2] * mean2[2]
+    return 2.0 * (norm - mean_a * mean_a - mean_b * mean_b) / (mag1 + mag2)
 
 
 # --------------------------------------------------------------------------

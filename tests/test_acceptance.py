@@ -65,7 +65,7 @@ def test_criterion_1_engine_oracle_equivalence(capsys):
     _announce(
         capsys, 1,
         ok,
-        f"engine vs amplitude-summation oracle, {checked} states, "
+        f"engine vs independent oracle, {checked} states, "
         f"max |diff| = {worst:.3g} (tol 1e-10, {time.perf_counter() - t0:.1f}s)",
     )
     assert ok

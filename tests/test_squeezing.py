@@ -1,3 +1,5 @@
+import builtins
+import dis
 import functools
 import itertools
 import math
@@ -191,6 +193,60 @@ def test_oracle_agrees_under_aligned_and_optimized_frames(rng):
             if not rep.valid:
                 continue
             assert xi_oracle(state, rep.frame1, rep.frame2) == pytest.approx(rep.xi, abs=1e-10)
+
+
+def _kron_xi(state: CoupledState, u, v) -> float:
+    """xi from its definition with 9x9 operators built here by np.kron:
+    variances about the means, the cross term raw."""
+    r = 1.0 / math.sqrt(2.0)
+    sx = r * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
+    sy = r * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]])
+    sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
+    psi, one = state.c.reshape(9), np.eye(3)
+
+    def ev(op):
+        return (psi.conj() @ op @ psi).real
+
+    a = np.kron(u[0] * sx + u[1] * sy + u[2] * sz, one)
+    b = np.kron(one, v[0] * sx + v[1] * sy + v[2] * sz)
+    mag1 = math.hypot(*(ev(np.kron(s, one)) for s in (sx, sy, sz)))
+    mag2 = math.hypot(*(ev(np.kron(one, s)) for s in (sx, sy, sz)))
+    var1, var2 = ev(a @ a) - ev(a) ** 2, ev(b @ b) - ev(b) ** 2
+    return (2.0 * var1 + 2.0 * var2 + 4.0 * ev(a @ b)) / (mag1 + mag2)
+
+
+def test_oracle_matches_the_definition_off_the_transverse_plane(rng):
+    # at Optimized frames <A> = <B> = 0, so the mean subtraction in the
+    # variances is never exercised there; the lab frame and random
+    # directions leave <A> and <B> nonzero
+    states = [random_coupled(rng) for _ in range(10)]
+    states += [product(_random_spin1(rng), _random_spin1(rng)) for _ in range(5)]
+    states += [product(_polar(rng), _random_spin1(rng)) for _ in range(5)]
+    lab = build_frame([0.0, 0.0, 1.0])
+    off_plane = 0
+    for state in states:
+        mom = Moments(state)
+        frames = [(lab, lab)] + [(build_frame(random_unit(rng)), build_frame(random_unit(rng)))
+                                 for _ in range(3)]
+        for f1, f2 in frames:
+            want = _kron_xi(state, f1.n_perp, f2.n_perp)
+            assert abs(xi_oracle(state, f1, f2) - want) <= 1e-12 * max(1.0, abs(want))
+            off_plane += abs(f1.n_perp @ mom.mean1) > 0.05 and abs(f2.n_perp @ mom.mean2) > 0.05
+    assert off_plane >= 40
+
+
+def test_oracle_is_independent_of_the_engine():
+    # every global name the oracle's code loads, nested code included: no
+    # numpy and nothing from spin, linalg or the engine's helpers
+    allowed = {"math", "CoupledState", "Frame", "DEGENERATE_MEAN_SPIN"}
+    loaded, codes = set(), [xi_oracle.__code__]
+    while codes:
+        code = codes.pop()
+        codes += [k for k in code.co_consts if isinstance(k, type(code))]
+        loaded |= {ins.argval for ins in dis.get_instructions(code)
+                   if ins.opname in ("LOAD_GLOBAL", "LOAD_NAME")}
+    assert loaded - allowed <= set(dir(builtins)), loaded - allowed - set(dir(builtins))
+    assert "math" in loaded and "DEGENERATE_MEAN_SPIN" in loaded
 
 
 # ----------------------------------------------------------- symmetry
@@ -650,6 +706,16 @@ def test_fixed_takes_only_frames():
             Fixed(*frames)
 
 
+def test_oracle_takes_only_states_and_frames():
+    # as Fixed: a TypeError at the call, not an AttributeError on .c or .n_perp
+    lab, state = build_frame([0.0, 0.0, 1.0]), CoupledState.basis(1, 1)
+    with pytest.raises(TypeError, match="CoupledState"):
+        xi_oracle(state.c, lab, lab)
+    for frames in ((np.eye(3), np.eye(3)), (lab, lab.n_perp), (None, lab)):
+        with pytest.raises(TypeError, match="Frame"):
+            xi_oracle(state, *frames)
+
+
 def test_xi_batch_rejects_unnormalized_and_unknown_policy():
     with pytest.raises(ValueError, match="normalized"):
         xi_batch(2.0 * CoupledState.basis(1, 1).c[None], MeanSpinAligned())
@@ -671,6 +737,24 @@ def test_both_degenerate_is_invalid():
     assert math.isnan(rep.xi)
     assert rep.degenerate_subsystems == frozenset({1, 2})
     assert not rep.squeezed
+
+
+def test_oracle_is_nan_where_xi_is_undefined():
+    # the engine's rule: both mean spins shorter than DEGENERATE_MEAN_SPIN
+    lab = build_frame([0.0, 0.0, 1.0])
+    polar = Spin1State.basis(0)
+    assert math.isnan(xi_oracle(product(polar, polar), lab, lab))
+    # |<S1>| ~ 1.4e-12 and <S2> = 0: undefined, not a quotient of roundoff (2.8e12)
+    tilted = Spin1State.normalized([1e-12, 1.0, 0.0])
+    state = product(tilted, polar)
+    rep = squeezing_report(state, Fixed(lab, lab))
+    assert 0.0 < rep.mag1 < DEGENERATE_MEAN_SPIN and rep.mag2 == 0.0
+    assert math.isnan(rep.xi) and math.isnan(xi_batch(state.c[None], Fixed(lab, lab))[0])
+    assert math.isnan(xi_oracle(state, lab, lab))
+    # just above the threshold xi is defined again
+    state = product(Spin1State.normalized([1e-8, 1.0, 0.0]), polar)
+    assert xi_oracle(state, lab, lab) == pytest.approx(squeezing_report(state, Fixed(lab, lab)).xi,
+                                                        rel=1e-10)
 
 
 def test_single_degenerate_subsystem():
@@ -883,6 +967,22 @@ def test_degenerate_report_peak_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 200_000
+
+
+def test_reports_are_compact(rng):
+    # callers keep reports by the thousand: Frame and SqueezingReport have
+    # slots and the degenerate sets are shared, so a report keeps about
+    # 1.6 KB (2.2 KB with per-instance dicts and sets; Python 3.11, numpy 2.4)
+    states = [random_coupled(rng) for _ in range(200)]
+    squeezing_report(states[0], Optimized())
+    tracemalloc.start()
+    try:
+        reports = [squeezing_report(s, Optimized()) for s in states]
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_900 * len(reports)
+    assert reports[0].degenerate_subsystems is reports[1].degenerate_subsystems
 
 
 def test_squeezed_flag_guard_at_boundary():
