@@ -57,9 +57,10 @@ def _dot3(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _direction(v: np.ndarray) -> list[float]:
-    """A real 3-vector divided by its length, as Python floats."""
-    a = v.tolist()
+def _direction(v) -> list[float]:
+    """A real 3-vector (an array or Python floats) divided by its length,
+    as Python floats."""
+    a = v.tolist() if isinstance(v, np.ndarray) else v
     r = math.sqrt(_dot3(a, a))
     return [w / r for w in a]
 
@@ -107,8 +108,13 @@ def moment_tables(c: np.ndarray) -> np.ndarray:
     spins G[:, 0, 1:4] and G[:, 0, 4:], each subsystem's second moments
     Re<(Sk Sl + Sl Sk)/2> G[:, 1:4, 1:4] and G[:, 4:, 4:], and the cross
     matrix <Sk (x) Sl> G[:, 1:4, 4:].  Two real products per row, of the
-    same shapes whatever N, so a row's G is the same bits in any stack."""
+    same shapes whatever N, so a row's G is the same bits in any stack; one
+    row's products are 2-D dots, the same bits without matmul's cost per
+    call."""
     x = np.ascontiguousarray(c, dtype=complex).reshape(-1, 1, 9).view(float)
+    if len(x) == 1:
+        z = x[0].dot(_GRAM_TABLE).reshape(7, 18)
+        return z.dot(z.T)[None]
     z = (x @ _GRAM_TABLE).reshape(-1, 7, 18)
     return z @ z.transpose(0, 2, 1)
 

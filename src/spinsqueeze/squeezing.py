@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import (Frame, _direction, _dot3, _in_xz, build_frame, build_frame_xz, cross3,
+from .spin import (Frame, _direction, _dot3, _in_xz, _triad, build_frame, build_frame_xz, cross3,
                    frame_bases, frame_bases_xz, moment_tables)
 from .states import (NORM_TOL, CoupledState, Spin1State, _norms, canonical_squeezed,
                      config_amplitudes, config_matrices, product)
@@ -101,8 +101,8 @@ class Optimized:
     to one batched dual solve, which returns its start if that is within
     the tolerance, else the lowest eigenvector at the optimal delta with u
     and v normalized separately or, if that eigenvalue is repeated, the
-    mixture of its eigenvectors with |u| = |v|; a sphere-circle point the
-    solve moved is then closed by Newton steps on its KKT system.
+    mixture of its eigenvectors with |u| = |v|.  A point the solve moved is
+    polished by Newton steps, on its angles or on its KKT system.
     """
 
 
@@ -144,7 +144,11 @@ def _covariance(g: np.ndarray) -> np.ndarray:
     """The numerator matrices Sigma (N, 6, 6) of Gram matrices G (N, 7, 7):
     G[:, 1:, 1:] less m m^T (m = G[:, 0, 1:], the mean spins) on each
     diagonal block, the cross block raw, so that the numerator of xi at unit
-    directions z = (u, v) is 2 z.Sigma.z."""
+    directions z = (u, v) is 2 z.Sigma.z.  One row's products are an outer
+    product, the same bits without broadcasting's cost per call."""
+    if len(g) == 1:
+        m = g[0, 0, 1:]
+        return (g[0, 1:, 1:] - _DIAGONAL_BLOCKS * np.multiply.outer(m, m))[None]
     m = g[:, 0, 1:]
     return g[:, 1:, 1:] - _DIAGONAL_BLOCKS * (m[:, :, None] * m[:, None])
 
@@ -157,29 +161,36 @@ class Moments:
     matrix <Sk (x) Sl>) are blocks of ``gram``, moment_tables' G.  variance
     and cross_correlation read blocks of ``sigma``, _covariance's Sigma,
     which the engine's row functions take whole (both with a leading axis
-    of one row).  Together they determine xi for any direction pair.
+    of one row).  Together they determine xi for any direction pair, the
+    bits of the state's row in any batch.
     """
 
-    __slots__ = ("gram", "sigma", "mean1", "mag1", "mean2", "mag2", "mom1", "mom2", "cross_mat")
+    __slots__ = ("gram", "sigma", "mean1", "mag1", "mean2", "mag2")
 
     def __init__(self, state: CoupledState):
-        self.gram = moment_tables(state.c[None])
-        self.sigma = _covariance(self.gram)
-        g = self.gram[0]
-        # copied, so that the mean spins a report keeps do not hold all of G
-        self.mean1, self.mean2 = g[0, 1:].reshape(2, 3).copy()
-        self.mom1, self.mom2, self.cross_mat = g[1:4, 1:4], g[4:, 4:], g[1:4, 4:]
-        self.mag1, self.mag2 = (math.sqrt(_dot3(m, m)) for m in g[0, 1:].reshape(2, 3).tolist())
+        self.gram = g = moment_tables(state.c)
+        self.sigma = _covariance(g)
+        mean = g[0, 0, 1:].tolist()
+        m1, m2 = mean[:3], mean[3:]
+        # new arrays, so that the mean spins a report keeps do not hold all of G
+        self.mean1, self.mean2 = np.array(m1), np.array(m2)
+        self.mag1, self.mag2 = math.sqrt(_dot3(m1, m1)), math.sqrt(_dot3(m2, m2))
 
+    mom1 = property(lambda self: self.gram[0, 1:4, 1:4])
+    mom2 = property(lambda self: self.gram[0, 4:, 4:])
+    cross_mat = property(lambda self: self.gram[0, 1:4, 4:])
+
+    # (u @ block).dot(v): matmul's product, then the dot of two vectors
+    # without matmul's cost per call (the same bits as u @ block @ v)
     def variance(self, subsystem: int, direction: np.ndarray) -> float:
         cov = self.sigma[0, :3, :3] if subsystem == 1 else self.sigma[0, 3:, 3:]
-        var = float(direction @ cov @ direction)
+        var = float((direction @ cov).dot(direction))
         if -1e-12 <= var < 0.0:
             var = 0.0
         return var
 
     def cross_correlation(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(u @ self.sigma[0, :3, 3:] @ v)
+        return float((u @ self.sigma[0, :3, 3:]).dot(v))
 
     def xi_parts(self, u: np.ndarray, v: np.ndarray) -> tuple[float, float, float, float]:
         """(xi, var1, var2, cross) along u and v; xi is nan when both mean
@@ -196,8 +207,12 @@ class Moments:
 def first_min_index(values: np.ndarray, axis: int | None = None):
     """The tie rule of every grid minimum: the index of the first entry
     within 1e-14 of the minimum along ``axis`` (of the flattened array
-    when axis is None)."""
-    return (values <= values.min(axis=axis, keepdims=axis is not None) + _TIE_TOL).argmax(axis=axis)
+    when axis is None, whose minimum is argmin's entry, in one cheap pass)."""
+    if axis is None:
+        low = values.reshape(-1)[values.argmin()]
+    else:
+        low = np.minimum.reduce(values, axis=axis, keepdims=True)
+    return (values <= low + _TIE_TOL).argmax(axis=axis)
 
 
 _NEWTON_STEPS = 30
@@ -210,11 +225,17 @@ _GRID_ANGLES = np.arange(_GRID) * _CELL
 _GRID_CHUNK = 32
 
 
-def _project(sigma: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+def _project(sigma: np.ndarray, f1, f2) -> np.ndarray:
     """2 F Sigma F^T, F = diag(f1, f2), for numerator matrices Sigma (N, 6,
-    6) and bases f1 (N, k1, 3), f2 (N, k2, 3) as rows: the numerator's
-    matrix in the coordinates (y1, y2) of u = y1.f1 and v = y2.f2, exactly
-    symmetric (P + P^T for P = F Sigma F^T)."""
+    6) and bases f1 (N, k1, 3), f2 (N, k2, 3) as rows, or for one Sigma (6,
+    6) and bases as lists of rows of Python floats with the same products:
+    the numerator's matrix in the coordinates (y1, y2) of u = y1.f1 and
+    v = y2.f2, exactly symmetric (P + P^T for P = F Sigma F^T)."""
+    if isinstance(f1, list):  # 2-D products by dot, matmul's bits without its cost per call
+        zero = [0.0] * 3
+        f = np.array([a + zero for a in f1] + [zero + a for a in f2])
+        p = f.dot(sigma).dot(f.T)
+        return p + p.T
     k1 = f1.shape[1]
     f = np.zeros((len(sigma), k1 + f2.shape[1], 6))
     f[:, :k1, :3], f[:, k1:, 3:] = f1, f2
@@ -224,34 +245,38 @@ def _project(sigma: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
 
 # The plane-plane numerator.  With u(s) = cos(s) a1 + sin(s) b1 and v(t)
 # likewise, z = (cos s, sin s, cos t, sin t), the numerator is const + z.M.z
-# for M the projection on the bases [a1, b1], [a2, b2] less half of each
-# block's trace on its diagonal (_plane_matrix), which is
+# for M the projection P on the bases [a1, b1], [a2, b2] (_project's) less
+# half of each block's trace on its diagonal, which is
 #
 #     const + p cos2s + q sin2s + r cos2t + w sin2t
 #           + [cos s, sin s] K [cos t, sin t]^T
 #
-# with (p, q) = (M00, M01), (r, w) = (M22, M23) and K = 2 M[:2, 2:].  A
-# coefficient row is (p, q, r, w, k00, k01, k10, k11).
+# with (p, q) = ((P00 - P11)/2, P01), (r, w) = ((P22 - P33)/2, P23) and
+# K = 2 P[:2, 2:].  A coefficient row is (p, q, r, w, k00, k01, k10, k11),
+# and M is rebuilt from it exactly (_plane_matrix).
 
-def _plane_matrix(sigma: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """The plane-plane M (N, 4, 4) of numerator matrices Sigma (N, 6, 6) and
-    transverse bases e = [a, b] (N, 2, 3)."""
-    m = _project(sigma, e1, e2)
-    # a block's diagonal (a, b) less half its trace is ((a - b)/2, (b - a)/2)
-    d = m.reshape(-1, 16)[:, ::5]
-    half = (d[:, ::2] - d[:, 1::2]) / 2.0
-    d[:, ::2], d[:, 1::2] = half, -half
-    return m
-
-
-# the entries of a flattened M in a coefficient row, and their factors
-_COEF_ENTRIES = np.array([0, 1, 10, 11, 2, 3, 6, 7])
-_COEF_FACTORS = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
+def _coefficients(p):
+    """The coefficient rows (N, 8) of plane-plane projections P (N, 4, 4),
+    or one row's as a list from one P as nested lists of Python floats,
+    with the same arithmetic."""
+    e = p if isinstance(p, list) else p.transpose(1, 2, 0)
+    c = [(e[0][0] - e[1][1]) / 2.0, e[0][1], (e[2][2] - e[3][3]) / 2.0, e[2][3],
+         2.0 * e[0][2], 2.0 * e[0][3], 2.0 * e[1][2], 2.0 * e[1][3]]
+    return c if isinstance(p, list) else np.stack(c, axis=1)
 
 
-def _coefficients(m: np.ndarray) -> np.ndarray:
-    """The coefficient rows (N, 8) of plane-plane matrices M (N, 4, 4)."""
-    return m.reshape(-1, 16)[:, _COEF_ENTRIES] * _COEF_FACTORS
+# M = [[p, q, k00/2, k01/2], [q, -p, k10/2, k11/2], [k00/2, k10/2, r, w],
+# [k01/2, k11/2, w, -r]]: the coefficient of each flattened entry, and its factor
+_M_ENTRIES = np.array([0, 1, 4, 5, 1, 0, 6, 7, 4, 6, 2, 3, 5, 7, 3, 2])
+_M_FACTORS = np.array([1.0, 1.0, 0.5, 0.5, 1.0, -1.0, 0.5, 0.5,
+                       0.5, 0.5, 1.0, 1.0, 0.5, 0.5, 1.0, -1.0])
+
+
+def _plane_matrix(coef: np.ndarray) -> np.ndarray:
+    """The plane-plane M (N, 4, 4) of coefficient rows (N, 8): each entry
+    the bits it has in the projection less the half traces, C-ordered (the
+    dual solve's products round by the layout of M)."""
+    return (coef.take(_M_ENTRIES, axis=1) * _M_FACTORS).reshape(-1, 4, 4)
 
 
 # coef @ _GRID_TABLE is the numerator less its constant on the grid's half
@@ -262,10 +287,14 @@ _GRID_TABLE = np.stack([f(2.0 * a) for a in (_GRID_S, _GRID_T) for f in (np.cos,
                        + [f(_GRID_S) * g(_GRID_T) for f in (np.cos, np.sin) for g in (np.cos, np.sin)])
 
 
-def _grid_argmin(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per coefficient row, the angles (s, t) of the first _GRID x _GRID
-    grid point (row-major) within 1e-14 of the grid minimum, found in the
-    half grid s < pi."""
+def _grid_argmin(coef):
+    """Per coefficient row (N, 8), the angles (s, t) of the first _GRID x
+    _GRID grid point (row-major) within 1e-14 of the grid minimum, found in
+    the half grid s < pi; for one row as a list of floats, as floats (its
+    values are the same product, one row of the table)."""
+    if isinstance(coef, list):
+        i, j = divmod(int(first_min_index(np.array(coef) @ _GRID_TABLE)), _GRID)
+        return i * _CELL, j * _CELL
     idx = np.empty(len(coef), dtype=np.intp)
     for lo in range(0, len(coef), _GRID_CHUNK):
         idx[lo:lo + _GRID_CHUNK] = first_min_index(coef[lo:lo + _GRID_CHUNK] @ _GRID_TABLE, axis=1)
@@ -456,15 +485,21 @@ def _dual_step(row: list, lam: list, x: list, nu: int):
 _BATCH_ROWS = 64
 
 
-def _plane_plane_min(m: np.ndarray) -> np.ndarray:
+def _plane_plane_min(coef):
     """The numerator's global minimizers z = (cos s, sin s, cos t, sin t)
-    (N, 4) for plane-plane matrices M (N, 4, 4): on their coefficient rows
-    grid argmin, joint Newton, and the point if _certified proves it
-    global; every other row (a rejected step or an unproven point) goes
-    into one _dual_min call on M started there.  Newton and the certificate
-    run per row on floats below _BATCH_ROWS rows, on arrays from there on,
-    with the same arithmetic."""
-    coef = _coefficients(m)
+    (N, 4) for plane-plane coefficient rows (N, 8): grid argmin, joint
+    Newton, and the point if _certified proves it global; every other row
+    (a rejected step or an unproven point) goes into one _dual_min call on
+    its M started there, and each point that solve moves is polished
+    (_dual_polished).  Newton and the certificate run per row on floats
+    below _BATCH_ROWS rows, on arrays from there on, with the same
+    arithmetic; one row given as a list of floats gives its z as one."""
+    if isinstance(coef, list):
+        s, t, ok = _newton(coef, *_grid_argmin(coef))
+        z = [math.cos(s), math.sin(s), math.cos(t), math.sin(t)]
+        if ok and _certified(coef, s, t):
+            return z
+        return _dual_polished(np.array([coef]), np.array([z]))[0].tolist()
     s, t = _grid_argmin(coef)
     if len(coef) < _BATCH_ROWS:
         rows = coef.tolist()
@@ -478,8 +513,25 @@ def _plane_plane_min(m: np.ndarray) -> np.ndarray:
         z = np.stack([np.cos(s), np.sin(s), np.cos(t), np.sin(t)], axis=1)
         rest = np.flatnonzero(~(converged & _certified(table, s, t)))
     if len(rest):
-        z[rest] = _dual_min(m[rest], 2, z[rest])[0]
+        z[rest] = _dual_polished(coef[rest], z[rest])
     return z
+
+
+def _dual_polished(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """_dual_min's minimizers (N, 4) of the M of coefficient rows (N, 8)
+    started at z, each point the solve moved (within 1e-12 of sum|M| of the
+    minimum in value, about 1e-6 in position) polished by _newton from its
+    angles, row by row.  A row keeps the Newton point where Newton converged
+    and z.M.z rises by no more than _TIE_TOL of sum|M|, _kkt_newton's rule."""
+    m = _plane_matrix(coef)
+    y = _dual_min(m, 2, z)[0]
+    for k in np.flatnonzero((y != z).any(axis=1)).tolist():
+        w, mk = y[k], m[k]
+        s, t, ok = _newton(coef[k].tolist(), math.atan2(w[1], w[0]), math.atan2(w[3], w[2]))
+        new = np.array([math.cos(s), math.sin(s), math.cos(t), math.sin(t)])
+        if ok and new @ mk @ new <= w @ mk @ w + _TIE_TOL * np.abs(mk).sum():
+            y[k] = new
+    return y
 
 
 # One degenerate subsystem d: its direction u runs over the whole sphere and
@@ -556,21 +608,26 @@ def _kkt_newton(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _frame_from_transverse(mean: np.ndarray | None, t: np.ndarray) -> Frame:
-    """Frame whose n_perp is the transverse direction t.
+def _frame_from_transverse(mean: np.ndarray | None, t) -> Frame:
+    """Frame whose n_perp is the transverse direction t (an array or
+    Python floats).
 
     When the mean spin is known its direction becomes the frame's n and the
     triad is completed right-handed; for a degenerate subsystem (mean None)
-    an arbitrary completion around t is used.
+    an arbitrary completion around t is used.  Built on Python floats but
+    for t.n, whose BLAS dot keeps the frames' bits: it is mostly rounding,
+    and _dot3 rounds it otherwise.
     """
-    t = np.array(_direction(t))
+    t = _direction(t)
     if mean is None:
         h = build_frame(t).n_perp
-        return Frame._trusted(cross3(t.tolist(), h.tolist()), t, h)
-    n = np.array(_direction(mean))
+        return Frame._trusted(cross3(t, h.tolist()), np.array(t), h)
+    n = _direction(mean)
+    normal = np.array(n)
     # remove any rounding component of t along n so the triad is exact
-    t = np.array(_direction(t - float(t @ n) * n))
-    return Frame._trusted(n, t, cross3(n.tolist(), t.tolist()))
+    d = float(normal.dot(t))
+    t = _direction([a - d * b for a, b in zip(t, n)])
+    return Frame._trusted(normal, np.array(t), cross3(n, t))
 
 
 def _aligned_gauge(mean, mag):
@@ -595,12 +652,21 @@ def _optimized_uv(mean: np.ndarray, sigma: np.ndarray, second: np.ndarray | None
     rows: where both mean spins are nonzero, when ``second`` is None, by
     _plane_plane_min on build_frame's transverse bases; else where one
     vanishes, subsystem 2's where ``second`` (N,) is True, by _sphere_circle.
-    squeezing_report passes its one row, xi_batch each class of its rows."""
-    mean1, mean2 = mean[:, :3], mean[:, 3:]
+    squeezing_report passes its one row, xi_batch each class of its rows;
+    one plane-plane row runs on Python floats, with the bits of its row,
+    and gives u and v as one row each of Python floats."""
     if second is not None:
-        return _sphere_circle(sigma, second, frame_bases(np.where(second[:, None], mean1, mean2)))
-    e1, e2 = frame_bases(mean1), frame_bases(mean2)
-    z = _plane_plane_min(_plane_matrix(sigma, e1, e2))
+        d = np.where(second[:, None], mean[:, :3], mean[:, 3:])
+        return _sphere_circle(sigma, second, frame_bases(d))
+    if len(mean) == 1:
+        w = mean[0].tolist()
+        (_, a1, b1), (_, a2, b2) = _triad(*_direction(w[:3])), _triad(*_direction(w[3:]))
+        p = _project(sigma[0], [a1, b1], [a2, b2]).tolist()
+        z = _plane_plane_min(_coefficients(p))
+        return ([[z[0] * a + z[1] * b for a, b in zip(a1, b1)]],
+                [[z[2] * a + z[3] * b for a, b in zip(a2, b2)]])
+    e1, e2 = frame_bases(mean[:, :3]), frame_bases(mean[:, 3:])
+    z = _plane_plane_min(_coefficients(_project(sigma, e1, e2)))
     return z[:, :1] * e1[:, 0] + z[:, 1:2] * e1[:, 1], z[:, 2:3] * e2[:, 0] + z[:, 3:] * e2[:, 1]
 
 
@@ -612,6 +678,10 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
     A single degenerate subsystem is flagged but still evaluated (its
     direction search runs over the whole sphere under Optimized, and
     MeanSpinAligned substitutes the lab frame).
+
+    The moments and Optimized's u and v are the bits of the state's row in
+    any xi_batch block, on Python floats and 2-D arrays where numpy's cost
+    per call would be most of the work.
     """
     if policy is None:
         policy = Optimized()
@@ -627,9 +697,9 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
                           (_aligned_gauge(mom.mean1, mom.mag1), _aligned_gauge(mom.mean2, mom.mag2)))
     elif isinstance(policy, Optimized):
         second = np.array([2 in degenerate]) if degenerate else None
-        (u,), (v,) = _optimized_uv(mom.gram[:, 0, 1:], mom.sigma, second)
-        frame1 = _frame_from_transverse(None if 1 in degenerate else mom.mean1, u)
-        frame2 = _frame_from_transverse(None if 2 in degenerate else mom.mean2, v)
+        u, v = _optimized_uv(mom.gram[:, 0, 1:], mom.sigma, second)
+        frame1 = _frame_from_transverse(None if 1 in degenerate else mom.mean1, u[0])
+        frame2 = _frame_from_transverse(None if 2 in degenerate else mom.mean2, v[0])
     else:
         raise TypeError(f"unknown frame policy {policy!r}")
 
@@ -680,9 +750,10 @@ def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
     last bits can differ).  Moments and xi are evaluated for all rows of a
     block at once, along the Fixed frames' n_perp, MeanSpinAligned's rule
     on the rows, or the directions of _optimized_uv, whose open plane-plane
-    rows share one dual solve and whose rows with one vanishing mean spin
-    share one _sphere_circle call; rows with two are nan.  No row goes
-    through squeezing_report; each numerator is 2 z.Sigma.z at z = (u, v).
+    rows share one dual solve and its polish and whose rows with one
+    vanishing mean spin share one _sphere_circle call; rows with two are
+    nan.  No row goes through squeezing_report; each numerator is
+    2 z.Sigma.z at z = (u, v).
     More than _BLOCK_CELLS = 512 rows go in the equal blocks of _blocks,
     so memory is about 1.5 KB per row of a block under Optimized plus a
     fixed 0.4 MB; a row's xi is the same bits in any block, alone too.

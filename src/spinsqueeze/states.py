@@ -105,7 +105,14 @@ class Spin1State:
 
     @classmethod
     def normalized(cls, raw) -> "Spin1State":
-        return cls(_normalized(raw, (3,), "spin-1 state"))
+        return cls._trusted(_normalized(raw, (3,), "spin-1 state"))
+
+    @classmethod
+    def _trusted(cls, amps: np.ndarray) -> "Spin1State":
+        """A state of amplitudes the library has just normalized, unchecked."""
+        state = object.__new__(cls)
+        state.amps = amps
+        return state
 
     @classmethod
     def basis(cls, m: int) -> "Spin1State":
@@ -134,7 +141,14 @@ class CoupledState:
 
     @classmethod
     def normalized(cls, raw) -> "CoupledState":
-        return cls(_normalized(raw, (3, 3), "coupled state"))
+        return cls._trusted(_normalized(raw, (3, 3), "coupled state"))
+
+    @classmethod
+    def _trusted(cls, c: np.ndarray) -> "CoupledState":
+        """A state of amplitudes the library has just normalized, unchecked."""
+        state = object.__new__(cls)
+        state.c = c
+        return state
 
     @classmethod
     def basis(cls, m1: int, m2: int) -> "CoupledState":
@@ -527,4 +541,5 @@ def load_state(path) -> CoupledState:
         raise StateFormatError("state file amplitudes have zero norm")
     if norm == math.inf:
         raise StateFormatError("state file amplitudes' norm overflows a float")
-    return CoupledState.normalized(vec)
+    # _normalized's division, by the norm just taken
+    return CoupledState._trusted(vec.reshape(3, 3) / norm)

@@ -1,4 +1,5 @@
 import builtins
+import collections
 import dis
 import functools
 import itertools
@@ -45,11 +46,11 @@ from spinsqueeze import (
 from spinsqueeze import squeezing
 from spinsqueeze.spin import Frame, _dot3, cross3, frame_bases
 from spinsqueeze.states import Spinor, load_state, save_state, schwinger
-from spinsqueeze.squeezing import (_BATCH_ROWS, _GRID_TABLE, DEGENERATE_MEAN_SPIN, FAMILIES,
-                                   _certified, _coefficients, _covariance, _dual_min, _grid_argmin,
-                                   _min_transverse_variance, _newton, _newton_rows, _plane_matrix,
-                                   family_summary, moment_tables, standard_comparison_grids,
-                                   xi_batch)
+from spinsqueeze.squeezing import (_BATCH_ROWS, _GRID_TABLE, _TIE_TOL, DEGENERATE_MEAN_SPIN,
+                                   FAMILIES, _certified, _coefficients, _covariance, _dual_min,
+                                   _dual_polished, _grid_argmin, _min_transverse_variance, _newton,
+                                   _newton_rows, _plane_matrix, _project, family_summary,
+                                   moment_tables, standard_comparison_grids, xi_batch)
 
 from conftest import (
     random_coupled,
@@ -374,16 +375,17 @@ def _dense_draw(seed: int, n: int = 2000) -> np.ndarray:
     return c / np.linalg.norm(c.reshape(-1, 9), axis=1)[:, None, None]
 
 
-def _plane_plane_matrices(c: np.ndarray) -> np.ndarray:
-    """Optimized's plane-plane matrices M (N, 4, 4) for plane-plane states:
-    the numerator matrices projected on build_frame's transverse bases."""
-    g = moment_tables(c)
-    return _plane_matrix(_covariance(g), frame_bases(g[:, 0, 1:4]), frame_bases(g[:, 0, 4:]))
-
-
 def _plane_plane_coefficients(c: np.ndarray) -> np.ndarray:
-    """Optimized's harmonic coefficient rows (N, 8) for plane-plane states."""
-    return _coefficients(_plane_plane_matrices(c))
+    """Optimized's harmonic coefficient rows (N, 8) for plane-plane states,
+    from the numerator matrices projected on build_frame's transverse bases."""
+    g = moment_tables(c)
+    e1, e2 = frame_bases(g[:, 0, 1:4]), frame_bases(g[:, 0, 4:])
+    return _coefficients(_project(_covariance(g), e1, e2))
+
+
+def _plane_plane_matrices(c: np.ndarray) -> np.ndarray:
+    """Optimized's plane-plane matrices M (N, 4, 4) for plane-plane states."""
+    return _plane_matrix(_plane_plane_coefficients(c))
 
 
 @functools.lru_cache(maxsize=None)
@@ -542,8 +544,8 @@ def test_grid_table_rows_are_the_harmonics_of_a_coefficient_row():
         mom = Moments(CoupledState(amps))
         e1 = frame_bases(mom.mean1[None])[0]
         e2 = frame_bases(mom.mean2[None])[0]
-        m = _plane_matrix(mom.sigma, e1[None], e2[None])
-        coef = _coefficients(m)[0]
+        coef = _coefficients(_project(mom.sigma, e1[None], e2[None]))
+        m, coef = _plane_matrix(coef), coef[0]
         cov1, cov2 = mom.sigma[0, :3, :3], mom.sigma[0, 3:, 3:]
         const = np.trace(e1 @ cov1 @ e1.T) + np.trace(e2 @ cov2 @ e2.T)
         for k in (0, 1, 63, 64, 700, 1234, 2047):
@@ -697,6 +699,78 @@ def test_xi_batch_rows_do_not_depend_on_their_block(policy):
     assert np.array_equal(whole[:300], alone.view(np.int64))
 
 
+def _directions_population() -> dict[str, np.ndarray]:
+    """Seeded amplitude stacks whose reports take each Optimized path: 2,000
+    dense states (plane-plane, 7 through the dual solve), 512 polar (x)
+    random products (sphere-circle, on either side) and 512 config-3 draws
+    (29 through the dual solve)."""
+    rng = np.random.default_rng(21)
+    pairs = [(_polar(rng), _random_spin1(rng)) for _ in range(512)]
+    angles = rng.uniform(0.0, math.pi, (512, 2)), rng.uniform(0.0, 2.0 * math.pi, (512, 2))
+    return {
+        "dense": _dense_draw(21),
+        "polar x random": np.array([product(*(pair[::-1] if k % 2 else pair)).c
+                                    for k, pair in enumerate(pairs)]),
+        "config3": np.array([config(3, *a, *p).c for a, p in zip(*angles)]),
+    }
+
+
+def test_report_directions_are_the_block_rows(monkeypatch):
+    """A report's Optimized u and v, from the one-row path on Python floats,
+    are the bits of its row's u and v in a 512-row block; so are the one
+    row's coefficient row and grid start."""
+    optimized_uv, dual_polished = squeezing._optimized_uv, squeezing._dual_polished
+    seen, dual_rows = [], []
+
+    def recording(*args):
+        seen.append(optimized_uv(*args))
+        return seen[-1]
+
+    def counting(coef, z):
+        dual_rows.append(len(coef))
+        return dual_polished(coef, z)
+
+    monkeypatch.setattr(squeezing, "_optimized_uv", recording)
+    monkeypatch.setattr(squeezing, "_dual_polished", counting)
+    paths, reports_dual = set(), collections.Counter()
+    for name, c in _directions_population().items():
+        g = moment_tables(c)
+        mean, sigma = g[:, 0, 1:], _covariance(g)
+        deg1, deg2 = (np.sqrt(_dot3(m.T, m.T)) < DEGENERATE_MEAN_SPIN
+                      for m in (mean[:, :3], mean[:, 3:]))
+        for lo in range(0, len(c), 512):
+            block = np.arange(lo, min(lo + 512, len(c)))
+            for rows, second in ((block[~(deg1 | deg2)[block]], None),
+                                 (block[(deg1 != deg2)[block]], deg2)):
+                if not rows.size:
+                    continue
+                paths.add((name, second is None))
+                u, v = optimized_uv(mean[rows], sigma[rows],
+                                    None if second is None else second[rows])
+                dual_rows.clear()
+                for k, uk, vk in zip(rows, u, v):
+                    seen.clear()
+                    squeezing_report(CoupledState(c[k]), Optimized())
+                    ((u1,), (v1,)), = seen
+                    assert np.array(u1).tobytes() == uk.tobytes(), (name, k)
+                    assert np.array(v1).tobytes() == vk.tobytes(), (name, k)
+                reports_dual[name] += sum(dual_rows)
+                if second is not None:
+                    continue
+                e1, e2 = frame_bases(mean[rows, :3]), frame_bases(mean[rows, 3:])
+                coef = _coefficients(_project(sigma[rows], e1, e2))
+                s, t = _grid_argmin(coef)
+                for j, k in enumerate(rows):
+                    bases = [frame_bases(mean[k:k + 1, d])[0].tolist()
+                             for d in (slice(0, 3), slice(3, 6))]
+                    row = _coefficients(_project(sigma[k], *bases).tolist())
+                    assert np.array(row).tobytes() == coef[j].tobytes(), (name, k)
+                    assert _grid_argmin(row) == (s[j], t[j]), (name, k)
+    assert paths == {("dense", True), ("polar x random", False), ("config3", True)}
+    # not vacuous: reports that the dual solve and the polish answer
+    assert reports_dual == collections.Counter({"dense": 7, "polar x random": 0, "config3": 29})
+
+
 def test_fixed_takes_only_frames():
     # without the check, an array in place of a Frame fails only later, in
     # the engine, with an AttributeError on n_perp
@@ -830,7 +904,8 @@ def test_engine_frames_pass_frame_validation():
 
 
 def test_a_nan_from_the_plane_search_raises(monkeypatch, rng):
-    monkeypatch.setattr(squeezing, "_plane_plane_min", lambda coef: np.full((len(coef), 4), np.nan))
+    # a report's one row is a list of floats, and so is its point
+    monkeypatch.setattr(squeezing, "_plane_plane_min", lambda coef: [math.nan] * 4)
     with pytest.raises(ValueError, match="non-finite xi"):
         squeezing_report(random_coupled(rng), Optimized())
 
@@ -1135,6 +1210,45 @@ def test_dual_solve_recovers_the_hard_case():
         assert np.all(np.abs(bound - reference) <= 1e-12 * scale)
         lam = np.linalg.eigvalsh(m - delta[:, None, None] * np.diag([1.0, 1.0, 0.0, 0.0]))
         assert np.all(lam[:, 1] - lam[:, 0] <= 1e-9 * scale)
+
+
+def test_dual_moved_rows_are_polished(monkeypatch):
+    """Every row the dual solve moves ends within 1e-12 of sum|M| of its
+    bound after the polish and never above its dual point by more than
+    _TIE_TOL of sum|M|, and two come down by more than that.  The rows: the
+    seed-11 dense rows whose Newton point the engine does not certify, from
+    that point, and the sweep config3 hard cells from two fixed starts.  A
+    Newton point that rises (a converged local minimum) is not kept."""
+    g = np.linspace(0.05, 3.1, 50)
+    cells = [(16, 21), (17, 2), (17, 27), (17, 47), (31, 22), (32, 2), (32, 27), (32, 47)]
+    dense = _plane_plane_coefficients(_dense_draw(11)[[135, 185, 429, 820]])
+    s, t, _ = _newton_point(dense)
+    hard = _plane_plane_coefficients(np.array([config(3, g[i], g[j]).c for i, j in cells]))
+    cases = [(dense, np.stack([np.cos(s), np.sin(s), np.cos(t), np.sin(t)], axis=1))]
+    cases += [(hard, np.tile(start, (len(hard), 1)))
+              for start in ([1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0])]
+    moved_rows = lowered = 0
+    for coef, z in cases:
+        m = _plane_matrix(coef)
+        scale = np.abs(m).sum(axis=(1, 2))
+        y, bound = _dual_min(m, 2, z)
+        polished = _dual_polished(coef, z)
+        value, unpolished = (np.einsum("ni,nij,nj->n", w, m, w) for w in (polished, y))
+        moved = (y != z).any(axis=1)
+        assert np.all(value[moved] - bound[moved] <= 1e-12 * scale[moved])
+        tie = _TIE_TOL * scale
+        assert np.all(value <= unpolished + tie)
+        assert np.array_equal(polished[~moved], y[~moved])
+        moved_rows += moved.sum()
+        lowered += np.sum(value < unpolished - tie)
+    assert (moved_rows, lowered) == (4 + 8 + 8, 2)
+    # row 820's Newton point from its grid start is a local minimum above
+    # the global one (_MISSES); a polish that converged there would rise
+    row, start = dense[3:], cases[0][1][3:]
+    s0, t0 = _grid_argmin(row)
+    newton = squeezing._newton
+    monkeypatch.setattr(squeezing, "_newton", lambda c, s, t: newton(c, float(s0[0]), float(t0[0])))
+    assert np.array_equal(_dual_polished(row, start), _dual_min(_plane_matrix(row), 2, start)[0])
 
 
 def test_dual_solve_on_the_sphere():
