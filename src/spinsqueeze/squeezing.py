@@ -95,14 +95,17 @@ class Optimized:
     plane-plane row starts at the first minimum of a 64-point grid per
     angle (ties within 1e-14 go to the lowest angles; it has s < pi, as
     (s, t) -> (s + pi, t + pi) leaves the numerator as it is), polished by
-    Newton, and stands when a closed-form test puts it within 1e-12 of M's
-    scale of the bound.  Every other plane-plane row, and every sphere-circle row
-    from the separable point of each side's least-variance direction, goes
-    to one batched dual solve, which returns its start if that is within
-    the tolerance, else the lowest eigenvector at the optimal delta with u
-    and v normalized separately or, if that eigenvalue is repeated, the
-    mixture of its eigenvectors with |u| = |v|.  A point the solve moved is
-    polished by Newton steps, on its angles or on its KKT system.
+    Newton steps of at most pi/8 (four cells), and stands when a
+    closed-form test puts it within 1e-12 of M's scale of the bound; where
+    several points attain the minimum, the frames are those of the point
+    Newton reaches from that grid start.  Every other plane-plane row, and
+    every sphere-circle row from the separable point of each side's
+    least-variance direction, goes to one batched dual solve, which returns
+    its start if that is within the tolerance, else the lowest eigenvector
+    at the optimal delta with u and v normalized separately or, if that
+    eigenvalue is repeated, the mixture of its eigenvectors with |u| = |v|.
+    A point the solve moved is polished by Newton steps, on its angles or
+    on its KKT system.
     """
 
 
@@ -219,6 +222,9 @@ _NEWTON_STEPS = 30
 # the plane-plane start grid: _GRID angles per circle
 _GRID = 64
 _CELL = 2.0 * math.pi / _GRID
+# Newton's longest step, four grid cells (pi/8): it decides only how soon a
+# row is handed to the dual solve; _certified decides global optimality
+_MAX_STEP = 4.0 * _CELL
 _GRID_ANGLES = np.arange(_GRID) * _CELL
 # coefficient rows per grid product: a (32, _GRID ** 2 / 2) chunk of values
 # (512 KB), small enough that OpenBLAS runs the product on one thread
@@ -322,67 +328,74 @@ def _derivatives(c, s, t):
     return gs, gt, hss, htt, hst, x, cs * kb - ss * ka, cs * kat + ss * kbt
 
 
-def _newton(c, s: float, t: float) -> tuple[float, float, bool]:
+def _newton(c, s: float, t: float):
     """Joint 2-D Newton on the numerator from (s, t).
 
-    Returns the last point and whether it converged; a step is rejected
-    (converged False) when the Hessian is not positive definite or the step
-    is longer than one grid cell.
+    Returns the last point and, where Newton converged, the _derivatives
+    there, which _certified takes (else None); a step is rejected (None)
+    when the Hessian is not positive definite or the step is longer than
+    _MAX_STEP, pi/8.
     """
     tol = 1e-15 * sum(map(abs, c))
     for _ in range(_NEWTON_STEPS):
-        gs, gt, hss, htt, hst, *_ = _derivatives(c, s, t)
+        gs, gt, hss, htt, hst, *_ = d = _derivatives(c, s, t)
         if abs(gs) + abs(gt) <= tol:
-            return s, t, True
+            return s, t, d
         det = hss * htt - hst * hst
         if hss <= 0.0 or det <= 0.0:
-            return s, t, False
+            return s, t, None
         ds = (hst * gt - htt * gs) / det
         dt = (hst * gs - hss * gt) / det
-        if ds * ds + dt * dt > _CELL * _CELL:
-            return s, t, False
+        if ds * ds + dt * dt > _MAX_STEP * _MAX_STEP:
+            return s, t, None
         s, t = s + ds, t + dt
         if abs(ds) + abs(dt) <= 1e-14:
-            return s, t, True
-    return s, t, False
+            return s, t, _derivatives(c, s, t)
+    return s, t, None
 
 
 def _newton_rows(c: np.ndarray, s: np.ndarray, t: np.ndarray):
     """_newton on every column of a coefficient table (8, N) at once, with
-    its rules and arithmetic: (s, t, converged) arrays."""
+    its rules and arithmetic: (s, t) arrays and the _derivatives (8, N),
+    nan in the columns that did not converge."""
     tol = 1e-15 * sum(map(abs, c))
     s, t = s.copy(), t.copy()
-    converged = np.zeros(len(s), dtype=bool)
-    live = np.arange(len(s))
+    d = np.full((8, len(s)), np.nan)
+    live, stepped = np.arange(len(s)), []
     for _ in range(_NEWTON_STEPS):
-        gs, gt, hss, htt, hst, *_ = _derivatives(c[:, live], s[live], t[live])
+        gs, gt, hss, htt, hst, *_ = der = np.array(_derivatives(c[:, live], s[live], t[live]))
         done = np.abs(gs) + np.abs(gt) <= tol[live]
+        d[:, live[done]] = der[:, done]
         det = hss * htt - hst * hst
         ok = np.flatnonzero(~done & (hss > 0.0) & (det > 0.0))
         ds = (hst[ok] * gt[ok] - htt[ok] * gs[ok]) / det[ok]
         dt = (hst[ok] * gs[ok] - hss[ok] * gt[ok]) / det[ok]
-        step = ds * ds + dt * dt <= _CELL * _CELL
+        step = ds * ds + dt * dt <= _MAX_STEP * _MAX_STEP
         ok, ds, dt = live[ok[step]], ds[step], dt[step]
         s[ok], t[ok] = s[ok] + ds, t[ok] + dt
         small = np.abs(ds) + np.abs(dt) <= 1e-14
-        converged[live[done]] = converged[ok[small]] = True
+        stepped.append(ok[small])
         live = ok[~small]
         if not live.size:
             break
-    return s, t, converged
+    k = np.concatenate(stepped)
+    d[:, k] = _derivatives(c[:, k], s[k], t[k])
+    return s, t, d
 
 
-def _certified(c, s, t):
-    """Whether a stationary point (s, t) is the numerator's global minimum:
-    the numerator is z.M.z in z = (u, v) on |u| = |v| = 1, and the
-    multipliers l1 = u.(Mz)_u, l2 = v.(Mz)_v leave M - diag(l1, l1, l2, l2)
-    positive semidefinite (weak duality).  That matrix annihilates z; on
+def _certified(c, d):
+    """Whether a stationary point with _derivatives d is the numerator's
+    global minimum (a nan column, not converged, is not): the numerator is
+    z.M.z in z = (u, v) on |u| = |v| = 1, and the multipliers
+    l1 = u.(Mz)_u, l2 = v.(Mz)_v leave M - diag(l1, l1, l2, l2) positive
+    semidefinite (weak duality).  That matrix annihilates z; on
     (u_perp, 0), (0, v_perp), (u, -v)/r2 it is half of [[hss, hst, -r2 a],
     [hst, htt, r2 b], [-r2 a, r2 b, -2x]] (r2 = sqrt 2), tested by the Schur
     complement of Newton's Hessian with e = 1e-12/2 of sum|coefficients|
     added to its eigenvalues: a flat valley (singular Hessian) passes, and a
-    passing point is within 2 e of the dual bound.  As _derivatives."""
-    _, _, hss, htt, hst, x, a, b = _derivatives(c, s, t)
+    passing point is within 2 e of the dual bound.  A coefficient row and
+    its tuple d, or a table (8, N) and d (8, N)."""
+    _, _, hss, htt, hst, x, a, b = d
     e = 0.5e-12 * sum(map(abs, c))
     hss, htt = hss + 2.0 * e, htt + 2.0 * e
     d = hss * htt - hst * hst
@@ -495,9 +508,9 @@ def _plane_plane_min(coef):
     below _BATCH_ROWS rows, on arrays from there on, with the same
     arithmetic; one row given as a list of floats gives its z as one."""
     if isinstance(coef, list):
-        s, t, ok = _newton(coef, *_grid_argmin(coef))
+        s, t, d = _newton(coef, *_grid_argmin(coef))
         z = [math.cos(s), math.sin(s), math.cos(t), math.sin(t)]
-        if ok and _certified(coef, s, t):
+        if d is not None and _certified(coef, d):
             return z
         return _dual_polished(np.array([coef]), np.array([z]))[0].tolist()
     s, t = _grid_argmin(coef)
@@ -505,13 +518,13 @@ def _plane_plane_min(coef):
         rows = coef.tolist()
         points = [_newton(c, a, b) for c, a, b in zip(rows, s.tolist(), t.tolist())]
         z = np.array([(math.cos(a), math.sin(a), math.cos(b), math.sin(b)) for a, b, _ in points])
-        rest = [k for k, (c, (a, b, ok)) in enumerate(zip(rows, points))
-                if not (ok and _certified(c, a, b))]
+        rest = [k for k, (c, (_, _, d)) in enumerate(zip(rows, points))
+                if d is None or not _certified(c, d)]
     else:
         table = np.ascontiguousarray(coef.T)
-        s, t, converged = _newton_rows(table, s, t)
+        s, t, d = _newton_rows(table, s, t)
         z = np.stack([np.cos(s), np.sin(s), np.cos(t), np.sin(t)], axis=1)
-        rest = np.flatnonzero(~(converged & _certified(table, s, t)))
+        rest = np.flatnonzero(~_certified(table, d))
     if len(rest):
         z[rest] = _dual_polished(coef[rest], z[rest])
     return z
@@ -527,9 +540,9 @@ def _dual_polished(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
     y = _dual_min(m, 2, z)[0]
     for k in np.flatnonzero((y != z).any(axis=1)).tolist():
         w, mk = y[k], m[k]
-        s, t, ok = _newton(coef[k].tolist(), math.atan2(w[1], w[0]), math.atan2(w[3], w[2]))
+        s, t, d = _newton(coef[k].tolist(), math.atan2(w[1], w[0]), math.atan2(w[3], w[2]))
         new = np.array([math.cos(s), math.sin(s), math.cos(t), math.sin(t)])
-        if ok and new @ mk @ new <= w @ mk @ w + _TIE_TOL * np.abs(mk).sum():
+        if d is not None and new @ mk @ new <= w @ mk @ w + _TIE_TOL * np.abs(mk).sum():
             y[k] = new
     return y
 
@@ -543,7 +556,13 @@ def _dual_polished(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
 # covariance on [a, b].
 
 
-def _sphere_circle(sigma, second: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# the entries of a one-row Sigma with its blocks swapped, by one take, and
+# the D = diag(I_u, 0) that _dual_min builds for a sphere-circle row
+_SWAPPED = np.add.outer(6 * np.r_[3:6, 0:3], np.r_[3:6, 0:3])
+_SPHERE_D = np.diag(np.arange(5) < 3)
+
+
+def _sphere_circle(sigma, second: np.ndarray, e) -> tuple:
     """(u, v) (N, 3) minimizing the numerator, for the numerator matrices
     Sigma (N, 6, 6) of rows with one vanishing mean spin, subsystem 2's
     where ``second`` (N,) is True, and the other subsystem's transverse
@@ -555,7 +574,33 @@ def _sphere_circle(sigma, second: np.ndarray, e: np.ndarray) -> tuple[np.ndarray
     with a polar factor).  A row the dual solve moved is closed by Newton
     steps on its KKT system (_kkt_newton).  Signs: w lies on the half-circle
     of angles [0, pi), with (y, w) flipped jointly, and where B vanishes (to
-    _TIE_TOL of sum|M|) u's largest-magnitude component is positive."""
+    _TIE_TOL of sum|M|) u's largest-magnitude component is positive.
+
+    One row with e as [a, b], lists of floats, runs on 2-D arrays and
+    floats with its row's bits, u and v one row each of floats: its start
+    is tested as _dual_min's first eigh tests it, and one that fails (an
+    entangled row) takes _dual_min and _kkt_newton as a one-row array."""
+    if isinstance(e, list):
+        s = sigma[0].take(_SWAPPED) if second[0] else sigma[0]
+        q = np.linalg.eigh(s[:3, :3])[1]
+        m = _project(s, q.T.tolist(), e)
+        t = 0.5 * np.arctan2(-2.0 * m[3, 4], m[4, 4] - m[3, 3])
+        z = np.array([1.0, 0.0, 0.0, np.cos(t), np.sin(t)])
+        zmz = z * (m @ z[:, None])[:, 0]
+        top = zmz.sum()
+        delta = 2.0 * zmz[:3].sum() - top
+        scale = np.abs(m).sum()
+        if top - (delta + 2.0 * np.linalg.eigh(m - delta * _SPHERE_D)[0][0]) > 1e-12 * scale:
+            y = _dual_min(m[None], 3, z[None])[0]
+            z = _kkt_newton(m[None], y)[0] if (y[0] != z).any() else y[0]
+        if z[4] < 0.0 or (z[4] == 0.0 and z[3] < 0.0):
+            z *= -1.0
+        u = (q @ z[:3, None])[:, 0].tolist()
+        w0, w1 = z[3:].tolist()
+        v = [w0 * a + w1 * b for a, b in zip(*e)]
+        if max(u, key=abs) < 0.0 and np.abs(m[3:, :3]).max() <= _TIE_TOL * scale:
+            u = [-a for a in u]
+        return ([v], [u]) if second[0] else ([u], [v])
     # each row's blocks in the order (d, other)
     order = np.where(second[:, None], np.r_[3:6, 0:3], np.arange(6))
     sigma = sigma[np.arange(len(sigma))[:, None, None], order[:, :, None], order[:, None]]
@@ -653,11 +698,13 @@ def _optimized_uv(mean: np.ndarray, sigma: np.ndarray, second: np.ndarray | None
     _plane_plane_min on build_frame's transverse bases; else where one
     vanishes, subsystem 2's where ``second`` (N,) is True, by _sphere_circle.
     squeezing_report passes its one row, xi_batch each class of its rows;
-    one plane-plane row runs on Python floats, with the bits of its row,
-    and gives u and v as one row each of Python floats."""
+    one row, plane-plane or sphere-circle, runs on Python floats and 2-D
+    arrays, with the bits of its row, and gives u and v as one row each of
+    Python floats."""
     if second is not None:
         d = np.where(second[:, None], mean[:, :3], mean[:, 3:])
-        return _sphere_circle(sigma, second, frame_bases(d))
+        e = list(_triad(*_direction(d[0]))[1:]) if len(d) == 1 else frame_bases(d)
+        return _sphere_circle(sigma, second, e)
     if len(mean) == 1:
         w = mean[0].tolist()
         (_, a1, b1), (_, a2, b2) = _triad(*_direction(w[:3])), _triad(*_direction(w[3:]))

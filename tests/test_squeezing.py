@@ -47,10 +47,11 @@ from spinsqueeze import squeezing
 from spinsqueeze.spin import Frame, _dot3, cross3, frame_bases
 from spinsqueeze.states import Spinor, load_state, save_state, schwinger
 from spinsqueeze.squeezing import (_BATCH_ROWS, _GRID_TABLE, _TIE_TOL, DEGENERATE_MEAN_SPIN,
-                                   FAMILIES, _certified, _coefficients, _covariance, _dual_min,
-                                   _dual_polished, _grid_argmin, _min_transverse_variance, _newton,
-                                   _newton_rows, _plane_matrix, _project, family_summary,
-                                   moment_tables, standard_comparison_grids, xi_batch)
+                                   FAMILIES, _certified, _coefficients, _covariance, _derivatives,
+                                   _dual_min, _dual_polished, _grid_argmin,
+                                   _min_transverse_variance, _newton, _newton_rows, _plane_matrix,
+                                   _project, family_summary, moment_tables,
+                                   standard_comparison_grids, xi_batch)
 
 from conftest import (
     random_coupled,
@@ -449,7 +450,8 @@ def test_optimized_reaches_the_angle_scan_minimum(name):
 
 
 def _newton_point(coef: np.ndarray):
-    """Optimized's Newton point (s, t, converged) arrays from its grid argmin."""
+    """Optimized's Newton point from its grid argmin: (s, t) arrays and the
+    _derivatives (8, N) there, nan where Newton did not converge."""
     s, t = _grid_argmin(coef)
     return _newton_rows(np.ascontiguousarray(coef.T), s, t)
 
@@ -460,19 +462,23 @@ def test_recorded_misses_are_uncertified(name):
     c = np.array(amps).reshape(3, 3)
     coef = _plane_plane_coefficients(c[None])
     s0, t0 = _grid_argmin(coef)
-    s, t, converged = _newton(coef[0].tolist(), float(s0[0]), float(t0[0]))
+    s, t, d = _newton(coef[0].tolist(), float(s0[0]), float(t0[0]))
     assert _xi_at_angles(c, s, t) == pytest.approx(engine, abs=1e-7)
     assert _angle_scan_xi(amps) == pytest.approx(scan, abs=1e-7)
-    assert converged and not _certified(coef[0].tolist(), s, t)
+    assert d is not None and not _certified(coef[0].tolist(), d)
 
 
 def test_certificate_implies_a_positive_semidefinite_dual_matrix():
     # 2,000 dense states, and the 60 tau2 = 0 two-stage cells, whose minima are flat
     c = np.concatenate([_dense_draw(11), two_stage_amplitudes(np.linspace(0.0, 3.0, 60))[::60]])
     coef = _plane_plane_coefficients(c)
-    s, t, converged = _newton_point(coef)
-    certified = _certified(coef.T, s, t)
-    assert certified.tolist() == [_certified(k, a, b) for k, a, b in
+    s, t, d = _newton_point(coef)
+    converged = ~np.isnan(d[0])
+    # Newton hands the certificate its last evaluation: the bits of a new one
+    fresh = np.array(_derivatives(coef.T, s, t))
+    assert d[:, converged].tobytes() == fresh[:, converged].tobytes()
+    certified = _certified(coef.T, fresh)
+    assert certified.tolist() == [_certified(k, _derivatives(k, a, b)) for k, a, b in
                                   zip(coef.tolist(), s.tolist(), t.tolist())]
     # the test presumes a stationary point; Optimized asks it only of those
     certified &= converged
@@ -563,10 +569,14 @@ def test_grid_table_rows_are_the_harmonics_of_a_coefficient_row():
 def test_xi_batch_equals_reports_across_the_batch_threshold(size, monkeypatch):
     from spinsqueeze import squeezing
 
-    c = _dense_draw(11)
-    # in this draw rows 135, 185 and 429 take the Newton-rejection fallback
-    # and row 820 (a converged point that is not certified) the dual solve
-    first = [135, 185, 429, 820]
+    g = np.linspace(0.05, 3.1, 50)
+    # the default sweep config2 cells (8, 21) and (13, 20) and config3 cell
+    # (19, 29) take the Newton-rejection fallback, and seed-11 dense row 820
+    # (a converged point that is not certified) the dual solve; no other
+    # row of that draw reaches it
+    c = np.concatenate([[config(2, g[8], g[21]).c, config(2, g[13], g[20]).c,
+                         config(3, g[19], g[29]).c], _dense_draw(11)])
+    first = [0, 1, 2, 3 + 820]
     rows = np.concatenate([first, np.setdiff1d(np.arange(len(c)), first)])[:size]
     calls = {}
 
@@ -582,11 +592,12 @@ def test_xi_batch_equals_reports_across_the_batch_threshold(size, monkeypatch):
         counted(name)
     xi = xi_batch(c[rows], Optimized())
     assert bool(calls.get("_newton_rows")) == (size >= _BATCH_ROWS)
-    # one dual solve per block of at most 512 rows takes its open rows,
-    # the four above among them
-    assert len(calls["_dual_min"]) == -(-size // 512)
-    m = np.concatenate([args[0] for args in calls["_dual_min"]])
+    # one dual solve, in the first block of at most 512 rows, takes exactly
+    # the four open rows above
+    (args,) = calls["_dual_min"]
+    m = args[0]
     want = _plane_plane_matrices(c[first])
+    assert len(m) == len(first)
     assert all(np.isclose(m, w, rtol=0.0, atol=1e-14).all(axis=(1, 2)).any() for w in want)
     monkeypatch.undo()
     for got, row in zip(xi, c[rows]):
@@ -701,39 +712,65 @@ def test_xi_batch_rows_do_not_depend_on_their_block(policy):
 
 def _directions_population() -> dict[str, np.ndarray]:
     """Seeded amplitude stacks whose reports take each Optimized path: 2,000
-    dense states (plane-plane, 7 through the dual solve), 512 polar (x)
-    random products (sphere-circle, on either side) and 512 config-3 draws
-    (29 through the dual solve)."""
+    dense states (plane-plane, 1 through the dual solve), 512 polar (x)
+    random products (sphere-circle, on either side, with B = 0), 512
+    config-3 draws (3 through the dual solve), the default sweep config2
+    cells (20 through it) and 64 entangled states with <S1> = 0 or <S2> = 0
+    and the two _SPHERE_FALLBACKS (sphere-circle rows whose start the dual
+    solve moves, closed by _kkt_newton)."""
     rng = np.random.default_rng(21)
     pairs = [(_polar(rng), _random_spin1(rng)) for _ in range(512)]
     angles = rng.uniform(0.0, math.pi, (512, 2)), rng.uniform(0.0, 2.0 * math.pi, (512, 2))
+    entangled = [_zero_mean1(rng).c for _ in range(64)]
+    g = np.linspace(0.05, 3.1, 50)
     return {
         "dense": _dense_draw(21),
         "polar x random": np.array([product(*(pair[::-1] if k % 2 else pair)).c
                                     for k, pair in enumerate(pairs)]),
         "config3": np.array([config(3, *a, *p).c for a, p in zip(*angles)]),
+        "sweep config2": np.array([config(2, a, b).c for a in g for b in g]),
+        "entangled": np.array([c.T if k % 2 else c for k, c in enumerate(entangled)]
+                              + [np.reshape(amps, (3, 3)) for amps in _SPHERE_FALLBACKS]),
     }
 
 
 def test_report_directions_are_the_block_rows(monkeypatch):
-    """A report's Optimized u and v, from the one-row path on Python floats,
-    are the bits of its row's u and v in a 512-row block; so are the one
-    row's coefficient row and grid start."""
-    optimized_uv, dual_polished = squeezing._optimized_uv, squeezing._dual_polished
-    seen, dual_rows = [], []
+    """A report's Optimized u and v, from the one-row path on Python floats
+    and 2-D arrays, are the bits of its row's u and v in a 512-row block, on
+    every path: plane-plane rows that Newton settles or that go through the
+    dual solve and its polish, sphere-circle rows whose start stands (and
+    the sign rule for u where B vanishes) or that the dual solve and
+    _kkt_newton move.  So are a plane row's coefficient row and grid start."""
+    optimized_uv, dual_min, kkt_newton = (squeezing._optimized_uv, squeezing._dual_min,
+                                          squeezing._kkt_newton)
+    seen, reached, reporting = [], collections.Counter(), []
 
     def recording(*args):
         seen.append(optimized_uv(*args))
         return seen[-1]
 
-    def counting(coef, z):
-        dual_rows.append(len(coef))
-        return dual_polished(coef, z)
+    # the rows that the one-row reports (not the blocks) take there
+    def dual_counting(m, nu, z):
+        if reporting:
+            reached[reporting[0], "dual", nu] += len(m)
+        return dual_min(m, nu, z)
+
+    def kkt_counting(m, z):
+        if reporting:
+            reached[reporting[0], "kkt"] += len(m)
+        return kkt_newton(m, z)
+
+    def report_uv(amps):
+        seen.clear()
+        squeezing_report(CoupledState(amps), Optimized())
+        ((u1,), (v1,)), = seen
+        return np.array(u1).tobytes(), np.array(v1).tobytes()
 
     monkeypatch.setattr(squeezing, "_optimized_uv", recording)
-    monkeypatch.setattr(squeezing, "_dual_polished", counting)
-    paths, reports_dual = set(), collections.Counter()
-    for name, c in _directions_population().items():
+    monkeypatch.setattr(squeezing, "_dual_min", dual_counting)
+    monkeypatch.setattr(squeezing, "_kkt_newton", kkt_counting)
+    paths, population = set(), _directions_population()
+    for name, c in population.items():
         g = moment_tables(c)
         mean, sigma = g[:, 0, 1:], _covariance(g)
         deg1, deg2 = (np.sqrt(_dot3(m.T, m.T)) < DEGENERATE_MEAN_SPIN
@@ -747,14 +784,10 @@ def test_report_directions_are_the_block_rows(monkeypatch):
                 paths.add((name, second is None))
                 u, v = optimized_uv(mean[rows], sigma[rows],
                                     None if second is None else second[rows])
-                dual_rows.clear()
+                reporting.append(name)
                 for k, uk, vk in zip(rows, u, v):
-                    seen.clear()
-                    squeezing_report(CoupledState(c[k]), Optimized())
-                    ((u1,), (v1,)), = seen
-                    assert np.array(u1).tobytes() == uk.tobytes(), (name, k)
-                    assert np.array(v1).tobytes() == vk.tobytes(), (name, k)
-                reports_dual[name] += sum(dual_rows)
+                    assert report_uv(c[k]) == (uk.tobytes(), vk.tobytes()), (name, k)
+                reporting.clear()
                 if second is not None:
                     continue
                 e1, e2 = frame_bases(mean[rows, :3]), frame_bases(mean[rows, 3:])
@@ -766,9 +799,19 @@ def test_report_directions_are_the_block_rows(monkeypatch):
                     row = _coefficients(_project(sigma[k], *bases).tolist())
                     assert np.array(row).tobytes() == coef[j].tobytes(), (name, k)
                     assert _grid_argmin(row) == (s[j], t[j]), (name, k)
-    assert paths == {("dense", True), ("polar x random", False), ("config3", True)}
-    # not vacuous: reports that the dual solve and the polish answer
-    assert reports_dual == collections.Counter({"dense": 7, "polar x random": 0, "config3": 29})
+    assert paths == {("dense", True), ("polar x random", False), ("config3", True),
+                     ("sweep config2", True), ("entangled", False)}
+    # not vacuous: the reports that the dual solve answers, on each side
+    assert reached == collections.Counter({
+        ("dense", "dual", 2): 1, ("config3", "dual", 2): 3, ("sweep config2", "dual", 2): 20,
+        ("entangled", "dual", 3): 66, ("entangled", "kkt"): 66})
+    # and the products' sign rule for u: taking no B to vanish skips it,
+    # which negates the sphere side's u of about half of the reports
+    products = population["polar x random"]
+    kept = [report_uv(amps) for amps in products]
+    monkeypatch.setattr(squeezing, "_TIE_TOL", -1.0)
+    flipped = [k for k, amps in enumerate(products) if report_uv(amps) != kept[k]]
+    assert 0.3 < len(flipped) / len(products) < 0.7
 
 
 def test_fixed_takes_only_frames():
@@ -1218,11 +1261,18 @@ def test_dual_moved_rows_are_polished(monkeypatch):
     _TIE_TOL of sum|M|, and two come down by more than that.  The rows: the
     seed-11 dense rows whose Newton point the engine does not certify, from
     that point, and the sweep config3 hard cells from two fixed starts.  A
-    Newton point that rises (a converged local minimum) is not kept."""
+    Newton point that rises (a converged local minimum) is not kept.  The
+    dense rows start where Newton stops under a step bound of one grid cell:
+    rows 135, 185 and 429 reject a step there, and under Optimized's bound
+    they converge to certified points."""
     g = np.linspace(0.05, 3.1, 50)
     cells = [(16, 21), (17, 2), (17, 27), (17, 47), (31, 22), (32, 2), (32, 27), (32, 47)]
     dense = _plane_plane_coefficients(_dense_draw(11)[[135, 185, 429, 820]])
-    s, t, _ = _newton_point(dense)
+    with monkeypatch.context() as patch:
+        patch.setattr(squeezing, "_MAX_STEP", squeezing._CELL)
+        s, t, d = _newton_point(dense)
+    assert np.isnan(d[0]).tolist() == [True, True, True, False]
+    assert _certified(dense.T, _newton_point(dense)[2]).tolist() == [True, True, True, False]
     hard = _plane_plane_coefficients(np.array([config(3, g[i], g[j]).c for i, j in cells]))
     cases = [(dense, np.stack([np.cos(s), np.sin(s), np.cos(t), np.sin(t)], axis=1))]
     cases += [(hard, np.tile(start, (len(hard), 1)))
@@ -1263,8 +1313,9 @@ def test_dual_solve_on_the_sphere():
     assert np.all(np.abs(bound - reference) <= 1e-12 * scale)
 
 
-# <S1> = 0 and <S2> = 0 states whose polished sphere point misses the 5x5
-# test by roundoff here, so that their reports run the dual solve
+# <S1> = 0 and <S2> = 0 entangled states, first recorded because their
+# polished sphere point missed a 5x5 test by roundoff; as every entangled
+# one, their reports run the dual solve and _kkt_newton
 _SPHERE_FALLBACKS = (
     ((-0.09019383976763574-0.08094009353554349j), (-0.05805744894754847+0.4830886137122617j),
      (-0.312593708106372+0.2931147364067914j), (0.11290343092287662+0.048083352826985004j),
