@@ -404,6 +404,8 @@ def _certified(c, d):
 
 # a guard on dual iterations: from any start the test sets need at most 8
 _DUAL_STEPS = 60
+# _dual_min's D = diag(I_u, 0) by the length nu of u (v has two coordinates)
+_DUAL_D = {nu: np.diag(np.arange(nu + 2) < nu) for nu in (2, 3)}
 
 
 def _dual_min(m: np.ndarray, nu: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -417,19 +419,25 @@ def _dual_min(m: np.ndarray, nu: int, z: np.ndarray) -> tuple[np.ndarray, np.nda
     point's l1 - l2 (l1 = u.(Mz)_u, l2 = v.(Mz)_v), where one eigh of all
     rows settles those whose start point is within the tolerance, the
     certificate of every sphere-circle start; the rest iterate
-    (_dual_step), one eigh of all of them per iteration.
+    (_dual_step), one eigh of all of them per iteration.  One row, M
+    (n, n) and z (n,), has that first stage on 2-D arrays with its row's
+    bits, and if it stays open iterates as a stack of one.
     """
-    dd = np.diag(np.arange(m.shape[-1]) < nu)
-    scale = np.abs(m).sum(axis=(1, 2))
+    dd = _DUAL_D[nu]
+    scale = np.abs(m).sum(axis=(-2, -1))
     tol = 1e-12 * scale
-    zmz = z * (m @ z[:, :, None])[:, :, 0]
-    top = zmz.sum(axis=1)               # the start value, l1 + l2
-    delta = 2.0 * zmz[:, :nu].sum(axis=1) - top
-    lam, x = np.linalg.eigh(m - delta[:, None, None] * dd)
-    bound = delta + 2.0 * lam[:, 0]
-    rows = np.flatnonzero(top - bound > tol)
-    if not rows.size:
+    zmz = z * (m @ z[..., None])[..., 0]
+    top = zmz.sum(axis=-1)              # the start value, l1 + l2
+    delta = 2.0 * zmz[..., :nu].sum(axis=-1) - top
+    lam, x = np.linalg.eigh(m - delta[..., None, None] * dd)
+    bound = delta + 2.0 * lam[..., 0]
+    if not (top - bound > tol).any():
         return z, bound
+    one = m.ndim == 2
+    if one:
+        m, z, lam, x = m[None], z[None], lam[None], x[None]
+        top, tol, delta, scale, bound = np.atleast_1d(top, tol, delta, scale, bound)
+    rows = np.flatnonzero(top - bound > tol)
     z = z.copy()
     # an open row: [row, start point, M, start value, tolerance, delta, lo, hi]
     state = np.stack([top, tol, delta, -4.0 * scale, 4.0 * scale], axis=1)[rows].tolist()
@@ -448,7 +456,7 @@ def _dual_min(m: np.ndarray, nu: int, z: np.ndarray) -> tuple[np.ndarray, np.nda
             break
         lam, x = np.linalg.eigh(m[[row[0] for row in live]]
                                 - np.array([row[5] for row in live])[:, None, None] * dd)
-    return z, bound
+    return (z[0], bound[0]) if one else (z, bound)
 
 
 def _dual_step(row: list, lam: list, x: list, nu: int):
@@ -556,10 +564,8 @@ def _dual_polished(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
 # covariance on [a, b].
 
 
-# the entries of a one-row Sigma with its blocks swapped, by one take, and
-# the D = diag(I_u, 0) that _dual_min builds for a sphere-circle row
+# the entries of a one-row Sigma with its blocks swapped, by one take
 _SWAPPED = np.add.outer(6 * np.r_[3:6, 0:3], np.r_[3:6, 0:3])
-_SPHERE_D = np.diag(np.arange(5) < 3)
 
 
 def _sphere_circle(sigma, second: np.ndarray, e) -> tuple:
@@ -577,28 +583,22 @@ def _sphere_circle(sigma, second: np.ndarray, e) -> tuple:
     _TIE_TOL of sum|M|) u's largest-magnitude component is positive.
 
     One row with e as [a, b], lists of floats, runs on 2-D arrays and
-    floats with its row's bits, u and v one row each of floats: its start
-    is tested as _dual_min's first eigh tests it, and one that fails (an
-    entangled row) takes _dual_min and _kkt_newton as a one-row array."""
+    floats with its row's bits, u and v one row each of floats."""
     if isinstance(e, list):
         s = sigma[0].take(_SWAPPED) if second[0] else sigma[0]
         q = np.linalg.eigh(s[:3, :3])[1]
         m = _project(s, q.T.tolist(), e)
         t = 0.5 * np.arctan2(-2.0 * m[3, 4], m[4, 4] - m[3, 3])
-        z = np.array([1.0, 0.0, 0.0, np.cos(t), np.sin(t)])
-        zmz = z * (m @ z[:, None])[:, 0]
-        top = zmz.sum()
-        delta = 2.0 * zmz[:3].sum() - top
-        scale = np.abs(m).sum()
-        if top - (delta + 2.0 * np.linalg.eigh(m - delta * _SPHERE_D)[0][0]) > 1e-12 * scale:
-            y = _dual_min(m[None], 3, z[None])[0]
-            z = _kkt_newton(m[None], y)[0] if (y[0] != z).any() else y[0]
+        start = np.array([1.0, 0.0, 0.0, np.cos(t), np.sin(t)])
+        z = _dual_min(m, 3, start)[0]
+        if z is not start and (z != start).any():
+            z = _kkt_newton(m[None], z[None])[0]
         if z[4] < 0.0 or (z[4] == 0.0 and z[3] < 0.0):
             z *= -1.0
         u = (q @ z[:3, None])[:, 0].tolist()
         w0, w1 = z[3:].tolist()
         v = [w0 * a + w1 * b for a, b in zip(*e)]
-        if max(u, key=abs) < 0.0 and np.abs(m[3:, :3]).max() <= _TIE_TOL * scale:
+        if max(u, key=abs) < 0.0 and np.abs(m[3:, :3]).max() <= _TIE_TOL * np.abs(m).sum():
             u = [-a for a in u]
         return ([v], [u]) if second[0] else ([u], [v])
     # each row's blocks in the order (d, other)
