@@ -104,8 +104,7 @@ class Optimized:
     its start if that is within the tolerance, else the lowest eigenvector
     at the optimal delta with u and v normalized separately or, if that
     eigenvalue is repeated, the mixture of its eigenvectors with |u| = |v|.
-    A point the solve moved is polished by Newton steps, on its angles or
-    on its KKT system.
+    A point the solve moved is polished by Newton steps on its KKT system.
     """
 
 
@@ -419,9 +418,10 @@ def _dual_min(m: np.ndarray, nu: int, z: np.ndarray) -> tuple[np.ndarray, np.nda
     point's l1 - l2 (l1 = u.(Mz)_u, l2 = v.(Mz)_v), where one eigh of all
     rows settles those whose start point is within the tolerance, the
     certificate of every sphere-circle start; the rest iterate
-    (_dual_step), one eigh of all of them per iteration.  One row, M
-    (n, n) and z (n,), has that first stage on 2-D arrays with its row's
-    bits, and if it stays open iterates as a stack of one.
+    (_dual_step), one eigh of all of them per iteration, and each point
+    that moved from its start is polished (_kkt_newton).  One row, M (n, n)
+    and z (n,), has that first stage on 2-D arrays with its row's bits, and
+    if it stays open iterates as a stack of one.
     """
     dd = _DUAL_D[nu]
     scale = np.abs(m).sum(axis=(-2, -1))
@@ -438,7 +438,7 @@ def _dual_min(m: np.ndarray, nu: int, z: np.ndarray) -> tuple[np.ndarray, np.nda
         m, z, lam, x = m[None], z[None], lam[None], x[None]
         top, tol, delta, scale, bound = np.atleast_1d(top, tol, delta, scale, bound)
     rows = np.flatnonzero(top - bound > tol)
-    z = z.copy()
+    start, z = z, z.copy()
     # an open row: [row, start point, M, start value, tolerance, delta, lo, hi]
     state = np.stack([top, tol, delta, -4.0 * scale, 4.0 * scale], axis=1)[rows].tolist()
     live = [[k, z[k], m[k].tolist(), *v] for k, v in zip(rows.tolist(), state)]
@@ -456,6 +456,9 @@ def _dual_min(m: np.ndarray, nu: int, z: np.ndarray) -> tuple[np.ndarray, np.nda
             break
         lam, x = np.linalg.eigh(m[[row[0] for row in live]]
                                 - np.array([row[5] for row in live])[:, None, None] * dd)
+    moved = np.flatnonzero((z != start).any(axis=1))
+    if moved.size:
+        z[moved] = _kkt_newton(m[moved], z[moved], nu)
     return (z[0], bound[0]) if one else (z, bound)
 
 
@@ -511,8 +514,7 @@ def _plane_plane_min(coef):
     (N, 4) for plane-plane coefficient rows (N, 8): grid argmin, joint
     Newton, and the point if _certified proves it global; every other row
     (a rejected step or an unproven point) goes into one _dual_min call on
-    its M started there, and each point that solve moves is polished
-    (_dual_polished).  Newton and the certificate run per row on floats
+    its M started there.  Newton and the certificate run per row on floats
     below _BATCH_ROWS rows, on arrays from there on, with the same
     arithmetic; one row given as a list of floats gives its z as one."""
     if isinstance(coef, list):
@@ -520,7 +522,7 @@ def _plane_plane_min(coef):
         z = [math.cos(s), math.sin(s), math.cos(t), math.sin(t)]
         if d is not None and _certified(coef, d):
             return z
-        return _dual_polished(np.array([coef]), np.array([z]))[0].tolist()
+        return _dual_min(_plane_matrix(np.array([coef])), 2, np.array([z]))[0][0].tolist()
     s, t = _grid_argmin(coef)
     if len(coef) < _BATCH_ROWS:
         rows = coef.tolist()
@@ -534,25 +536,8 @@ def _plane_plane_min(coef):
         z = np.stack([np.cos(s), np.sin(s), np.cos(t), np.sin(t)], axis=1)
         rest = np.flatnonzero(~_certified(table, d))
     if len(rest):
-        z[rest] = _dual_polished(coef[rest], z[rest])
+        z[rest] = _dual_min(_plane_matrix(coef[rest]), 2, z[rest])[0]
     return z
-
-
-def _dual_polished(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """_dual_min's minimizers (N, 4) of the M of coefficient rows (N, 8)
-    started at z, each point the solve moved (within 1e-12 of sum|M| of the
-    minimum in value, about 1e-6 in position) polished by _newton from its
-    angles, row by row.  A row keeps the Newton point where Newton converged
-    and z.M.z rises by no more than _TIE_TOL of sum|M|, _kkt_newton's rule."""
-    m = _plane_matrix(coef)
-    y = _dual_min(m, 2, z)[0]
-    for k in np.flatnonzero((y != z).any(axis=1)).tolist():
-        w, mk = y[k], m[k]
-        s, t, d = _newton(coef[k].tolist(), math.atan2(w[1], w[0]), math.atan2(w[3], w[2]))
-        new = np.array([math.cos(s), math.sin(s), math.cos(t), math.sin(t)])
-        if d is not None and new @ mk @ new <= w @ mk @ w + _TIE_TOL * np.abs(mk).sum():
-            y[k] = new
-    return y
 
 
 # One degenerate subsystem d: its direction u runs over the whole sphere and
@@ -564,7 +549,7 @@ def _dual_polished(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
 # covariance on [a, b].
 
 
-# the entries of a one-row Sigma with its blocks swapped, by one take
+# the flat entries of a Sigma with its blocks swapped, one gather for a row or rows
 _SWAPPED = np.add.outer(6 * np.r_[3:6, 0:3], np.r_[3:6, 0:3])
 
 
@@ -577,10 +562,10 @@ def _sphere_circle(sigma, second: np.ndarray, e) -> tuple:
     _dual_min alone solves the rows, started at the separable point of the
     lowest eigenvectors of A and G; its first eigh certifies that point
     where it is within tolerance, as it is whenever C vanishes (a product
-    with a polar factor).  A row the dual solve moved is closed by Newton
-    steps on its KKT system (_kkt_newton).  Signs: w lies on the half-circle
-    of angles [0, pi), with (y, w) flipped jointly, and where B vanishes (to
-    _TIE_TOL of sum|M|) u's largest-magnitude component is positive.
+    with a polar factor), and polishes each row it moves.  Signs: w lies on
+    the half-circle of angles [0, pi), with (y, w) flipped jointly, and
+    where B vanishes (to _TIE_TOL of sum|M|) u's largest-magnitude
+    component is positive.
 
     One row with e as [a, b], lists of floats, runs on 2-D arrays and
     floats with its row's bits, u and v one row each of floats."""
@@ -591,8 +576,6 @@ def _sphere_circle(sigma, second: np.ndarray, e) -> tuple:
         t = 0.5 * np.arctan2(-2.0 * m[3, 4], m[4, 4] - m[3, 3])
         start = np.array([1.0, 0.0, 0.0, np.cos(t), np.sin(t)])
         z = _dual_min(m, 3, start)[0]
-        if z is not start and (z != start).any():
-            z = _kkt_newton(m[None], z[None])[0]
         if z[4] < 0.0 or (z[4] == 0.0 and z[3] < 0.0):
             z *= -1.0
         u = (q @ z[:3, None])[:, 0].tolist()
@@ -602,8 +585,7 @@ def _sphere_circle(sigma, second: np.ndarray, e) -> tuple:
             u = [-a for a in u]
         return ([v], [u]) if second[0] else ([u], [v])
     # each row's blocks in the order (d, other)
-    order = np.where(second[:, None], np.r_[3:6, 0:3], np.arange(6))
-    sigma = sigma[np.arange(len(sigma))[:, None, None], order[:, :, None], order[:, None]]
+    sigma = np.where(second[:, None, None], sigma.reshape(-1, 36)[:, _SWAPPED], sigma)
     q = np.linalg.eigh(sigma[:, :3, :3])[1]
     m = _project(sigma, q.swapaxes(1, 2), e)
     # G's lowest eigenvector is w = (cos t, sin t) at 2t = atan2(-2 g01, g11 - g00)
@@ -612,9 +594,6 @@ def _sphere_circle(sigma, second: np.ndarray, e) -> tuple:
     start = np.zeros((len(e), 5))
     start[:, 0], start[:, 3], start[:, 4] = 1.0, np.cos(t), np.sin(t)
     z = _dual_min(m, 3, start)[0]
-    moved = np.flatnonzero((z != start).any(axis=1))
-    if moved.size:
-        z[moved] = _kkt_newton(m[moved], z[moved])
     z[(z[:, 4] < 0.0) | ((z[:, 4] == 0.0) & (z[:, 3] < 0.0))] *= -1.0
     u = (q @ z[:, :3, None])[:, :, 0]
     v = z[:, 3:4] * e[:, 0] + z[:, 4:] * e[:, 1]
@@ -624,30 +603,32 @@ def _sphere_circle(sigma, second: np.ndarray, e) -> tuple:
     return np.where(second[:, None], v, u), np.where(second[:, None], u, v)
 
 
-def _kkt_newton(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Two Newton steps on the KKT system (M - L) z = 0, |y| = |w| = 1 in
-    (z, l1, l2), L = diag(l1, l1, l1, l2, l2), from feasible points z (N, 5)
-    of 5x5 rows M (y the first three coordinates, l1 = y.(Mz)_y and l2 =
-    w.(Mz)_w), solved by the eigenpairs of its symmetric 7x7 matrix.  A
-    dual solve's point is within 1e-12 of sum|M| in value, so about 1e-6 in
-    position, and each step squares that error.  A row keeps a step, with y
-    and w normalized, where it is finite and raises z.M.z by no more than
-    _TIE_TOL of sum|M|."""
+def _kkt_newton(m: np.ndarray, z: np.ndarray, nu: int) -> np.ndarray:
+    """Two Newton steps on the KKT system (M - L) z = 0, |u| = |v| = 1 in
+    (z, l1, l2), L = diag(l1 I_u, l2 I_v), from feasible points z (N, n) of
+    rows M (N, n, n), u the first nu coordinates (l1 = u.(Mz)_u and l2 =
+    v.(Mz)_v), solved by the eigenpairs of its symmetric (n + 2)x(n + 2)
+    matrix.  A dual solve's point is within 1e-12 of sum|M| in value, so
+    about 1e-6 in position, and each step squares that error.  A row keeps
+    a step, with u and v normalized, where it is finite and raises z.M.z by
+    no more than _TIE_TOL of sum|M|."""
+    n = z.shape[1]
+    diag = np.arange(n)
     tie = _TIE_TOL * np.abs(m).sum(axis=(1, 2))
-    k = np.zeros((len(z), 7, 7))
-    k[:, :5, :5] = m
+    k = np.zeros((len(z), n + 2, n + 2))
+    k[:, :n, :n] = m
     for _ in range(2):
         mz = (m @ z[:, :, None])[:, :, 0]
-        lag = np.repeat(np.add.reduceat(z * mz, [0, 3], axis=1), [3, 2], axis=1)
-        k[:, range(5), range(5)] = m[:, range(5), range(5)] - lag
-        k[:, :3, 5] = k[:, 5, :3] = -z[:, :3]
-        k[:, 3:5, 6] = k[:, 6, 3:5] = -z[:, 3:]
+        lag = np.repeat(np.add.reduceat(z * mz, [0, nu], axis=1), [nu, n - nu], axis=1)
+        k[:, diag, diag] = m[:, diag, diag] - lag
+        k[:, :nu, n] = k[:, n, :nu] = -z[:, :nu]
+        k[:, nu:n, n + 1] = k[:, n + 1, nu:n] = -z[:, nu:]
         lam, vec = np.linalg.eigh(k)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            coef = ((lag * z - mz)[:, None] @ vec[:, :5])[:, 0] / lam
-            step = z + (vec[:, :5] @ coef[:, :, None])[:, :, 0]
-            new = np.concatenate([step[:, :3] / np.linalg.norm(step[:, :3], axis=1)[:, None],
-                                  step[:, 3:] / np.linalg.norm(step[:, 3:], axis=1)[:, None]], axis=1)
+            coef = ((lag * z - mz)[:, None] @ vec[:, :n])[:, 0] / lam
+            step = z + (vec[:, :n] @ coef[:, :, None])[:, :, 0]
+            new = np.concatenate([step[:, :nu] / np.linalg.norm(step[:, :nu], axis=1)[:, None],
+                                  step[:, nu:] / np.linalg.norm(step[:, nu:], axis=1)[:, None]], axis=1)
             keep = np.einsum("ni,nij,nj->n", new, m, new) <= (z * mz).sum(axis=1) + tie
         z = np.where((keep & np.isfinite(new).all(axis=1))[:, None], new, z)
     return z

@@ -48,7 +48,7 @@ from spinsqueeze.spin import Frame, _dot3, cross3, frame_bases
 from spinsqueeze.states import Spinor, load_state, save_state, schwinger
 from spinsqueeze.squeezing import (_BATCH_ROWS, _GRID_TABLE, _TIE_TOL, DEGENERATE_MEAN_SPIN,
                                    FAMILIES, _certified, _coefficients, _covariance, _derivatives,
-                                   _dual_min, _dual_polished, _grid_argmin,
+                                   _dual_min, _grid_argmin, _kkt_newton,
                                    _min_transverse_variance, _newton, _newton_rows, _plane_matrix,
                                    _project, family_summary, moment_tables,
                                    standard_comparison_grids, xi_batch)
@@ -758,10 +758,10 @@ def test_report_directions_are_the_block_rows(monkeypatch):
             reached[reporting[0], "dual", nu] += len(m) if m.ndim == 3 else 1
         return y
 
-    def kkt_counting(m, z):
+    def kkt_counting(m, z, nu):
         if reporting:
             reached[reporting[0], "kkt"] += len(m)
-        return kkt_newton(m, z)
+        return kkt_newton(m, z, nu)
 
     def report_uv(amps):
         seen.clear()
@@ -804,10 +804,11 @@ def test_report_directions_are_the_block_rows(monkeypatch):
                     assert _grid_argmin(row) == (s[j], t[j]), (name, k)
     assert paths == {("dense", True), ("polar x random", False), ("config3", True),
                      ("sweep config2", True), ("entangled", False)}
-    # not vacuous: the reports that the dual solve answers, on each side
+    # not vacuous: the reports that the dual solve answers and polishes, on each side
     assert reached == collections.Counter({
         ("dense", "dual", 2): 1, ("config3", "dual", 2): 3, ("sweep config2", "dual", 2): 20,
-        ("entangled", "dual", 3): 66, ("entangled", "kkt"): 66})
+        ("entangled", "dual", 3): 66, ("dense", "kkt"): 1, ("config3", "kkt"): 3,
+        ("sweep config2", "kkt"): 20, ("entangled", "kkt"): 66})
     # and the products' sign rule for u: taking no B to vanish skips it,
     # which negates the sphere side's u of about half of the reports
     products = population["polar x random"]
@@ -1260,14 +1261,14 @@ def test_dual_solve_recovers_the_hard_case():
 
 def test_dual_moved_rows_are_polished(monkeypatch):
     """Every row the dual solve moves ends within 1e-12 of sum|M| of its
-    bound after the polish and never above its dual point by more than
-    _TIE_TOL of sum|M|, and two come down by more than that.  The rows: the
-    seed-11 dense rows whose Newton point the engine does not certify, from
-    that point, and the sweep config3 hard cells from two fixed starts.  A
-    Newton point that rises (a converged local minimum) is not kept.  The
-    dense rows start where Newton stops under a step bound of one grid cell:
-    rows 135, 185 and 429 reject a step there, and under Optimized's bound
-    they converge to certified points."""
+    bound after _kkt_newton's polish and never above its unpolished dual
+    point (_kkt_newton as the identity) by more than _TIE_TOL of sum|M|,
+    and two come down by more than that.  The rows: the seed-11 dense rows
+    whose Newton point the engine does not certify, from that point, and
+    the sweep config3 hard cells from two fixed starts.  A KKT step that
+    rises is not kept.  The dense rows start where Newton stops under a
+    step bound of one grid cell: rows 135, 185 and 429 reject a step there,
+    and under Optimized's bound they converge to certified points."""
     g = np.linspace(0.05, 3.1, 50)
     cells = [(16, 21), (17, 2), (17, 27), (17, 47), (31, 22), (32, 2), (32, 27), (32, 47)]
     dense = _plane_plane_coefficients(_dense_draw(11)[[135, 185, 429, 820]])
@@ -1284,8 +1285,10 @@ def test_dual_moved_rows_are_polished(monkeypatch):
     for coef, z in cases:
         m = _plane_matrix(coef)
         scale = np.abs(m).sum(axis=(1, 2))
-        y, bound = _dual_min(m, 2, z)
-        polished = _dual_polished(coef, z)
+        polished, bound = _dual_min(m, 2, z)
+        with monkeypatch.context() as patch:
+            patch.setattr(squeezing, "_kkt_newton", lambda m, z, nu: z)
+            y = _dual_min(m, 2, z)[0]
         value, unpolished = (np.einsum("ni,nij,nj->n", w, m, w) for w in (polished, y))
         moved = (y != z).any(axis=1)
         assert np.all(value[moved] - bound[moved] <= 1e-12 * scale[moved])
@@ -1295,13 +1298,13 @@ def test_dual_moved_rows_are_polished(monkeypatch):
         moved_rows += moved.sum()
         lowered += np.sum(value < unpolished - tie)
     assert (moved_rows, lowered) == (4 + 8 + 8, 2)
-    # row 820's Newton point from its grid start is a local minimum above
-    # the global one (_MISSES); a polish that converged there would rise
-    row, start = dense[3:], cases[0][1][3:]
-    s0, t0 = _grid_argmin(row)
-    newton = squeezing._newton
-    monkeypatch.setattr(squeezing, "_newton", lambda c, s, t: newton(c, float(s0[0]), float(t0[0])))
-    assert np.array_equal(_dual_polished(row, start), _dual_min(_plane_matrix(row), 2, start)[0])
+    # a KKT point need not be the minimum: from 0.01 off row 820's maximum
+    # (the minimizer of -M), the steps climb to it, and none is kept
+    m = _plane_matrix(dense[3:])
+    top = _dual_min(-m, 2, np.array([[1.0, 0.0, 1.0, 0.0]]))[0][0]
+    a = math.atan2(top[1], top[0]) + 0.01
+    z = np.array([[math.cos(a), math.sin(a), top[2], top[3]]])
+    assert np.array_equal(_kkt_newton(m, z, 2), z)
 
 
 def test_dual_solve_on_the_sphere():
