@@ -98,13 +98,13 @@ class Optimized:
     Newton steps of at most pi/8 (four cells), and stands when a
     closed-form test puts it within 1e-12 of M's scale of the bound; where
     several points attain the minimum, the frames are those of the point
-    Newton reaches from that grid start.  Every other plane-plane row, and
-    every sphere-circle row from the separable point of each side's
-    least-variance direction, goes to one batched dual solve, which returns
-    its start if that is within the tolerance, else the lowest eigenvector
-    at the optimal delta with u and v normalized separately or, if that
-    eigenvalue is repeated, the mixture of its eigenvectors with |u| = |v|.
-    A point the solve moved is polished by Newton steps on its KKT system.
+    Newton reaches from that grid start.  A sphere-circle row starts at the
+    separable point of each side's least-variance direction, the answer
+    where the cross block B vanishes.  Every other row goes to one batched
+    dual solve, which returns its start if that is within the tolerance,
+    else the lowest eigenvector at the optimal delta with u and v normalized
+    separately or, if that eigenvalue is repeated, the mixture of its
+    eigenvectors with |u| = |v|, polished by Newton steps on its KKT system.
     """
 
 
@@ -415,94 +415,88 @@ def _dual_min(m: np.ndarray, nu: int, z: np.ndarray) -> tuple[np.ndarray, np.nda
     delta + 2 lambda_min(M - delta D), D = diag(I_u, 0), and the largest
     bound is the minimum: n >= 3 makes the joint range of z.M.z, |u|^2 and
     |v|^2 convex (B. T. Polyak, JOTA 99, 1998).  delta starts at the start
-    point's l1 - l2 (l1 = u.(Mz)_u, l2 = v.(Mz)_v), where one eigh of all
-    rows settles those whose start point is within the tolerance, the
-    certificate of every sphere-circle start; the rest iterate
-    (_dual_step), one eigh of all of them per iteration, and each point
-    that moved from its start is polished (_kkt_newton).  One row, M (n, n)
-    and z (n,), has that first stage on 2-D arrays with its row's bits, and
-    if it stays open iterates as a stack of one.
+    point's l1 - l2 (l1 = u.(Mz)_u, l2 = v.(Mz)_v).  Each pass takes one
+    eigh of the open rows, and a row closes where a point is within the
+    tolerance of phi: its start (on the first pass, the certificate of a
+    start already optimal), else x with u and v normalized separately, else
+    in the hard case (lam0 repeated to half the tolerance) _hard_mixture's.
+    An open row steps along the slope g = 1 - 2 |x_u|^2 of the concave phi
+    by the shorter of a Newton step on g and the step to where lam0's
+    tangent meets another's, or bisects if that crosses half the bracket.
+    Each point that moved from its start is polished (_kkt_newton).  A
+    row's result is the same bits in any stack.
     """
     dd = _DUAL_D[nu]
-    scale = np.abs(m).sum(axis=(-2, -1))
-    tol = 1e-12 * scale
-    zmz = z * (m @ z[..., None])[..., 0]
-    top = zmz.sum(axis=-1)              # the start value, l1 + l2
-    delta = 2.0 * zmz[..., :nu].sum(axis=-1) - top
-    lam, x = np.linalg.eigh(m - delta[..., None, None] * dd)
-    bound = delta + 2.0 * lam[..., 0]
-    if not (top - bound > tol).any():
-        return z, bound
-    one = m.ndim == 2
-    if one:
-        m, z, lam, x = m[None], z[None], lam[None], x[None]
-        top, tol, delta, scale, bound = np.atleast_1d(top, tol, delta, scale, bound)
-    rows = np.flatnonzero(top - bound > tol)
+    scale = np.abs(m).sum(axis=(1, 2))
+    zmz = z * (m @ z[:, :, None])[:, :, 0]
+    top = zmz.sum(axis=1)              # the start value, l1 + l2
+    delta = 2.0 * zmz[:, :nu].sum(axis=1) - top
+    bound = np.empty(len(m))
     start, z = z, z.copy()
-    # an open row: [row, start point, M, start value, tolerance, delta, lo, hi]
-    state = np.stack([top, tol, delta, -4.0 * scale, 4.0 * scale], axis=1)[rows].tolist()
-    live = [[k, z[k], m[k].tolist(), *v] for k, v in zip(rows.tolist(), state)]
-    lam, x = lam[rows], x[rows]
+    # the open rows: their indices and matrices, start values, tolerances,
+    # deltas and brackets [lo, hi] of the maximizing delta
+    live, mk, tol, lo, hi = np.arange(len(m)), m, 1e-12 * scale, -4.0 * scale, 4.0 * scale
     for _ in range(_DUAL_STEPS):
-        rest = []
-        for row, lk, xk in zip(live, lam.tolist(), x.tolist()):
-            bound[row[0]], y = _dual_step(row, lk, xk, nu)
-            if y is None:
-                rest.append(row)
-            else:
-                z[row[0]] = y
-        live = rest
-        if not live:
-            break
-        lam, x = np.linalg.eigh(m[[row[0] for row in live]]
-                                - np.array([row[5] for row in live])[:, None, None] * dd)
+        lam, x = np.linalg.eigh(mk - delta[:, None, None] * dd)
+        bound[live] = phi = delta + 2.0 * lam[:, 0]
+        stands = top - phi <= tol
+        y, done = _unit_within(mk, nu, x[:, :, 0], phi, tol)
+        hard = np.flatnonzero(~(stands | done) & (2.0 * (lam[:, 1] - lam[:, 0]) <= tol))
+        if hard.size:
+            mix = np.array([_hard_mixture(lam[k], x[k], nu, tol[k]) for k in hard])
+            y[hard], done[hard] = _unit_within(mk[hard], nu, mix, phi[hard], tol[hard])
+        closed = stands | done
+        if closed.any():
+            done &= ~stands
+            z[live[done]] = y[done]
+            live, mk, top, tol, delta, lo, hi, lam, x = (
+                v[~closed] for v in (live, mk, top, tol, delta, lo, hi, lam, x))
+            if not live.size:
+                break
+        xu = x[:, :nu]
+        g0 = (xu[:, :, :1] * xu).sum(axis=1)  # x_0.D.x_j
+        gd = (xu * xu).sum(axis=1)            # x_j.D.x_j
+        g = 1.0 - 2.0 * g0[:, 0]
+        # phi still rises where g > 0: the maximum is above delta
+        rise = g > 0.0
+        lo, hi = np.where(rise, delta, lo), np.where(rise, hi, delta)
+        gaps = np.maximum(lam[:, 1:] - lam[:, :1], 1e-300)
+        newton = np.abs(g) / np.maximum(4.0 * (g0[:, 1:] ** 2 / gaps).sum(axis=1), 1e-300)
+        sign = np.copysign(1.0, g)
+        meet = ((gd[:, 1:] - g0[:, :1]) * sign[:, None] / gaps).max(axis=1)
+        stride = np.minimum(newton, 1.0 / np.maximum(meet, 1e-300))
+        delta = np.where(stride <= 0.5 * (hi - lo), delta + sign * stride, 0.5 * (lo + hi))
     moved = np.flatnonzero((z != start).any(axis=1))
     if moved.size:
         z[moved] = _kkt_newton(m[moved], z[moved], nu)
-    return (z[0], bound[0]) if one else (z, bound)
+    return z, bound
 
 
-def _dual_step(row: list, lam: list, x: list, nu: int):
-    """One _dual_min iteration of an open row on floats, from the eigenpairs
-    (lam, columns of x) of M - delta D: (phi, minimizer), or (phi, None)
-    with the row's delta and bracket advanced.  Done when the start point,
-    x with u and v normalized separately, or in the hard case (lam0 repeated
-    to half the tolerance) a mixture of its eigenvectors with |u| = |v| is
-    within the tolerance of phi.  Else the step along the slope g = 1 -
-    2 |x_u|^2 of the concave phi is the shorter of a Newton step on g and
-    the step to where lam0's tangent meets another's, or a bisection if
-    that crosses half the bracket."""
-    _, start, m, top, tol, delta, lo, hi = row
-    phi = delta + 2.0 * lam[0]
-    if top - phi <= tol:
-        return phi, start
-    n, xu = len(lam), x[:nu]
-    g0 = [sum(e[0] * e[j] for e in xu) for j in range(n)]  # x_0.D.x_j
-    gd = [sum(e[j] * e[j] for e in xu) for j in range(n)]  # x_j.D.x_j
-    a, g = g0[0], 1.0 - 2.0 * g0[0]
-    candidates = [[e[0] for e in x]]
-    cluster = [j for j in range(n) if 2.0 * (lam[j] - lam[0]) <= tol]
-    if len(cluster) > 1:
-        # D - I/2 on the eigenspace: extreme values -a < 0 < b mix as b^.5 p + a^.5 q
-        val, vec = np.linalg.eigh([[sum(e[i] * e[j] for e in xu) - (i == j) / 2.0 for j in cluster]
-                                   for i in cluster])
-        if val[0] < 0.0 < val[-1]:
-            mix = (math.sqrt(val[-1]) * vec[:, 0] + math.sqrt(-val[0]) * vec[:, -1]).tolist()
-            candidates.append([sum(f * e[j] for f, j in zip(mix, cluster)) for e in x])
-    for y in candidates:
-        su, sv = math.sqrt(sum(w * w for w in y[:nu])), math.sqrt(sum(w * w for w in y[nu:]))
-        if su > 0.0 and sv > 0.0:
-            y = [w / su for w in y[:nu]] + [w / sv for w in y[nu:]]
-            if sum(w * sum(p * q for p, q in zip(mi, y)) for w, mi in zip(y, m)) - phi <= tol:
-                return phi, y
-    # phi still rises where g > 0: the maximum is above delta
-    row[6:8] = lo, hi = (delta, hi) if g > 0.0 else (lo, delta)
-    gaps = [max(lam[j] - lam[0], 1e-300) for j in range(1, n)]
-    newton = abs(g) / max(4.0 * sum(g0[j] ** 2 / gaps[j - 1] for j in range(1, n)), 1e-300)
-    meet = max((gd[j] - a) * math.copysign(1.0, g) / gaps[j - 1] for j in range(1, n))
-    stride = min(newton, 1.0 / max(meet, 1e-300))
-    row[5] = delta + math.copysign(stride, g) if stride <= 0.5 * (hi - lo) else 0.5 * (lo + hi)
-    return phi, None
+def _unit_within(m: np.ndarray, nu: int, y: np.ndarray, phi: np.ndarray, tol: np.ndarray):
+    """Candidate points y (L, n) of open _dual_min rows with u and v
+    normalized separately, and whether each is within tol of phi in z.M.z
+    (a part of length zero never is), on sums in coordinate order."""
+    sq = y * y
+    su, sv = np.sqrt(sq[:, :nu].sum(axis=1)), np.sqrt(sq[:, nu:].sum(axis=1))
+    y = np.concatenate([y[:, :nu] / np.maximum(su, 1e-300)[:, None],
+                        y[:, nu:] / np.maximum(sv, 1e-300)[:, None]], axis=1)
+    value = (y * (m * y[:, None]).sum(axis=2)).sum(axis=1)
+    return y, (su > 0.0) & (sv > 0.0) & (value - phi <= tol)
+
+
+def _hard_mixture(lam: np.ndarray, x: np.ndarray, nu: int, tol: float) -> np.ndarray:
+    """One row's hard-case candidate, lam0 repeated to half the tolerance
+    in the eigenpairs (lam, columns of x) of M - delta D: the mixture of
+    its eigenvectors with |u| = |v|, or zero where there is none.  D - I/2
+    on the eigenspace has extreme values -a < 0 < b, mixed as
+    b^.5 p + a^.5 q."""
+    k = np.count_nonzero(2.0 * (lam - lam[0]) <= tol)
+    xu = x[:nu, :k]
+    val, vec = np.linalg.eigh((xu[:, :, None] * xu[:, None]).sum(axis=0) - np.eye(k) / 2.0)
+    if not val[0] < 0.0 < val[-1]:
+        return np.zeros(len(x))
+    mix = math.sqrt(val[-1]) * vec[:, 0] + math.sqrt(-val[0]) * vec[:, -1]
+    return (x[:, :k] * mix).sum(axis=1)
 
 
 # plane-plane rows from which Newton and the certificate run on arrays
@@ -559,13 +553,14 @@ def _sphere_circle(sigma, second: np.ndarray, e) -> tuple:
     where ``second`` (N,) is True, and the other subsystem's transverse
     bases e = [a, b] (N, 2, 3) of build_frame.
 
-    _dual_min alone solves the rows, started at the separable point of the
-    lowest eigenvectors of A and G; its first eigh certifies that point
-    where it is within tolerance, as it is whenever C vanishes (a product
-    with a polar factor), and polishes each row it moves.  Signs: w lies on
-    the half-circle of angles [0, pi), with (y, w) flipped jointly, and
-    where B vanishes (to _TIE_TOL of sum|M|) u's largest-magnitude
-    component is positive.
+    Each row starts at the separable point of the lowest eigenvectors of A
+    and G, the answer where B vanishes (each entry within _TIE_TOL of
+    sum|M|, as for a product with a polar factor): the cross term moves
+    z.M.z by at most 2 ||B||, so that point is within 4 ||B|| <= 1e-13 of
+    sum|M| of the minimum, and the dual solve would return it unchanged.
+    The other rows go to _dual_min.  Signs: w lies on the half-circle of
+    angles [0, pi), with (y, w) flipped jointly, and where B vanishes u's
+    largest-magnitude component is positive.
 
     One row with e as [a, b], lists of floats, runs on 2-D arrays and
     floats with its row's bits, u and v one row each of floats."""
@@ -574,14 +569,16 @@ def _sphere_circle(sigma, second: np.ndarray, e) -> tuple:
         q = np.linalg.eigh(s[:3, :3])[1]
         m = _project(s, q.T.tolist(), e)
         t = 0.5 * np.arctan2(-2.0 * m[3, 4], m[4, 4] - m[3, 3])
-        start = np.array([1.0, 0.0, 0.0, np.cos(t), np.sin(t)])
-        z = _dual_min(m, 3, start)[0]
+        z = np.array([1.0, 0.0, 0.0, np.cos(t), np.sin(t)])
+        decoupled = np.abs(m[3:, :3]).max() <= _TIE_TOL * np.abs(m).sum()
+        if not decoupled:
+            z = _dual_min(m[None], 3, z[None])[0][0]
         if z[4] < 0.0 or (z[4] == 0.0 and z[3] < 0.0):
             z *= -1.0
         u = (q @ z[:3, None])[:, 0].tolist()
         w0, w1 = z[3:].tolist()
         v = [w0 * a + w1 * b for a, b in zip(*e)]
-        if max(u, key=abs) < 0.0 and np.abs(m[3:, :3]).max() <= _TIE_TOL * np.abs(m).sum():
+        if decoupled and max(u, key=abs) < 0.0:
             u = [-a for a in u]
         return ([v], [u]) if second[0] else ([u], [v])
     # each row's blocks in the order (d, other)
@@ -591,14 +588,16 @@ def _sphere_circle(sigma, second: np.ndarray, e) -> tuple:
     # G's lowest eigenvector is w = (cos t, sin t) at 2t = atan2(-2 g01, g11 - g00)
     g = m[:, 3:, 3:]
     t = 0.5 * np.arctan2(-2.0 * g[:, 0, 1], g[:, 1, 1] - g[:, 0, 0])
-    start = np.zeros((len(e), 5))
-    start[:, 0], start[:, 3], start[:, 4] = 1.0, np.cos(t), np.sin(t)
-    z = _dual_min(m, 3, start)[0]
+    z = np.zeros((len(e), 5))
+    z[:, 0], z[:, 3], z[:, 4] = 1.0, np.cos(t), np.sin(t)
+    decoupled = np.abs(m[:, 3:, :3]).max(axis=(1, 2)) <= _TIE_TOL * np.abs(m).sum(axis=(1, 2))
+    rows = np.flatnonzero(~decoupled)
+    if rows.size:
+        z[rows] = _dual_min(m[rows], 3, z[rows])[0]
     z[(z[:, 4] < 0.0) | ((z[:, 4] == 0.0) & (z[:, 3] < 0.0))] *= -1.0
     u = (q @ z[:, :3, None])[:, :, 0]
     v = z[:, 3:4] * e[:, 0] + z[:, 4:] * e[:, 1]
     lead = u[np.arange(len(u)), np.abs(u).argmax(axis=1)]
-    decoupled = np.abs(m[:, 3:, :3]).max(axis=(1, 2)) <= _TIE_TOL * np.abs(m).sum(axis=(1, 2))
     u[decoupled & (lead < 0.0)] *= -1.0
     return np.where(second[:, None], v, u), np.where(second[:, None], u, v)
 
@@ -774,14 +773,14 @@ def _blocks(n: int) -> list[np.ndarray]:
 def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
     """xi for a stack of normalized amplitude matrices (N, 3, 3) under any
     frame policy (default Optimized()), nan where undefined; equal to
-    squeezing_report(CoupledState(c[k]), policy).xi to 1e-12 relative (the
-    last bits can differ).  Moments and xi are evaluated for all rows of a
-    block at once, along the Fixed frames' n_perp, MeanSpinAligned's rule
-    on the rows, or the directions of _optimized_uv, whose open plane-plane
-    rows share one dual solve and its polish and whose rows with one
-    vanishing mean spin share one _sphere_circle call; rows with two are
-    nan.  No row goes through squeezing_report; each numerator is
-    2 z.Sigma.z at z = (u, v).
+    squeezing_report(CoupledState(c[k]), policy).xi to 1e-12 max(1, |xi|)
+    plus a numerator's roundoff, 1e-15 sum|Sigma|, over |<S1>| + |<S2>|
+    (the last bits can differ).  Moments and xi are evaluated for all rows
+    of a block at once, along the Fixed frames' n_perp, MeanSpinAligned's
+    rule on the rows, or the directions of _optimized_uv, whose open
+    plane-plane rows share one dual solve and whose rows with one vanishing
+    mean spin one _sphere_circle call; rows with two are nan.  No row goes
+    through squeezing_report; each numerator is 2 z.Sigma.z at z = (u, v).
     More than _BLOCK_CELLS = 512 rows go in the equal blocks of _blocks,
     so memory is about 1.5 KB per row of a block under Optimized plus a
     fixed 0.4 MB; a row's xi is the same bits in any block, alone too.

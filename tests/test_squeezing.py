@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spinsqueeze import (
@@ -738,8 +738,8 @@ def test_report_directions_are_the_block_rows(monkeypatch):
     """A report's Optimized u and v, from the one-row path on Python floats
     and 2-D arrays, are the bits of its row's u and v in a 512-row block, on
     every path: plane-plane rows that Newton settles or that go through the
-    dual solve and its polish, sphere-circle rows whose start stands (and
-    the sign rule for u where B vanishes) or that the dual solve and
+    dual solve and its polish, sphere-circle rows where B vanishes, which
+    keep their start (and the sign rule for u), or that the dual solve and
     _kkt_newton move.  So are a plane row's coefficient row and grid start."""
     optimized_uv, dual_min, kkt_newton = (squeezing._optimized_uv, squeezing._dual_min,
                                           squeezing._kkt_newton)
@@ -749,14 +749,11 @@ def test_report_directions_are_the_block_rows(monkeypatch):
         seen.append(optimized_uv(*args))
         return seen[-1]
 
-    # the rows that the one-row reports (not the blocks) take there; a
-    # sphere-circle report gives its one row as (5, 5), and counts where
-    # its start does not stand
+    # the stack rows that the one-row reports (not the blocks) send there
     def dual_counting(m, nu, z):
-        y = dual_min(m, nu, z)
-        if reporting and (m.ndim == 3 or y[0] is not z):
-            reached[reporting[0], "dual", nu] += len(m) if m.ndim == 3 else 1
-        return y
+        if reporting:
+            reached[reporting[0], "dual", nu] += len(m)
+        return dual_min(m, nu, z)
 
     def kkt_counting(m, z, nu):
         if reporting:
@@ -1319,6 +1316,75 @@ def test_dual_solve_on_the_sphere():
     assert np.all(np.abs(bound - reference) <= 1e-12 * scale)
 
 
+def test_decoupled_sphere_rows_skip_the_dual_solve(monkeypatch):
+    """Sphere-circle rows where B vanishes (polar (x) random products on
+    either side, |0, +-1> and |+-1, 0>) send no row to _dual_min, by report
+    or in a block, and _dual_min would return each start unchanged; every
+    entangled row with one vanishing mean spin reaches it."""
+    population = _directions_population()
+    basis = [CoupledState.basis(a, b).c for a, b in ((0, 1), (0, -1), (1, 0), (-1, 0))]
+    products = np.concatenate([population["polar x random"], basis])
+    entangled = population["entangled"]
+    dual_min, project = squeezing._dual_min, squeezing._project
+    rows, matrices = [], []
+    monkeypatch.setattr(squeezing, "_dual_min", lambda m, nu, z: rows.append(len(m)) or dual_min(m, nu, z))
+    monkeypatch.setattr(squeezing, "_project", lambda *args: matrices.append(project(*args)) or matrices[-1])
+    for c, reached in ((entangled, len(entangled)), (products, 0)):
+        rows.clear()
+        for amps in c:
+            squeezing_report(CoupledState(amps), Optimized())
+        assert rows == [1] * reached
+        rows.clear()
+        matrices.clear()
+        xi_batch(c, Optimized())
+        assert sum(rows) == reached
+    # the products' blocks: B vanishes on every row, and each separable start
+    # (y = e0, w G's lowest eigenvector) is the solve's answer, bit for bit
+    m = np.concatenate(matrices)
+    assert m.shape == (len(products), 5, 5)
+    assert np.all(np.abs(m[:, 3:, :3]).max(axis=(1, 2)) <= _TIE_TOL * np.abs(m).sum(axis=(1, 2)))
+    t = 0.5 * np.arctan2(-2.0 * m[:, 3, 4], m[:, 4, 4] - m[:, 3, 3])
+    start = np.zeros((len(m), 5))
+    start[:, 0], start[:, 3], start[:, 4] = 1.0, np.cos(t), np.sin(t)
+    assert np.array_equal(dual_min(m, 3, start)[0], start)
+
+
+def test_dual_rows_do_not_depend_on_their_stack(monkeypatch):
+    """Each row's (z, bound) is the same bits alone, in its stack and in a
+    permuted stack.  The stacks: the hard plane rows of
+    test_dual_solve_recovers_the_hard_case from two starts, and sphere rows
+    (entangled and polar-product 5x5 problems) from one, each row also
+    started at its minimizer, where the start stands; alone, the rows
+    close after different numbers of passes (n x n eigh calls)."""
+    g = np.linspace(0.05, 3.1, 50)
+    cells = [(16, 21), (17, 2), (17, 27), (17, 47), (31, 22), (32, 2), (32, 27), (32, 47)]
+    c = np.array([config(3, g[i], g[j]).c for i, j in cells])
+    products = np.array([product(Spin1State.basis(1), canonical_squeezed(t)).c for t in g[::7]])
+    plane = np.concatenate([_plane_plane_matrices(c), _dual_problem(products)[0]])
+    sphere = _dual_problem(_degenerate_population(24))[0]
+    eigh, calls, passes = np.linalg.eigh, [], collections.Counter()
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    for m, start in ((plane, [1.0, 0.0, 1.0, 0.0]), (plane, [0.0, 1.0, 0.0, 1.0]),
+                     (sphere, [1.0, 0.0, 0.0, 1.0, 0.0])):
+        n = len(start)
+        z0 = np.tile(start, (len(m), 1))
+        m, z0 = np.concatenate([m, m]), np.concatenate([z0, _dual_min(m, n - 2, z0)[0]])
+        stacked = _dual_min(m, n - 2, z0)
+        assert np.array_equal(stacked[0][len(m) // 2:], z0[len(m) // 2:])
+        perm = np.random.default_rng(n).permutation(len(m))
+        permuted = _dual_min(m[perm], n - 2, z0[perm])
+        for whole, part in zip(stacked, permuted):
+            assert whole[perm].tobytes() == part.tobytes()
+        for k in range(len(m)):
+            calls.clear()
+            alone = _dual_min(m[k:k + 1], n - 2, z0[k:k + 1])
+            passes[n, calls.count((1, n, n))] += 1
+            for whole, part in zip(stacked, alone):
+                assert whole[k].tobytes() == part[0].tobytes(), (n, k)
+    for n in (4, 5):
+        assert {1, 2, 4, 5} <= {k for (size, k) in passes if size == n}
+
+
 # <S1> = 0 and <S2> = 0 entangled states, first recorded because their
 # polished sphere point missed a 5x5 test by roundoff; as every entangled
 # one, their reports run the dual solve and _kkt_newton
@@ -1478,13 +1544,26 @@ def test_optimized_is_never_above_aligned(state):
         assert opt.xi <= xi + 1e-12 * max(1.0, abs(opt.xi))
 
 
+# <S2> = 0 and |<S1>| = 2.8e-8: the numerator is roundoff, 4e-16, and the
+# report and the batch give 1.442183273403244e-08 and 1.382943466763711e-08
+# (50-digit arithmetic at the report's frames, 1.4049623897164604e-08)
+_SMALL_MEAN = np.array([[0.0, 3.4412757706023776e-08 + 0.5773502691896254j, 0.0],
+                        [0.0, 0.5773502691896254, 0.0], [0.0, 0.5773502691896254j, 0.0]])
+
+
 @given(states=st.lists(_STATE, min_size=1, max_size=4))
+@example(states=[CoupledState(_SMALL_MEAN)])
 def test_xi_batch_equals_reports_on_generated_states(states):
+    """The batch's xi is the report's to 1e-12 of max(1, |xi|), plus the
+    roundoff of a numerator (1e-15 of sum|Sigma|) divided by the
+    denominator, which dominates where the mean spins are short."""
     xi = xi_batch(np.array([s.c for s in states]), Optimized())
     for got, state in zip(xi, states):
         rep = squeezing_report(state, Optimized())
         if rep.valid:
-            assert abs(got - rep.xi) <= 1e-12 * max(1.0, abs(rep.xi))
+            mom = Moments(state)
+            roundoff = 1e-15 * np.abs(mom.sigma).sum() / (mom.mag1 + mom.mag2)
+            assert abs(got - rep.xi) <= 1e-12 * max(1.0, abs(rep.xi)) + roundoff
         else:
             assert math.isnan(got)
 
