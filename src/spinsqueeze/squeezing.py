@@ -105,6 +105,9 @@ class Optimized:
     else the lowest eigenvector at the optimal delta with u and v normalized
     separately or, if that eigenvalue is repeated, the mixture of its
     eigenvectors with |u| = |v|, polished by Newton steps on its KKT system.
+    Every eigensolve on the way is _eigh, np.linalg.eigh's LAPACK gufunc
+    called directly: the same bits without the wrapper's cost per call,
+    which was most of an eigh on the small matrices here.
     """
 
 
@@ -401,6 +404,26 @@ def _certified(c, d):
     return (hss > 0.0) & (d > 0.0) & ((e - x) * d >= htt * a * a + 2.0 * hst * a * b + hss * b * b)
 
 
+def _no_convergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# The engine's one entry for real symmetric eigensolves: np.linalg.eigh's
+# LAPACK gufunc called directly, the same bits in under half of eigh's time
+# on a 3x3 matrix (no wrapper checks, type resolution or result tuple),
+# under eigh's errstate, so that where LAPACK fails (an all-nan matrix, for
+# one) it raises LinAlgError rather than warn and return nan.  In a numpy
+# without that gufunc it is np.linalg.eigh.
+try:
+    from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
+except ImportError:
+    _eigh = np.linalg.eigh
+else:
+    @np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore")
+    def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _eigh_lo(a, signature="d->dd")
+
+
 # a guard on dual iterations: from any start the test sets need at most 8
 _DUAL_STEPS = 60
 # _dual_min's D = diag(I_u, 0) by the length nu of u (v has two coordinates)
@@ -416,10 +439,11 @@ def _dual_min(m: np.ndarray, nu: int, z: np.ndarray) -> tuple[np.ndarray, np.nda
     bound is the minimum: n >= 3 makes the joint range of z.M.z, |u|^2 and
     |v|^2 convex (B. T. Polyak, JOTA 99, 1998).  delta starts at the start
     point's l1 - l2 (l1 = u.(Mz)_u, l2 = v.(Mz)_v).  Each pass takes one
-    eigh of the open rows, and a row closes where a point is within the
-    tolerance of phi: its start (on the first pass, the certificate of a
-    start already optimal), else x with u and v normalized separately, else
-    in the hard case (lam0 repeated to half the tolerance) _hard_mixture's.
+    _eigh (np.linalg.eigh's gufunc, called directly) of the open rows'
+    stack, and a row closes where a point is within the tolerance of phi:
+    its start (on the first pass, the certificate of a start already
+    optimal), else x with u and v normalized separately, else in the hard
+    case (lam0 repeated to half the tolerance) _hard_mixture's.
     An open row steps along the slope g = 1 - 2 |x_u|^2 of the concave phi
     by the shorter of a Newton step on g and the step to where lam0's
     tangent meets another's, or bisects if that crosses half the bracket.
@@ -437,7 +461,7 @@ def _dual_min(m: np.ndarray, nu: int, z: np.ndarray) -> tuple[np.ndarray, np.nda
     # deltas and brackets [lo, hi] of the maximizing delta
     live, mk, tol, lo, hi = np.arange(len(m)), m, 1e-12 * scale, -4.0 * scale, 4.0 * scale
     for _ in range(_DUAL_STEPS):
-        lam, x = np.linalg.eigh(mk - delta[:, None, None] * dd)
+        lam, x = _eigh(mk - delta[:, None, None] * dd)
         bound[live] = phi = delta + 2.0 * lam[:, 0]
         stands = top - phi <= tol
         y, done = _unit_within(mk, nu, x[:, :, 0], phi, tol)
@@ -492,7 +516,7 @@ def _hard_mixture(lam: np.ndarray, x: np.ndarray, nu: int, tol: float) -> np.nda
     b^.5 p + a^.5 q."""
     k = np.count_nonzero(2.0 * (lam - lam[0]) <= tol)
     xu = x[:nu, :k]
-    val, vec = np.linalg.eigh((xu[:, :, None] * xu[:, None]).sum(axis=0) - np.eye(k) / 2.0)
+    val, vec = _eigh((xu[:, :, None] * xu[:, None]).sum(axis=0) - np.eye(k) / 2.0)
     if not val[0] < 0.0 < val[-1]:
         return np.zeros(len(x))
     mix = math.sqrt(val[-1]) * vec[:, 0] + math.sqrt(-val[0]) * vec[:, -1]
@@ -547,7 +571,7 @@ def _plane_plane_min(coef):
 _SWAPPED = np.add.outer(6 * np.r_[3:6, 0:3], np.r_[3:6, 0:3])
 
 
-def _sphere_circle(sigma, second: np.ndarray, e) -> tuple:
+def _sphere_circle(sigma, second, e) -> tuple:
     """(u, v) (N, 3) minimizing the numerator, for the numerator matrices
     Sigma (N, 6, 6) of rows with one vanishing mean spin, subsystem 2's
     where ``second`` (N,) is True, and the other subsystem's transverse
@@ -562,28 +586,32 @@ def _sphere_circle(sigma, second: np.ndarray, e) -> tuple:
     angles [0, pi), with (y, w) flipped jointly, and where B vanishes u's
     largest-magnitude component is positive.
 
-    One row with e as [a, b], lists of floats, runs on 2-D arrays and
-    floats with its row's bits, u and v one row each of floats."""
+    A row's basis q of A is one _eigh (np.linalg.eigh's gufunc without its
+    wrapper, whose checks cost more than a 3x3 solve).  One row with e as
+    [a, b], lists of floats, and ``second`` a one-entry sequence runs on
+    2-D arrays and floats with its row's bits: the B test, the flag and the
+    sign rule on Python floats and bools, u and v one row each of floats."""
     if isinstance(e, list):
         s = sigma[0].take(_SWAPPED) if second[0] else sigma[0]
-        q = np.linalg.eigh(s[:3, :3])[1]
+        q = _eigh(s[:3, :3])[1]
         m = _project(s, q.T.tolist(), e)
-        t = 0.5 * np.arctan2(-2.0 * m[3, 4], m[4, 4] - m[3, 3])
-        z = np.array([1.0, 0.0, 0.0, np.cos(t), np.sin(t)])
-        decoupled = np.abs(m[3:, :3]).max() <= _TIE_TOL * np.abs(m).sum()
+        r = m.tolist()
+        t = 0.5 * np.arctan2(-2.0 * r[3][4], r[4][4] - r[3][3])
+        z = [1.0, 0.0, 0.0, float(np.cos(t)), float(np.sin(t))]
+        decoupled = max(abs(a) for row in r[3:] for a in row[:3]) <= _TIE_TOL * float(np.abs(m).sum())
         if not decoupled:
-            z = _dual_min(m[None], 3, z[None])[0][0]
+            z = _dual_min(m[None], 3, np.array([z]))[0][0].tolist()
         if z[4] < 0.0 or (z[4] == 0.0 and z[3] < 0.0):
-            z *= -1.0
-        u = (q @ z[:3, None])[:, 0].tolist()
-        w0, w1 = z[3:].tolist()
+            z = [-a for a in z]
+        u = (q @ np.array(z)[:3, None])[:, 0].tolist()
+        w0, w1 = z[3:]
         v = [w0 * a + w1 * b for a, b in zip(*e)]
         if decoupled and max(u, key=abs) < 0.0:
             u = [-a for a in u]
         return ([v], [u]) if second[0] else ([u], [v])
     # each row's blocks in the order (d, other)
     sigma = np.where(second[:, None, None], sigma.reshape(-1, 36)[:, _SWAPPED], sigma)
-    q = np.linalg.eigh(sigma[:, :3, :3])[1]
+    q = _eigh(sigma[:, :3, :3])[1]
     m = _project(sigma, q.swapaxes(1, 2), e)
     # G's lowest eigenvector is w = (cos t, sin t) at 2t = atan2(-2 g01, g11 - g00)
     g = m[:, 3:, 3:]
@@ -622,7 +650,7 @@ def _kkt_newton(m: np.ndarray, z: np.ndarray, nu: int) -> np.ndarray:
         k[:, diag, diag] = m[:, diag, diag] - lag
         k[:, :nu, n] = k[:, n, :nu] = -z[:, :nu]
         k[:, nu:n, n + 1] = k[:, n + 1, nu:n] = -z[:, nu:]
-        lam, vec = np.linalg.eigh(k)
+        lam, vec = _eigh(k)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             coef = ((lag * z - mz)[:, None] @ vec[:, :n])[:, 0] / lam
             step = z + (vec[:, :n] @ coef[:, :, None])[:, :, 0]
@@ -639,14 +667,14 @@ def _frame_from_transverse(mean: np.ndarray | None, t) -> Frame:
 
     When the mean spin is known its direction becomes the frame's n and the
     triad is completed right-handed; for a degenerate subsystem (mean None)
-    an arbitrary completion around t is used.  Built on Python floats but
-    for t.n, whose BLAS dot keeps the frames' bits: it is mostly rounding,
-    and _dot3 rounds it otherwise.
+    the completion around t is build_frame(t)'s n_perp and t x n_perp.
+    Built on Python floats but for t.n, whose BLAS dot keeps the frames'
+    bits: it is mostly rounding, and _dot3 rounds it otherwise.
     """
     t = _direction(t)
-    if mean is None:
-        h = build_frame(t).n_perp
-        return Frame._trusted(cross3(t, h.tolist()), np.array(t), h)
+    if mean is None:  # build_frame divides t by its length again
+        h = _triad(*_direction(t))[1]
+        return Frame._trusted(cross3(t, h), np.array(t), np.array(h))
     n = _direction(mean)
     normal = np.array(n)
     # remove any rounding component of t along n so the triad is exact
@@ -671,19 +699,22 @@ def _aligned_gauge(mean, mag):
     return d, live & _in_xz(y, z)
 
 
-def _optimized_uv(mean: np.ndarray, sigma: np.ndarray, second: np.ndarray | None):
+def _optimized_uv(mean: np.ndarray, sigma: np.ndarray, second):
     """Optimized's directions (u, v), each (N, 3), for the mean spins (N, 6)
     (mean1, mean2 side by side) and numerator matrices Sigma (N, 6, 6) of N
     rows: where both mean spins are nonzero, when ``second`` is None, by
     _plane_plane_min on build_frame's transverse bases; else where one
     vanishes, subsystem 2's where ``second`` (N,) is True, by _sphere_circle.
-    squeezing_report passes its one row, xi_batch each class of its rows;
-    one row, plane-plane or sphere-circle, runs on Python floats and 2-D
-    arrays, with the bits of its row, and gives u and v as one row each of
-    Python floats."""
+    squeezing_report passes its one row (``second`` a list of one bool),
+    xi_batch each class of its rows; one row, plane-plane or sphere-circle,
+    runs on Python floats and 2-D arrays, with the bits of its row, and
+    gives u and v as one row each of Python floats."""
     if second is not None:
-        d = np.where(second[:, None], mean[:, :3], mean[:, 3:])
-        e = list(_triad(*_direction(d[0]))[1:]) if len(d) == 1 else frame_bases(d)
+        if len(mean) == 1:
+            w = mean[0].tolist()
+            e = list(_triad(*_direction(w[:3] if second[0] else w[3:]))[1:])
+        else:
+            e = frame_bases(np.where(second[:, None], mean[:, :3], mean[:, 3:]))
         return _sphere_circle(sigma, second, e)
     if len(mean) == 1:
         w = mean[0].tolist()
@@ -723,7 +754,7 @@ def squeezing_report(state: CoupledState, policy: FramePolicy | None = None) -> 
         frame1, frame2 = ((build_frame_xz if xz else build_frame)(d) for d, xz in
                           (_aligned_gauge(mom.mean1, mom.mag1), _aligned_gauge(mom.mean2, mom.mag2)))
     elif isinstance(policy, Optimized):
-        second = np.array([2 in degenerate]) if degenerate else None
+        second = [2 in degenerate] if degenerate else None
         u, v = _optimized_uv(mom.gram[:, 0, 1:], mom.sigma, second)
         frame1 = _frame_from_transverse(None if 1 in degenerate else mom.mean1, u[0])
         frame2 = _frame_from_transverse(None if 2 in degenerate else mom.mean2, v[0])

@@ -6,6 +6,7 @@ import itertools
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -815,6 +816,39 @@ def test_report_directions_are_the_block_rows(monkeypatch):
     assert 0.3 < len(flipped) / len(products) < 0.7
 
 
+def _axis_polar_products() -> np.ndarray:
+    """|m=0>, |x> and |y> times seeded random spin-1 states, the polar
+    factor first and second in turn: the polar side's least-variance
+    direction is a coordinate axis, so its lowest eigenvector has exact
+    zeros, of either sign."""
+    rng = np.random.default_rng(2626)
+    polar = [Spin1State.basis(0)] + [Spin1State.normalized(_CARTESIAN[:, k]) for k in (0, 1)]
+    pairs = [(p, _random_spin1(rng)) for p in polar for _ in range(8)]
+    return np.array([product(*(pair[::-1] if k % 2 else pair)).c for k, pair in enumerate(pairs)])
+
+
+def test_axis_aligned_polar_reports_are_the_block_rows(monkeypatch):
+    """On products with an axis-aligned polar factor, a report's Optimized
+    u and v are the bits of its row in the block, the sign of every exact
+    zero included (the sign rule negates u, and a zero's sign moves a
+    printed frame: -0 against 0)."""
+    optimized_uv, seen = squeezing._optimized_uv, []
+    monkeypatch.setattr(squeezing, "_optimized_uv",
+                        lambda *args: seen.append(optimized_uv(*args)) or seen[-1])
+    c = _axis_polar_products()
+    xi_batch(c, Optimized())
+    ((u, v),) = seen
+    sphere = np.where((np.arange(len(c)) % 2 == 1)[:, None], v, u)
+    zeros = sphere == 0.0
+    # not vacuous: two zeros per row, both signs among them
+    assert np.all(zeros.sum(axis=1) == 2) and 0 < np.count_nonzero(np.signbit(sphere[zeros])) < zeros.sum()
+    for k, amps in enumerate(c):
+        seen.clear()
+        squeezing_report(CoupledState(amps), Optimized())
+        ((u1,), (v1,)), = seen
+        assert (np.array(u1).tobytes(), np.array(v1).tobytes()) == (u[k].tobytes(), v[k].tobytes()), k
+
+
 def test_fixed_takes_only_frames():
     # without the check, an array in place of a Frame fails only later, in
     # the engine, with an AttributeError on n_perp
@@ -1355,15 +1389,15 @@ def test_dual_rows_do_not_depend_on_their_stack(monkeypatch):
     test_dual_solve_recovers_the_hard_case from two starts, and sphere rows
     (entangled and polar-product 5x5 problems) from one, each row also
     started at its minimizer, where the start stands; alone, the rows
-    close after different numbers of passes (n x n eigh calls)."""
+    close after different numbers of passes (n x n _eigh calls)."""
     g = np.linspace(0.05, 3.1, 50)
     cells = [(16, 21), (17, 2), (17, 27), (17, 47), (31, 22), (32, 2), (32, 27), (32, 47)]
     c = np.array([config(3, g[i], g[j]).c for i, j in cells])
     products = np.array([product(Spin1State.basis(1), canonical_squeezed(t)).c for t in g[::7]])
     plane = np.concatenate([_plane_plane_matrices(c), _dual_problem(products)[0]])
     sphere = _dual_problem(_degenerate_population(24))[0]
-    eigh, calls, passes = np.linalg.eigh, [], collections.Counter()
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    eigh, calls, passes = squeezing._eigh, [], collections.Counter()
+    monkeypatch.setattr(squeezing, "_eigh", lambda a: calls.append(a.shape) or eigh(a))
     for m, start in ((plane, [1.0, 0.0, 1.0, 0.0]), (plane, [0.0, 1.0, 0.0, 1.0]),
                      (sphere, [1.0, 0.0, 0.0, 1.0, 0.0])):
         n = len(start)
@@ -1383,6 +1417,74 @@ def test_dual_rows_do_not_depend_on_their_stack(monkeypatch):
                 assert whole[k].tobytes() == part[0].tobytes(), (n, k)
     for n in (4, 5):
         assert {1, 2, 4, 5} <= {k for (size, k) in passes if size == n}
+
+
+def test_eigh_entry_gives_numpys_bits(monkeypatch):
+    """_eigh, the engine's one entry for symmetric eigensolves, gives
+    np.linalg.eigh's bits on every matrix the engine hands it: one row's
+    (3, 3) sphere basis and (k, k) hard-case mixture, and stacks of sphere
+    bases (n = 3), plane and sphere dual passes (n = 4, 5) and their
+    polish's KKT matrices (n = 6, 7), each stack also as (1, n, n) stacks
+    of its rows."""
+    eigh, kinds, stacks = squeezing._eigh, collections.Counter(), []
+
+    def checked(a):
+        w, v = eigh(a)
+        reference = np.linalg.eigh(a)
+        assert w.tobytes() == reference[0].tobytes() and v.tobytes() == reference[1].tobytes()
+        kinds[a.shape[-1], "2-D" if a.ndim == 2 else "one" if len(a) == 1 else "stack"] += 1
+        if a.ndim == 3:
+            stacks.append(a)
+        return w, v
+
+    monkeypatch.setattr(squeezing, "_eigh", checked)
+    population = _directions_population()
+    sphere = np.concatenate([population["entangled"][:16], population["polar x random"][:16]])
+    for c in (population["sweep config2"], sphere):
+        xi_batch(c, Optimized())
+    for amps in (population["entangled"][0], population["sweep config2"][102]):
+        squeezing_report(CoupledState(amps), Optimized())
+    g = np.linspace(0.05, 3.1, 50)
+    hard = np.array([config(3, g[i], g[j]).c for i, j in ((16, 21), (17, 2), (31, 22))])
+    _dual_min(_plane_plane_matrices(hard), 2, np.tile([1.0, 0.0, 1.0, 0.0], (len(hard), 1)))
+    for a in list(stacks):
+        for row in a:
+            checked(row[None])
+    assert set(kinds) == ({(3, "2-D"), (2, "2-D")}
+                          | {(n, kind) for n in range(3, 8) for kind in ("one", "stack")}), sorted(kinds)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 5, 5), (4, 7, 7)])
+def test_eigh_entry_raises_where_lapack_fails(shape):
+    """As np.linalg.eigh: LinAlgError where LAPACK fails on a matrix (here
+    the last of the stack, all nan), not the bare gufunc's RuntimeWarning
+    and nan eigenpairs."""
+    a = np.broadcast_to(np.eye(shape[-1]), shape).copy()
+    a.reshape(-1, shape[-1], shape[-1])[-1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eigh in (squeezing._eigh, np.linalg.eigh):
+            with pytest.raises(np.linalg.LinAlgError):
+                eigh(a)
+
+
+def test_numpys_eigh_as_the_entry_gives_the_same_results(monkeypatch):
+    """np.linalg.eigh, the entry where numpy lacks the gufunc, gives the
+    engine's bits: reports and blocks of plane rows through the dual solve,
+    entangled and polar-product sphere rows and axis-aligned polar ones."""
+    population = _directions_population()
+    c = np.concatenate([population["sweep config2"][100:160], population["entangled"][:16],
+                        population["polar x random"][:16], _axis_polar_products()])
+
+    def results():
+        reports = [squeezing_report(CoupledState(amps), Optimized()) for amps in c]
+        return xi_batch(c, Optimized()).tobytes(), [
+            (np.float64(r.xi).tobytes(), r.frame1.n_perp.tobytes(), r.frame2.n_perp.tobytes())
+            for r in reports]
+
+    direct = results()
+    monkeypatch.setattr(squeezing, "_eigh", np.linalg.eigh)
+    assert results() == direct
 
 
 # <S1> = 0 and <S2> = 0 entangled states, first recorded because their
