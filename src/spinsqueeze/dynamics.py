@@ -163,7 +163,7 @@ def trajectory(
     of stage n and its grid counts time from that point.  The recorded
     tau_grid is cumulative; a stage whose grid starts at 0 contributes no
     duplicate sample for the boundary state.  One xi_batch call evaluates
-    all the propagated amplitudes, in its blocks of at most 512 rows.
+    all the propagated amplitudes, in its blocks of at most 1,024 rows.
     """
     if policy is None:
         policy = Optimized()
@@ -210,7 +210,7 @@ def two_stage_minimum(
     (undefined xi) are ignored by the minimum.  All cell states come from
     one batched propagation (144 bytes per cell), and one xi_batch call
     evaluates them under any policy (default Optimized()), in its blocks of
-    at most 512 cells.
+    at most 1,024 cells.
     """
     g1 = _check_grid(tau1_grid)
     g2 = _check_grid(tau2_grid)

@@ -92,10 +92,10 @@ class Optimized:
     transverse planes (u on the whole sphere for a subsystem whose mean
     spin vanishes), and the Lagrangian dual bound, max over delta of
     delta + 2 lambda_min(M - delta diag(I_u, 0)), equals its minimum.  A
-    plane-plane row starts at the first minimum of a 64-point grid per
+    plane-plane row starts at the first minimum of a 32-point grid per
     angle (ties within 1e-14 go to the lowest angles; it has s < pi, as
     (s, t) -> (s + pi, t + pi) leaves the numerator as it is), polished by
-    Newton steps of at most pi/8 (four cells), and stands when a
+    Newton steps of at most pi/8 (two cells), and stands when a
     closed-form test puts it within 1e-12 of M's scale of the bound; where
     several points attain the minimum, the frames are those of the point
     Newton reaches from that grid start.  A sphere-circle row starts at the
@@ -222,14 +222,14 @@ def first_min_index(values: np.ndarray, axis: int | None = None):
 
 _NEWTON_STEPS = 30
 # the plane-plane start grid: _GRID angles per circle
-_GRID = 64
+_GRID = 32
 _CELL = 2.0 * math.pi / _GRID
-# Newton's longest step, four grid cells (pi/8): it decides only how soon a
+# Newton's longest step, pi/8 (two grid cells): it decides only how soon a
 # row is handed to the dual solve; _certified decides global optimality
-_MAX_STEP = 4.0 * _CELL
+_MAX_STEP = math.pi / 8
 _GRID_ANGLES = np.arange(_GRID) * _CELL
 # coefficient rows per grid product: a (32, _GRID ** 2 / 2) chunk of values
-# (512 KB), small enough that OpenBLAS runs the product on one thread
+# (128 KB), small enough that OpenBLAS runs the product on one thread
 _GRID_CHUNK = 32
 
 
@@ -790,8 +790,8 @@ def _aligned_n_perp(mean: np.ndarray, mag: np.ndarray) -> np.ndarray:
     return u
 
 
-# rows per xi_batch block: about 1 MB of work space under Optimized
-_BLOCK_CELLS = 512
+# rows per xi_batch block: about 1.8 MB of work space under Optimized
+_BLOCK_CELLS = 1024
 
 
 def _blocks(n: int) -> list[np.ndarray]:
@@ -812,9 +812,10 @@ def xi_batch(c: np.ndarray, policy: FramePolicy | None = None) -> np.ndarray:
     plane-plane rows share one dual solve and whose rows with one vanishing
     mean spin one _sphere_circle call; rows with two are nan.  No row goes
     through squeezing_report; each numerator is 2 z.Sigma.z at z = (u, v).
-    More than _BLOCK_CELLS = 512 rows go in the equal blocks of _blocks,
-    so memory is about 1.5 KB per row of a block under Optimized plus a
-    fixed 0.4 MB; a row's xi is the same bits in any block, alone too.
+    More than _BLOCK_CELLS = 1,024 rows go in the equal blocks of _blocks,
+    so under Optimized the traced peak is about 1.8 MB for a full block
+    (0.9 MB at 512 rows, 0.4 MB at 128); a row's xi is the same bits in any
+    block, alone too.
     """
     if policy is None:
         policy = Optimized()

@@ -37,7 +37,7 @@ from spinsqueeze import (
     xi_product_pair,
     z_alignment_audit,
 )
-from spinsqueeze.squeezing import FAMILIES
+from spinsqueeze.squeezing import _BLOCK_CELLS, FAMILIES
 from spinsqueeze.cli import main as cli_main
 
 from conftest import random_coupled, random_frame
@@ -168,8 +168,8 @@ def test_criterion_5_config3_no_squeezing_claim(capsys):
     # the draws (alpha, beta, phi1, phi2) in the order of 4 scalar draws each
     draws = rng.uniform(0.0, [math.pi, math.pi, 2.0 * math.pi, 2.0 * math.pi], size=(10_000, 4))
     amps = np.array([config(3, *d).c for d in draws.tolist()])
-    xi = np.concatenate([xi_batch(amps[lo:lo + 512], Optimized())
-                         for lo in range(0, len(amps), 512)])
+    xi = np.concatenate([xi_batch(amps[lo:lo + _BLOCK_CELLS], Optimized())
+                         for lo in range(0, len(amps), _BLOCK_CELLS)])
     undefined = int(np.isnan(xi).sum())
     worst = float(np.nanmin(xi))
     violations = int((xi < 1.0 - 1e-9).sum())

@@ -398,39 +398,51 @@ def _engine_block_sizes(monkeypatch, argv) -> list[int]:
     return sizes
 
 
-@pytest.mark.parametrize("kind, grids, sizes", [
-    ("product", ["0.1:1.0:40", "0.2:2.0:30"], [400, 400, 400]),
-    ("product", ["0.1:1.0:4", "0.2:2.0:5"], [20]),
-    ("mixed", ["0.1:3.0:1100"], [367, 367, 366]),
-    ("config2", ["0.2:1.4:3", "0.1:1.0:6"], [18]),
-    ("config3", ["0.3:1.2:30", "0.3:1.2:3", "0:1:2", "0:2:4"], [360, 360]),
-    ("product", ["0.1:3.0:3", "0.05:3.1:700"], [420] * 5),
-    ("config1", ["0.2:1.4:2", "0.1:1.0:600"], [400, 400, 400]),
-    # 513 cells: two blocks, not 512 cells and a one-cell block
-    ("mixed", ["0.1:3.0:513"], [257, 256]),
+_B = squeezing._BLOCK_CELLS
+
+
+def _split_sizes(n: int) -> list[int]:
+    """The sizes of the fewest equal blocks of at most _BLOCK_CELLS cells
+    that n cells cut into, larger blocks first."""
+    k = -(-n // _B)
+    return [n // k + 1] * (n % k) + [n // k] * (k - n % k)
+
+
+@pytest.mark.parametrize("kind, grids, cells", [
+    ("product", ["0.1:1.0:40", f"0.2:2.0:{_B // 16}"], 40 * (_B // 16)),
+    ("product", ["0.1:1.0:4", "0.2:2.0:5"], 20),
+    ("mixed", [f"0.1:3.0:{2 * _B + _B // 8}"], 2 * _B + _B // 8),
+    ("config2", ["0.2:1.4:3", "0.1:1.0:6"], 18),
+    ("config3", [f"0.3:1.2:{_B // 16}", "0.3:1.2:3", "0:1:2", "0:2:4"], 24 * (_B // 16)),
+    # rows longer than a block: blocks end inside them
+    ("product", ["0.1:3.0:3", f"0.05:3.1:{_B + _B // 4}"], 3 * (_B + _B // 4)),
+    ("config1", ["0.2:1.4:2", f"0.1:1.0:{_B + _B // 8}"], 2 * (_B + _B // 8)),
+    # _BLOCK_CELLS + 1 cells: two blocks, not a full block and a one-cell block
+    ("mixed", [f"0.1:3.0:{_B + 1}"], _B + 1),
 ], ids=["product-rows", "product-one-block", "mixed", "config2", "config3",
         "product-long-rows", "config1-long-rows", "mixed-513"])
 def test_sweep_engine_blocks_are_whole_rows_up_to_512_cells(tmp_path, capsys, monkeypatch,
-                                                            kind, grids, sizes):
+                                                            kind, grids, cells):
     """Each xi_batch call of a sweep takes one of the equal blocks of at
-    most 512 cells, in row-major order, that np.array_split cuts the grid
-    into (a block may end inside a first-axis row), so no call takes one
-    cell beside others."""
+    most _BLOCK_CELLS cells, in row-major order, that np.array_split cuts
+    the grid into (a block may end inside a first-axis row), so no call
+    takes one cell beside others."""
     argv = ["sweep", kind, "--out", str(tmp_path / "s.csv")]
     for g in grids:
         argv += ["--grid", g]
-    assert _engine_block_sizes(monkeypatch, argv) == sizes
+    assert _engine_block_sizes(monkeypatch, argv) == _split_sizes(cells)
     capsys.readouterr()
 
 
 def test_a_long_mixed_sweep_is_bounded_and_equals_per_cell_reports(tmp_path, capsys, monkeypatch):
     """2,000 points of the one-axis product family: no xi_batch call takes
-    more than 512 cells, and every row equals its own squeezing_report."""
+    more than _BLOCK_CELLS cells, and every row equals its own
+    squeezing_report."""
     out = tmp_path / "m.csv"
     grid = "0.01:3.1:2000"
     sizes = _engine_block_sizes(monkeypatch, ["sweep", "mixed", "--grid", grid, "--out", str(out)])
     capsys.readouterr()
-    assert max(sizes) <= 512 and sum(sizes) == 2000
+    assert max(sizes) <= _B and sum(sizes) == 2000
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     thetas = cli._parse_grid(grid)
     assert [r[0] for r in rows] == [cli._fmt(t) for t in thetas]
@@ -492,13 +504,13 @@ def test_check_report(tmp_path, capsys):
 
 def test_check_is_the_grid_evaluator_on_the_check_grids(tmp_path, capsys, monkeypatch):
     """`check` makes one xi_batch call per block of each check grid (equal
-    blocks of at most 512 cells), and its records equal per-cell
+    blocks of at most _BLOCK_CELLS cells), and its records equal per-cell
     compare_closed_forms: the same families, params, closed forms and
     flags, the engine within 1e-12 max(1, |xi|)."""
     sizes = _engine_block_sizes(monkeypatch, ["check", "--out", str(tmp_path / "r.txt")])
     capsys.readouterr()
     # product 30x30, mixed 100, config1/2 15x15, config3 two 12x12 grids
-    assert sizes == [450, 450, 100, 225, 225, 144, 144]
+    assert sizes == [*_split_sizes(900), 100, 225, 225, 144, 144]
     monkeypatch.undo()
     records = squeezing.run_standard_comparisons()
     assert list(records) == list(squeezing.FAMILIES)

@@ -47,7 +47,8 @@ from spinsqueeze import (
 from spinsqueeze import squeezing
 from spinsqueeze.spin import Frame, _dot3, cross3, frame_bases
 from spinsqueeze.states import Spinor, load_state, save_state, schwinger
-from spinsqueeze.squeezing import (_BATCH_ROWS, _GRID_TABLE, _TIE_TOL, DEGENERATE_MEAN_SPIN,
+from spinsqueeze.squeezing import (_BATCH_ROWS, _BLOCK_CELLS, _CELL, _GRID, _GRID_ANGLES,
+                                   _GRID_TABLE, _MAX_STEP, _TIE_TOL, DEGENERATE_MEAN_SPIN,
                                    FAMILIES, _certified, _coefficients, _covariance, _derivatives,
                                    _dual_min, _grid_argmin, _kkt_newton,
                                    _min_transverse_variance, _newton, _newton_rows, _plane_matrix,
@@ -414,17 +415,17 @@ def _xi_at_angles(amps: np.ndarray, s: float, t: float) -> float:
     return mom.xi_parts(u, v)[0]
 
 
-# Plane-plane states whose Newton point is a local minimum: (amplitudes, xi
-# there, 2048^2 angle-scan xi).  The point is stationary and not certified,
-# and scans along each angle with the other held fixed find nothing lower,
-# but a lower minimum exists elsewhere.
+# Plane-plane states whose Newton point from the grid start is a local
+# minimum: (amplitudes, xi there, 2048^2 angle-scan xi).  The point is
+# stationary and not certified, and scans along each angle with the other
+# held fixed find nothing lower, but a lower minimum exists elsewhere.
 _MISSES = {
-    "seed-11 row 820": ((
-        (-0.2969856539769743-0.18366426783790055j), (0.2083107240639281-0.05589213337748554j),
-        (-0.18866702411636757-0.08935503342485414j), (0.10052193493498222-0.3160476550362299j),
-        (-0.09704361998310707-0.15359664288610567j), (-0.16731552635886382-0.09897072816373041j),
-        (0.6407888344741124+0.1635926168449518j), (-0.1293354565430727+0.23547586558036435j),
-        (-0.3123131486861635-0.009556028944250823j)), 1.2817517, 1.2817245),
+    "seed-11 row 359": ((
+        (0.004208390032888363+0.30634392339379585j), (-0.475807284813337+0.13215246735446748j),
+        (-0.16712956257918826-0.026484316150393858j), (0.05569071869993607+0.02063306358313585j),
+        (0.26796097051718-0.5240461729049196j), (-0.10701470133685047-0.3447597767211625j),
+        (0.10235498242320892-0.24331217544119518j), (-0.10483684346184066+0.10891542695759925j),
+        (0.16775951261104768+0.1808454749093469j)), 0.9702654, 0.9673739),
     # config(2, 2.477551020408163, 1.979591836734694)
     "config2 cell": ((
         -0.33404913708965284, 0.0, 0.7711200166714052, 0.0, -0.5420194589665117, 0.0,
@@ -443,9 +444,20 @@ _MISSES = {
 }
 
 
-@pytest.mark.parametrize("name", list(_MISSES))
+# and seed-11 row 820, whose Newton point from the first minimum of a
+# 64-point grid is a local minimum at xi 1.2817517 (from the 32-point
+# grid's start it is certified)
+_SCANNED = {**{name: amps for name, (amps, _, _) in _MISSES.items()}, "seed-11 row 820": (
+    (-0.2969856539769743-0.18366426783790055j), (0.2083107240639281-0.05589213337748554j),
+    (-0.18866702411636757-0.08935503342485414j), (0.10052193493498222-0.3160476550362299j),
+    (-0.09704361998310707-0.15359664288610567j), (-0.16731552635886382-0.09897072816373041j),
+    (0.6407888344741124+0.1635926168449518j), (-0.1293354565430727+0.23547586558036435j),
+    (-0.3123131486861635-0.009556028944250823j))}
+
+
+@pytest.mark.parametrize("name", list(_SCANNED))
 def test_optimized_reaches_the_angle_scan_minimum(name):
-    amps, _, _ = _MISSES[name]
+    amps = _SCANNED[name]
     state = CoupledState(np.array(amps).reshape(3, 3))
     assert squeezing_report(state, Optimized()).xi <= _angle_scan_xi(amps) + 1e-9
 
@@ -498,24 +510,27 @@ def test_certificate_implies_a_positive_semidefinite_dual_matrix():
     low = np.linalg.eigvalsh(m)[:, 0]
     scale = np.abs(coef).sum(axis=1)
     assert np.all(low[certified] >= -1e-10 * scale[certified])
-    # not vacuous: all converged points but row 820 of the dense states are
-    # certified, and row 820's dual matrix has a negative direction
-    assert np.flatnonzero(converged[:2000] & ~certified[:2000]).tolist() == [820]
-    assert low[820] < -1e-6 * scale[820]
+    # not vacuous: all converged points but rows 359, 512, 1740 and 1861 of
+    # the dense states are certified, and their dual matrices have a
+    # negative direction
+    missed = [359, 512, 1740, 1861]
+    assert np.flatnonzero(converged[:2000] & ~certified[:2000]).tolist() == missed
+    assert np.all(low[missed] < -1e-6 * scale[missed])
 
 
 def _full_grid_argmin(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The start grid searched whole, for reference: value[i, j] = h_i.M.h_j
-    over all 64 x 64 angle pairs, with h = (cos, sin, cos2, sin2, 1) of the
-    grid angles and each row's 5x5 matrix M, and the first point
+    over all _GRID x _GRID angle pairs, with h = (cos, sin, cos2, sin2, 1)
+    of the grid angles and each row's 5x5 matrix M, and the first point
     (row-major) within 1e-14 of the minimum."""
-    ang = np.arange(64) * (2.0 * math.pi / 64)
-    h = np.stack([np.cos(ang), np.sin(ang), np.cos(2.0 * ang), np.sin(2.0 * ang), np.ones(64)], axis=1)
+    ang = np.arange(_GRID) * _CELL
+    h = np.stack([np.cos(ang), np.sin(ang), np.cos(2.0 * ang), np.sin(2.0 * ang), np.ones(_GRID)],
+                 axis=1)
     m = np.zeros((len(coef), 5, 5))
     m[:, :2, :2] = coef[:, 4:].reshape(-1, 2, 2)
     m[:, 2:4, 4] = coef[:, :2]
     m[:, 4, 2:4] = coef[:, 2:4]
-    i, j = np.divmod([squeezing.first_min_index(h @ (mk @ h.T)) for mk in m], 64)
+    i, j = np.divmod([squeezing.first_min_index(h @ (mk @ h.T)) for mk in m], _GRID)
     return ang[i], ang[j]
 
 
@@ -543,8 +558,8 @@ def test_half_grid_argmin_equals_the_full_grid():
 
 
 def test_grid_table_rows_are_the_harmonics_of_a_coefficient_row():
-    # coef . table[:, k] + const is the numerator at grid point k = 64 i + j,
-    # (s, t) = (i, j) 2 pi / 64, with const = tr G1 + tr G2 for G the
+    # coef . table[:, k] + const is the numerator at grid point k = _GRID i + j,
+    # (s, t) = (i, j) _CELL, with const = tr G1 + tr G2 for G the
     # covariances on the transverse bases; so is z.M.z + const of the plane
     # matrix M that the dual solve gets, z = (cos s, sin s, cos t, sin t)
     for amps in _dense_draw(5, 4):
@@ -555,8 +570,9 @@ def test_grid_table_rows_are_the_harmonics_of_a_coefficient_row():
         m, coef = _plane_matrix(coef), coef[0]
         cov1, cov2 = mom.sigma[0, :3, :3], mom.sigma[0, 3:, 3:]
         const = np.trace(e1 @ cov1 @ e1.T) + np.trace(e2 @ cov2 @ e2.T)
-        for k in (0, 1, 63, 64, 700, 1234, 2047):
-            s, t = (a * (2.0 * math.pi / 64) for a in divmod(k, 64))
+        half = _GRID * _GRID // 2
+        for k in (0, 1, _GRID - 1, _GRID, half // 3, half - _GRID // 3, half - 1):
+            s, t = (a * _CELL for a in divmod(k, _GRID))
             u = math.cos(s) * e1[0] + math.sin(s) * e1[1]
             v = math.cos(t) * e2[0] + math.sin(t) * e2[1]
             numer = (2.0 * mom.variance(1, u) + 2.0 * mom.variance(2, v)
@@ -566,18 +582,42 @@ def test_grid_table_rows_are_the_harmonics_of_a_coefficient_row():
             assert z @ m[0] @ z + const == pytest.approx(numer, abs=1e-12)
 
 
+def _grid_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The angles and half-grid table of an n-point start grid, built as
+    squeezing builds _GRID_ANGLES and _GRID_TABLE."""
+    ang = np.arange(n) * (2.0 * math.pi / n)
+    s, t = (ang[k] for k in np.divmod(np.arange(n * n // 2), n))
+    return ang, np.stack([f(2.0 * a) for a in (s, t) for f in (np.cos, np.sin)]
+                         + [f(s) * g(t) for f in (np.cos, np.sin) for g in (np.cos, np.sin)])
+
+
+def test_grid_table_is_the_even_points_of_the_doubled_grid():
+    # the start grid is every other angle of a grid twice as fine: its
+    # angles and table columns are the bits of the finer grid's even (i, j)
+    # points, so its start is the first minimum of that grid's even
+    # sub-grid; Newton's step bound is the same angle on either grid
+    ang, table = _grid_table(_GRID)
+    assert ang.tobytes() == _GRID_ANGLES.tobytes() and table.tobytes() == _GRID_TABLE.tobytes()
+    fine_ang, fine = _grid_table(2 * _GRID)
+    i, j = np.divmod(np.arange(_GRID * _GRID // 2), _GRID)
+    assert fine_ang[::2].tobytes() == ang.tobytes()
+    assert fine[:, 2 * i * (2 * _GRID) + 2 * j].tobytes() == table.tobytes()
+    assert _MAX_STEP == math.pi / 8 == 4.0 * (2.0 * math.pi / (2 * _GRID))
+
+
 @pytest.mark.parametrize("size", [_BATCH_ROWS - 1, _BATCH_ROWS, 2000])
 def test_xi_batch_equals_reports_across_the_batch_threshold(size, monkeypatch):
     from spinsqueeze import squeezing
 
     g = np.linspace(0.05, 3.1, 50)
-    # the default sweep config2 cells (8, 21) and (13, 20) and config3 cell
-    # (19, 29) take the Newton-rejection fallback, and seed-11 dense row 820
-    # (a converged point that is not certified) the dual solve; no other
-    # row of that draw reaches it
-    c = np.concatenate([[config(2, g[8], g[21]).c, config(2, g[13], g[20]).c,
-                         config(3, g[19], g[29]).c], _dense_draw(11)])
-    first = [0, 1, 2, 3 + 820]
+    # the first default sweep config2 cells (16, 15) and (16, 34) and config3
+    # cell (15, 10) whose Newton step is rejected, and the seed-11 dense rows
+    # that reach the dual solve: Newton rejects a step on rows 1199 and
+    # 1553, and rows 359, 512, 1740 and 1861 converge to points that are not
+    # certified; no other row of that draw reaches it
+    c = np.concatenate([[config(2, g[16], g[15]).c, config(2, g[16], g[34]).c,
+                         config(3, g[15], g[10]).c], _dense_draw(11)])
+    first = [0, 1, 2, *(3 + k for k in (359, 512, 1199, 1553, 1740, 1861))]
     rows = np.concatenate([first, np.setdiff1d(np.arange(len(c)), first)])[:size]
     calls = {}
 
@@ -593,8 +633,8 @@ def test_xi_batch_equals_reports_across_the_batch_threshold(size, monkeypatch):
         counted(name)
     xi = xi_batch(c[rows], Optimized())
     assert bool(calls.get("_newton_rows")) == (size >= _BATCH_ROWS)
-    # one dual solve, in the first block of at most 512 rows, takes exactly
-    # the four open rows above
+    # one dual solve, in the first block of at most _BLOCK_CELLS rows, takes
+    # exactly the nine open rows above
     (args,) = calls["_dual_min"]
     m = args[0]
     want = _plane_plane_matrices(c[first])
@@ -607,8 +647,9 @@ def test_xi_batch_equals_reports_across_the_batch_threshold(size, monkeypatch):
 
 
 def test_xi_batch_hands_the_optimizer_at_most_512_rows(monkeypatch):
-    """xi_batch cuts 1,100 rows into equal blocks of at most 512: no
+    """xi_batch cuts rows into equal blocks of at most _BLOCK_CELLS: no
     _optimized_uv call sees more, and every row is evaluated once."""
+    n = 3 * (_BLOCK_CELLS * 3 // 4) + 1
     sizes = []
     optimized_uv = squeezing._optimized_uv
 
@@ -617,9 +658,9 @@ def test_xi_batch_hands_the_optimizer_at_most_512_rows(monkeypatch):
         return optimized_uv(mean, *args)
 
     monkeypatch.setattr(squeezing, "_optimized_uv", recording)
-    xi = xi_batch(_dense_draw(11)[:1100], Optimized())
-    assert sizes == [367, 367, 366]
-    assert xi.shape == (1100,) and not np.isnan(xi).any()
+    xi = xi_batch(_dense_draw(11, n), Optimized())
+    assert sizes == [n // 3 + 1, n // 3, n // 3]
+    assert xi.shape == (n,) and not np.isnan(xi).any()
 
 
 # ------------------------------------------------------ batched engine
@@ -700,12 +741,12 @@ def test_xi_batch_makes_no_report(policy, monkeypatch):
 
 @_POLICIES
 def test_xi_batch_rows_do_not_depend_on_their_block(policy):
-    """A row's xi is the same bits in xi_batch's blocks of 1,025 rows (342,
-    342 and 341) as in slices of two (and one of three) rows, and as in
-    one-row calls: the blocks that xi_batch cuts do not move a byte."""
-    c = _dense_draw(11, 1025)
+    """A row's xi is the same bits in xi_batch's two blocks of _BLOCK_CELLS
+    + 1 rows as in slices of two (and one of three) rows, and as in one-row
+    calls: the blocks that xi_batch cuts do not move a byte."""
+    c = _dense_draw(11, _BLOCK_CELLS + 1)
     whole = xi_batch(c, policy).view(np.int64)
-    sliced = np.concatenate([xi_batch(b, policy) for b in np.array_split(c, 512)])
+    sliced = np.concatenate([xi_batch(b, policy) for b in np.array_split(c, len(c) // 2)])
     assert np.array_equal(whole, sliced.view(np.int64))
     alone = np.concatenate([xi_batch(row[None], policy) for row in c[:300]])
     assert np.array_equal(whole[:300], alone.view(np.int64))
@@ -713,10 +754,10 @@ def test_xi_batch_rows_do_not_depend_on_their_block(policy):
 
 def _directions_population() -> dict[str, np.ndarray]:
     """Seeded amplitude stacks whose reports take each Optimized path: 2,000
-    dense states (plane-plane, 1 through the dual solve), 512 polar (x)
+    dense states (plane-plane, 4 through the dual solve), 512 polar (x)
     random products (sphere-circle, on either side, with B = 0), 512
-    config-3 draws (3 through the dual solve), the default sweep config2
-    cells (20 through it) and 64 entangled states with <S1> = 0 or <S2> = 0
+    config-3 draws (8 through the dual solve), the default sweep config2
+    cells (63 through it) and 64 entangled states with <S1> = 0 or <S2> = 0
     and the two _SPHERE_FALLBACKS (sphere-circle rows whose start the dual
     solve moves, closed by _kkt_newton)."""
     rng = np.random.default_rng(21)
@@ -737,11 +778,12 @@ def _directions_population() -> dict[str, np.ndarray]:
 
 def test_report_directions_are_the_block_rows(monkeypatch):
     """A report's Optimized u and v, from the one-row path on Python floats
-    and 2-D arrays, are the bits of its row's u and v in a 512-row block, on
-    every path: plane-plane rows that Newton settles or that go through the
-    dual solve and its polish, sphere-circle rows where B vanishes, which
-    keep their start (and the sign rule for u), or that the dual solve and
-    _kkt_newton move.  So are a plane row's coefficient row and grid start."""
+    and 2-D arrays, are the bits of its row's u and v in a _BLOCK_CELLS-row
+    block, on every path: plane-plane rows that Newton settles or that go
+    through the dual solve and its polish, sphere-circle rows where B
+    vanishes, which keep their start (and the sign rule for u), or that the
+    dual solve and _kkt_newton move.  So are a plane row's coefficient row
+    and grid start."""
     optimized_uv, dual_min, kkt_newton = (squeezing._optimized_uv, squeezing._dual_min,
                                           squeezing._kkt_newton)
     seen, reached, reporting = [], collections.Counter(), []
@@ -776,8 +818,8 @@ def test_report_directions_are_the_block_rows(monkeypatch):
         mean, sigma = g[:, 0, 1:], _covariance(g)
         deg1, deg2 = (np.sqrt(_dot3(m.T, m.T)) < DEGENERATE_MEAN_SPIN
                       for m in (mean[:, :3], mean[:, 3:]))
-        for lo in range(0, len(c), 512):
-            block = np.arange(lo, min(lo + 512, len(c)))
+        for lo in range(0, len(c), _BLOCK_CELLS):
+            block = np.arange(lo, min(lo + _BLOCK_CELLS, len(c)))
             for rows, second in ((block[~(deg1 | deg2)[block]], None),
                                  (block[(deg1 != deg2)[block]], deg2)):
                 if not rows.size:
@@ -804,9 +846,9 @@ def test_report_directions_are_the_block_rows(monkeypatch):
                      ("sweep config2", True), ("entangled", False)}
     # not vacuous: the reports that the dual solve answers and polishes, on each side
     assert reached == collections.Counter({
-        ("dense", "dual", 2): 1, ("config3", "dual", 2): 3, ("sweep config2", "dual", 2): 20,
-        ("entangled", "dual", 3): 66, ("dense", "kkt"): 1, ("config3", "kkt"): 3,
-        ("sweep config2", "kkt"): 20, ("entangled", "kkt"): 66})
+        ("dense", "dual", 2): 4, ("config3", "dual", 2): 8, ("sweep config2", "dual", 2): 63,
+        ("entangled", "dual", 3): 66, ("dense", "kkt"): 4, ("config3", "kkt"): 8,
+        ("sweep config2", "kkt"): 63, ("entangled", "kkt"): 66})
     # and the products' sign rule for u: taking no B to vanish skips it,
     # which negates the sphere side's u of about half of the reports
     products = population["polar x random"]
@@ -1294,20 +1336,18 @@ def test_dual_moved_rows_are_polished(monkeypatch):
     """Every row the dual solve moves ends within 1e-12 of sum|M| of its
     bound after _kkt_newton's polish and never above its unpolished dual
     point (_kkt_newton as the identity) by more than _TIE_TOL of sum|M|,
-    and two come down by more than that.  The rows: the seed-11 dense rows
-    whose Newton point the engine does not certify, from that point, and
-    the sweep config3 hard cells from two fixed starts.  A KKT step that
-    rises is not kept.  The dense rows start where Newton stops under a
-    step bound of one grid cell: rows 135, 185 and 429 reject a step there,
-    and under Optimized's bound they converge to certified points."""
+    and two come down by more than that.  The rows: the seed-11 dense
+    rows whose Newton point the engine does not certify, from that point,
+    and the sweep config3 hard cells from two fixed starts.  A KKT step that
+    rises is not kept.  Of the dense rows, 1199 and 1553 stop where Newton
+    rejects a step, and 359, 512, 1740 and 1861 converge to points that
+    are not certified."""
     g = np.linspace(0.05, 3.1, 50)
     cells = [(16, 21), (17, 2), (17, 27), (17, 47), (31, 22), (32, 2), (32, 27), (32, 47)]
-    dense = _plane_plane_coefficients(_dense_draw(11)[[135, 185, 429, 820]])
-    with monkeypatch.context() as patch:
-        patch.setattr(squeezing, "_MAX_STEP", squeezing._CELL)
-        s, t, d = _newton_point(dense)
-    assert np.isnan(d[0]).tolist() == [True, True, True, False]
-    assert _certified(dense.T, _newton_point(dense)[2]).tolist() == [True, True, True, False]
+    dense = _plane_plane_coefficients(_dense_draw(11)[[1199, 1553, 359, 512, 1740, 1861]])
+    s, t, d = _newton_point(dense)
+    assert np.isnan(d[0]).tolist() == [True, True, False, False, False, False]
+    assert not _certified(dense.T, d).any()
     hard = _plane_plane_coefficients(np.array([config(3, g[i], g[j]).c for i, j in cells]))
     cases = [(dense, np.stack([np.cos(s), np.sin(s), np.cos(t), np.sin(t)], axis=1))]
     cases += [(hard, np.tile(start, (len(hard), 1)))
@@ -1328,10 +1368,10 @@ def test_dual_moved_rows_are_polished(monkeypatch):
         assert np.array_equal(polished[~moved], y[~moved])
         moved_rows += moved.sum()
         lowered += np.sum(value < unpolished - tie)
-    assert (moved_rows, lowered) == (4 + 8 + 8, 2)
-    # a KKT point need not be the minimum: from 0.01 off row 820's maximum
-    # (the minimizer of -M), the steps climb to it, and none is kept
-    m = _plane_matrix(dense[3:])
+    assert (moved_rows, lowered) == (6 + 8 + 8, 2)
+    # a KKT point need not be the minimum: from 0.01 off seed-11 row 820's
+    # maximum (the minimizer of -M), the steps climb to it, and none is kept
+    m = _plane_matrix(_plane_plane_coefficients(_dense_draw(11)[[820]]))
     top = _dual_min(-m, 2, np.array([[1.0, 0.0, 1.0, 0.0]]))[0][0]
     a = math.atan2(top[1], top[0]) + 0.01
     z = np.array([[math.cos(a), math.sin(a), top[2], top[3]]])
